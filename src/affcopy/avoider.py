@@ -13,13 +13,13 @@ translation t with t + delta*alpha_m in A can be found by exact search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
                                normalize)
-from affcopy.slowseq import HorizonError, threshold_index
+from affcopy.slowseq import HorizonError, check_convex, first_index, threshold_index
 
 #: Horizon used for formula-backed sequences, large enough that every budget
 #: search below is limited by arithmetic, not by an artificial cap.
@@ -41,68 +41,38 @@ class EmbeddingSearchError(Exception):
 class ThresholdSequence:
     """A strictly decreasing positive null sequence with non-increasing gaps.
 
-    Built either from explicit source values via the convexification
-    recurrence eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2)), or directly from
-    a formula that is already convex (then eta coincides with the source and
-    arbitrary indices can be evaluated without materializing a prefix).
+    Built either by ``thresholdize`` from explicit source values via the
+    convexification recurrence eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2)),
+    or by ``from_convex`` from a formula that is already convex (then eta
+    coincides with the source and arbitrary indices can be evaluated without
+    materializing a prefix).
     """
 
     def __init__(self, beta: Callable[[int], Fraction], eta: Callable[[int], Fraction],
-                 horizon: int, source: str,
+                 horizon: int,
                  beta_values: Optional[Tuple[Fraction, ...]] = None,
                  eta_values: Optional[Tuple[Fraction, ...]] = None):
         self._beta = beta
         self._eta = eta
         self.horizon = horizon
-        self.source = source
         self._beta_values = beta_values
         self._eta_values = eta_values
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_values(cls, values: Sequence[RationalLike]) -> "ThresholdSequence":
-        beta_values = tuple(as_fraction(v) for v in values)
-        if len(beta_values) < 2:
-            raise ValueError("need at least two source values")
-        for i, v in enumerate(beta_values):
-            if v <= 0:
-                raise ValueError(f"source value {i + 1} is not positive")
-            if i and v >= beta_values[i - 1]:
-                raise ValueError(f"source not strictly decreasing at index {i + 1}")
-        eta: List[Fraction] = [beta_values[0], beta_values[1]]
-        for m in range(3, len(beta_values) + 1):
-            eta.append(max(beta_values[m - 1], 2 * eta[-1] - eta[-2]))
-        eta_values = tuple(eta)
-        return cls(beta=lambda m: beta_values[m - 1], eta=lambda m: eta_values[m - 1],
-                   horizon=len(beta_values), source="recurrence",
-                   beta_values=beta_values, eta_values=eta_values)
-
-    @classmethod
     def from_convex(cls, fn: Callable[[int], Fraction],
                     horizon: int = FORMULA_HORIZON) -> "ThresholdSequence":
         """Wrap an already-convex formula (non-increasing gaps), so eta = beta.
 
-        The gap condition is spot-checked on a leading stretch; beyond that
-        the formula is trusted, which is what allows threshold searches at
-        indices far past anything a materialized prefix could reach.
+        The gap condition is checked by ``check_convex`` on the first
+        CONVEXITY_SPOT_CHECKS gaps; beyond that the formula is trusted, which
+        is what allows threshold searches at indices far past anything a
+        materialized prefix could reach.
         """
-        prev = None
-        prev_gap = None
-        for m in range(1, min(horizon, CONVEXITY_SPOT_CHECKS) + 1):
-            v = as_fraction(fn(m))
-            if v <= 0:
-                raise ValueError(f"formula not positive at m={m}")
-            if prev is not None:
-                gap = prev - v
-                if gap <= 0:
-                    raise ValueError(f"formula not strictly decreasing at m={m}")
-                if prev_gap is not None and gap > prev_gap:
-                    raise ValueError(f"formula gaps increase at m={m}")
-                prev_gap = gap
-            prev = v
+        check_convex(fn, 1, min(horizon - 1, CONVEXITY_SPOT_CHECKS))
         wrapped = lambda m: as_fraction(fn(m))
-        return cls(beta=wrapped, eta=wrapped, horizon=horizon, source="convex")
+        return cls(beta=wrapped, eta=wrapped, horizon=horizon)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -125,18 +95,7 @@ class ThresholdSequence:
     def first_index_below(self, x: RationalLike) -> int:
         """Least m with eta_m < x (eta is strictly decreasing)."""
         target = as_fraction(x)
-        if self.eta(1) < target:
-            return 1
-        if not self.eta(self.horizon) < target:
-            raise HorizonError(f"eta never drops below {target} within the horizon")
-        lo, hi = 1, self.horizon
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.eta(mid) < target:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return first_index(lambda m: self.eta(m) < target, 1, self.horizon)
 
     def convergence_prognosis(self) -> dict:
         """Finite stand-in for the null limit, which no prefix can certify.
@@ -169,10 +128,22 @@ def thresholdize(beta: Union[Sequence[RationalLike], Callable[[int], Fraction]],
             raise ValueError("a callable source needs an explicit horizon")
         values = [beta(m) for m in range(1, horizon + 1)]
     else:
-        values = list(beta)
-        if horizon is not None:
-            values = values[:horizon]
-    return ThresholdSequence.from_values(values)
+        values = list(beta)[:horizon]
+    beta_values = tuple(as_fraction(v) for v in values)
+    if len(beta_values) < 2:
+        raise ValueError("need at least two source values")
+    for i, v in enumerate(beta_values):
+        if v <= 0:
+            raise ValueError(f"source value {i + 1} is not positive")
+        if i and v >= beta_values[i - 1]:
+            raise ValueError(f"source not strictly decreasing at index {i + 1}")
+    eta: List[Fraction] = [beta_values[0], beta_values[1]]
+    for m in range(3, len(beta_values) + 1):
+        eta.append(max(beta_values[m - 1], 2 * eta[-1] - eta[-2]))
+    eta_values = tuple(eta)
+    return ThresholdSequence(beta=lambda m: beta_values[m - 1],
+                             eta=lambda m: eta_values[m - 1], horizon=len(beta_values),
+                             beta_values=beta_values, eta_values=eta_values)
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +211,18 @@ class Hole:
                 "lambda": d["lambda"], "K": d["K"], "T": d["T"]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class AvoiderConstruction:
     """Depth-N truncation of the avoider: [0,1] minus the first N holes.
 
     The truncation contains the full set, so any embedding certificate for a
     deeper truncation remains valid here; reports label results with the
-    depth they were checked at. ``delta0`` records the scale cap of the most
-    recent embedding query.
+    depth they were checked at.
     """
 
     depth: int
     holes: Tuple[Hole, ...]
     avoider: IntervalSet
-    delta0: Optional[Fraction] = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {"depth": self.depth, "holes": [h.to_json_dict() for h in self.holes]}
@@ -410,6 +379,7 @@ class EmbeddingCertificate:
     residual_measure: Fraction
     trace: Tuple[Tuple[Fraction, Fraction], ...]
     budget_lower_bound: Fraction
+    delta0: Optional[Fraction]  # the ladder's scale cap (delta0_of); not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -436,8 +406,9 @@ def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLi
     vector = [as_fraction(a) for a in alpha]
     if not vector:
         raise ValueError("need at least one alpha entry")
+    if i_max < 1:
+        raise ValueError("i_max must be at least 1")
     delta0 = delta0_of(vector, t)
-    construction.delta0 = delta0
     base = delta0 if delta0 is not None else Fraction(1)
     unit = IntervalSet((Interval.closed(0, 1),))
     trace: List[Tuple[Fraction, Fraction]] = []
@@ -466,5 +437,6 @@ def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLi
                                         checked_points=len(vector),
                                         residual_measure=measure,
                                         trace=tuple(trace),
-                                        budget_lower_bound=budget_bound)
+                                        budget_lower_bound=budget_bound,
+                                        delta0=delta0)
     raise EmbeddingSearchError(tuple(trace))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
-                               normalize, union_all)
+                               union_all)
 
 UNIT = Interval.closed(0, 1)
 TWO_THIRDS = Fraction(2, 3)
@@ -101,10 +101,6 @@ class GapOracle:
     def __call__(self, k: Interval) -> Interval:
         raise NotImplementedError
 
-    def point_in_target(self, x: Fraction) -> Optional[bool]:
-        """Exact membership in the target set, or None if not checkable."""
-        return None
-
     def interval_avoids_target(self, iv: Interval) -> Optional[bool]:
         """Whether iv is disjoint from the target set, or None if not checkable."""
         return None
@@ -120,9 +116,6 @@ class MiddleThirdOracle(GapOracle):
         inner = middle_third(k)
         step = inner.length / 3
         return Interval.open(inner.lo + step, inner.lo + 2 * step)
-
-    def point_in_target(self, x: Fraction) -> bool:
-        return False
 
     def interval_avoids_target(self, iv: Interval) -> bool:
         return True
@@ -149,11 +142,9 @@ class TernaryCantorOracle(GapOracle):
         i = math.ceil(inner.lo / width)
         block_lo = i * width
         gap = Interval.open(block_lo + width / 3, block_lo + 2 * width / 3)
-        assert inner.lo <= block_lo and block_lo + width <= inner.hi
+        if not (inner.lo <= block_lo and block_lo + width <= inner.hi):
+            raise RuntimeError(f"ternary block at {block_lo} leaves middle third {inner}")
         return gap
-
-    def point_in_target(self, x: Fraction) -> bool:
-        return in_ternary_cantor(x)
 
     def interval_avoids_target(self, iv: Interval) -> bool:
         if iv.hi <= 0 or iv.lo >= 1:
@@ -185,14 +176,8 @@ class FinitePointsOracle(GapOracle):
         step = (best_hi - best_lo) / 3
         return Interval.open(best_lo + step, best_lo + 2 * step)
 
-    def point_in_target(self, x: Fraction) -> bool:
-        return x in self.points
-
     def interval_avoids_target(self, iv: Interval) -> bool:
         return not any(iv.contains(p) for p in self.points)
-
-
-DEFAULT_ORACLE = MiddleThirdOracle()
 
 
 # ---------------------------------------------------------------------------

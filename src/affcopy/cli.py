@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from typing import Callable, Dict, Optional
 
@@ -30,10 +31,14 @@ def _emit(report: dict, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, out)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _fraction(text: str) -> Fraction:
@@ -261,11 +266,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, passed = _run(args)
+        _emit(report, args.out)
     except (ValueError, slowseq.HorizonError, cantor.OracleViolationError,
             ZeroDivisionError, OSError, ArithmeticError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    _emit(report, args.out)
     return 0 if passed else 1
 
 

@@ -20,6 +20,7 @@ falls out of cut equality with no special cases.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple, Union
@@ -309,14 +310,8 @@ class IntervalSet:
 
     def contains_point(self, x: RationalLike) -> bool:
         cut = (as_fraction(x), 0)
-        lo, hi = 0, len(self.parts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.parts[mid].start_cut <= cut:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo > 0 and cut < self.parts[lo - 1].end_cut
+        i = bisect_right(self.parts, cut, key=lambda p: p.start_cut)
+        return i > 0 and cut < self.parts[i - 1].end_cut
 
     def issuperset(self, other: "IntervalSet") -> bool:
         i = 0
@@ -330,15 +325,6 @@ class IntervalSet:
             if not (parts[i].start_cut <= qs and qe <= parts[i].end_cut):
                 return False
         return True
-
-    def issubset(self, other: "IntervalSet") -> bool:
-        return other.issuperset(self)
-
-    def hull(self) -> Interval:
-        if not self.parts:
-            raise ValueError("empty set has no hull")
-        first, last = self.parts[0], self.parts[-1]
-        return Interval(first.lo, last.hi, first.lo_closed, last.hi_closed)
 
     # -- text form ----------------------------------------------------------------
 
@@ -376,7 +362,3 @@ def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
         ranges.extend(s._ranges())
     ranges.sort()
     return IntervalSet._from_ranges(_merge_sorted_ranges(ranges))
-
-
-def singleton(interval: Interval) -> IntervalSet:
-    return IntervalSet((interval,))

@@ -335,12 +335,14 @@ def premeasure_bound(system: MixedRadixSystem, j: int, k: int) -> PremeasureBoun
     for idx in selected:
         denom *= system.radix(idx) // 2
     count = Fraction(system.product(level), denom)
-    assert count.denominator == 1
+    if count.denominator != 1:
+        raise RuntimeError(f"cover count {count} at level {level} is not an integer")
     bound = Fraction(int(count), system.product(level - 1))
     simplified = Fraction(2)
     for idx in selected[:-1]:
         simplified /= Fraction(system.radix(idx), 2)
-    assert bound == simplified
+    if bound != simplified:
+        raise RuntimeError(f"cover bound {bound} differs from its closed form {simplified}")
     target = Fraction(2) ** (2 - k)
     return PremeasureBound(
         j=j,

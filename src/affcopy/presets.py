@@ -28,8 +28,9 @@ def _iterated_floor_log(m: int, depth: int) -> int:
     return x
 
 
-def _parse_preset(spec: str) -> Tuple[Callable[[int], Fraction], bool]:
-    """Return (value function, convex) for a preset spec string."""
+def _parse_preset(spec: str) -> Optional[Tuple[Callable[[int], Fraction], bool]]:
+    """Return (value function, convex) for a preset spec string, or None when
+    the spec names no preset but an existing sequence file."""
     name, _, arg = spec.partition(":")
     if name == "harmonic":
         return (lambda m: Fraction(1, m + 1)), True
@@ -49,15 +50,17 @@ def _parse_preset(spec: str) -> Tuple[Callable[[int], Fraction], bool]:
             raise ValueError(f"iterlog depth must be a positive integer, got {d}")
         # strictly decreasing taper times the plateaued reciprocal log
         return (lambda m: Fraction(m + 2, 2 * (m + 1) * _iterated_floor_log(m, d))), False
+    if os.path.exists(spec):
+        return None
     raise ValueError(f"unknown sequence preset {spec!r}")
 
 
 def load_sequence_file(path: str) -> List[Fraction]:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if not isinstance(data, list) or not data:
+    if not isinstance(data, list) or not data or not all(isinstance(v, str) for v in data):
         raise ValueError(f"{path}: expected a nonempty JSON array of 'p/q' strings")
-    return [as_fraction(str(v)) for v in data]
+    return [as_fraction(v) for v in data]
 
 
 def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> ThresholdSequence:
@@ -66,9 +69,10 @@ def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> Thresho
     Convex presets evaluate directly at any index; everything else runs the
     convexification recurrence over a materialized horizon.
     """
-    if os.path.exists(spec):
+    preset = _parse_preset(spec)
+    if preset is None:
         return thresholdize(load_sequence_file(spec), horizon)
-    fn, convex = _parse_preset(spec)
+    fn, convex = preset
     if convex:
         return ThresholdSequence.from_convex(fn)
     return thresholdize(fn, horizon or MATERIALIZED_HORIZON)
@@ -78,10 +82,11 @@ def alpha_vector(spec: str, count: int) -> List[Fraction]:
     """A finite target vector from a preset name or a sequence file."""
     if count < 1:
         raise ValueError("count must be positive")
-    if os.path.exists(spec):
+    preset = _parse_preset(spec)
+    if preset is None:
         values = load_sequence_file(spec)
         if len(values) < count:
             raise ValueError(f"{spec} holds {len(values)} values, need {count}")
         return values[:count]
-    fn, _ = _parse_preset(spec)
+    fn, _ = preset
     return [fn(m) for m in range(1, count + 1)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-from affcopy.intervals import EMPTY, Interval, IntervalSet, normalize, union_all
+from affcopy.intervals import Interval, IntervalSet, normalize, union_all
 
 
 def random_fraction(rng: random.Random, span: int = 24, max_den: int = 12,
@@ -183,6 +183,8 @@ class PropertyReport:
 
 def run_kernel_property_suite(seed: int, instances: int) -> PropertyReport:
     """Run every kernel property on `instances` fresh random cases each."""
+    if instances < 1:
+        raise ValueError("instances must be at least 1")
     failures = []
     checks = 0
     for name, check in KERNEL_PROPERTIES:

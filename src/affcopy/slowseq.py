@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from affcopy.cantor import CantorConstruction, TWO_THIRDS
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
-                               normalize, union_all)
+                               normalize)
 
 
 class HorizonError(Exception):
@@ -106,12 +106,48 @@ def build_mu(gap_tables: Mapping[int, Sequence[Fraction]], horizon: int) -> Slow
     return SlowSequence(mu=tuple(mus), breakpoints=tuple(breaks), horizon=horizon)
 
 
+def first_index(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Least m in lo..hi with pred(m), for a predicate that is false and then
+    true on lo..hi. Probes lo, then hi, then bisects; raises HorizonError when
+    pred(hi) fails."""
+    if pred(lo):
+        return lo
+    if not pred(hi):
+        raise HorizonError(f"threshold not reached by m={hi}")
+    while hi - lo > 1:  # pred(lo) fails, pred(hi) holds
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def check_convex(seq: Callable[[int], RationalLike], lo: int,
+                 hi: int) -> Dict[int, Fraction]:
+    """seq(m) for lo <= m <= hi + 1, checked exactly: positive on [lo, hi],
+    strictly decreasing and with non-increasing gaps seq(m) - seq(m+1) for
+    m in [lo, hi]. Raises ValueError at the first index that breaks this."""
+    values = {m: as_fraction(seq(m)) for m in range(lo, hi + 2)}
+    prev_gap: Optional[Fraction] = None
+    for m in range(lo, hi + 1):
+        if values[m] <= 0:
+            raise ValueError(f"sequence not positive at m={m}")
+        gap = values[m] - values[m + 1]
+        if gap <= 0:
+            raise ValueError(f"sequence not strictly decreasing at m={m}")
+        if prev_gap is not None and gap > prev_gap:
+            raise ValueError(f"gaps increase at m={m}: {gap} > {prev_gap}")
+        prev_gap = gap
+    return values
+
+
 def threshold_index(gap: Callable[[int], Fraction], delta: RationalLike, m0: int,
                     l: RationalLike, horizon: int) -> int:
     """Least m >= m0 with delta * gap(m) < l, for a non-increasing gap function.
 
-    Binary search over [m0, horizon]; by monotonicity every later index also
-    satisfies the strict inequality.
+    Searches [m0, horizon] with first_index; by monotonicity every later index
+    also satisfies the strict inequality.
     """
     d = as_fraction(delta)
     target = as_fraction(l)
@@ -119,19 +155,7 @@ def threshold_index(gap: Callable[[int], Fraction], delta: RationalLike, m0: int
         raise ValueError("delta and l must be positive")
     if m0 < 1 or horizon < m0:
         raise ValueError("need 1 <= m0 <= horizon")
-    if d * gap(m0) < target:
-        return m0
-    if not d * gap(horizon) < target:
-        raise HorizonError(
-            f"threshold not reached by m={horizon}: delta*gap={d * gap(horizon)} >= {target}")
-    lo, hi = m0, horizon  # gap(lo) fails, gap(hi) passes
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if d * gap(mid) < target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return first_index(lambda m: d * gap(m) < target, m0, horizon)
 
 
 @dataclass(frozen=True)
@@ -166,9 +190,10 @@ def decompose_translates(interval: Interval, seq: Callable[[int], Fraction],
                          m_horizon: int) -> TranslateDecomposition:
     """Split the translates of an open interval at the threshold index.
 
-    ``seq`` must be strictly decreasing and positive with non-increasing
-    consecutive gaps on [m0, m_horizon + 1]; both hypotheses are checked
-    exactly and violations are rejected.
+    ``seq`` must be positive on [m0, m_horizon] and strictly decreasing with
+    non-increasing gaps seq(m) - seq(m+1) for m in [m0, m_horizon]; both
+    hypotheses are checked exactly by check_convex and violations are
+    rejected.
     """
     if not interval.is_open or interval.is_point:
         raise ValueError("decompose_translates needs a nondegenerate open interval")
@@ -177,18 +202,7 @@ def decompose_translates(interval: Interval, seq: Callable[[int], Fraction],
         raise ValueError("delta must be positive")
     if m0 < 1 or m_horizon <= m0:
         raise ValueError("need 1 <= m0 < m_horizon")
-    values: Dict[int, Fraction] = {m: as_fraction(seq(m)) for m in range(m0, m_horizon + 2)}
-    prev_gap: Optional[Fraction] = None
-    for m in range(m0, m_horizon + 1):
-        if values[m] <= 0:
-            raise ValueError(f"sequence not positive at m={m}")
-        gap = values[m] - values[m + 1]
-        if gap <= 0:
-            raise ValueError(f"sequence not strictly decreasing at m={m}")
-        if prev_gap is not None and gap > prev_gap:
-            raise ValueError(f"gaps increase at m={m}: {gap} > {prev_gap}")
-        prev_gap = gap
-
+    values = check_convex(seq, m0, m_horizon)
     length = interval.length
     threshold = threshold_index(lambda m: values[m] - values[m + 1], d, m0, length,
                                 m_horizon)
@@ -252,14 +266,7 @@ def slow_decay_start(s: SlowSequence, delta: RationalLike, m0: int, k: int = 0) 
     guaranteed: the first integer exceeding max(1/delta, |k|, n1), where n1
     is the first block whose breakpoint reaches m0."""
     d = as_fraction(delta)
-    n1 = None
-    for n in range(1, s.blocks + 1):
-        if s.breakpoints[n] >= m0:
-            n1 = n
-            break
-    if n1 is None:
-        raise HorizonError(f"no breakpoint reaches m0={m0}")
-    worst = max(1 / d, Fraction(abs(k)), Fraction(n1))
+    worst = max(1 / d, Fraction(abs(k)), Fraction(s.block_of(m0)))
     n0 = int(worst) + 1
     return n0
 

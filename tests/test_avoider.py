@@ -250,7 +250,7 @@ class TestFindEmbedding:
         cert = find_embedding(a, alpha, eta_harmonic)
         assert cert.delta == F(1, 2)  # delta0 = 1, first rung
         assert cert.residual_measure > 0
-        assert a.delta0 == 1
+        assert cert.delta0 == 1
 
     def test_moderate_depth_verified(self):
         t = ThresholdSequence.from_convex(lambda m: F(1, m + 1))

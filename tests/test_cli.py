@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,31 @@ class TestAvoiderCommands:
         assert report["checked_points"] == 100
         assert F(report["residual_measure"]) > 0
 
+    def test_embed_rejects_empty_ladder(self, tmp_path):
+        code, report = run(tmp_path, "avoider-embed", "--beta", "harmonic",
+                           "--alpha", "geometric:1/2", "--M", "5", "--depth", "2",
+                           "--imax", "0")
+        assert code == 2
+        assert report is None
+
+    def test_preset_name_wins_over_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "harmonic").write_text("not a sequence file")
+        code, report = run(tmp_path, "avoider-build", "--beta", "harmonic",
+                           "--depth", "2")
+        assert code == 0
+        assert report["holes"][0]["V"] == "(1/4,3/4)"
+
+    def test_sequence_file_rejects_non_strings(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # long enough to build from if the entries were read as rationals
+        (tmp_path / "floats.json").write_text(json.dumps([1 / m for m in range(1, 200)]))
+        (tmp_path / "ints.json").write_text(json.dumps([1] + [f"1/{m}" for m in range(2, 200)]))
+        for name in ("floats.json", "ints.json"):
+            code, report = run(tmp_path, "avoider-build", "--beta", name, "--depth", "2")
+            assert code == 2
+            assert report is None
+
     def test_sequence_file_input(self, tmp_path):
         path = tmp_path / "beta.json"
         path.write_text(json.dumps([f"1/{m}" for m in range(1, 200)]))
@@ -126,6 +152,29 @@ class TestHarness:
         code, report = run(tmp_path, "prop-suite", "--seed", "7", "--instances", "40")
         assert code == 0
         assert report["pass"] is True
+
+    @pytest.mark.parametrize("instances", ["-5", "0"])
+    def test_prop_suite_rejects_no_instances(self, tmp_path, instances):
+        code, report = run(tmp_path, "prop-suite", "--instances", instances)
+        assert code == 2
+        assert report is None
+
+    def test_out_into_missing_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["appendix-premeasure", "--schedule", "4,14", "--j", "1", "--k", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_out_write_leaves_no_temp_file(self, tmp_path):
+        out = tmp_path / "taken"
+        out.mkdir()
+        code = main(["appendix-premeasure", "--schedule", "4,14", "--j", "1", "--k", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir(out) == []
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -8,6 +8,7 @@ from affcopy.intervals import Interval, IntervalSet, normalize
 from affcopy.slowseq import (HorizonError, SlowSequence, build_mu, coverage01,
                              decompose_translates, slow_decay_start, threshold_index,
                              verify_slow_decay)
+from affcopy.slowseq import check_convex, first_index
 
 F = Fraction
 
@@ -143,6 +144,32 @@ class TestThreshold:
     def test_horizon_exhausted(self):
         with pytest.raises(HorizonError):
             threshold_index(lambda m: F(1, 2), 1, 1, F(1, 10), 50)
+
+
+class TestSharedCore:
+    def test_first_index_probe_order(self):
+        probes = []
+
+        def at_least_seven(m):
+            probes.append(m)
+            return m >= 7
+
+        assert first_index(at_least_seven, 1, 100) == 7
+        assert probes[:2] == [1, 100]  # lo, then hi, then bisection
+        assert probes[2:] == [50, 25, 13, 7, 4, 5, 6]
+        assert first_index(lambda m: True, 3, 9) == 3
+        with pytest.raises(HorizonError):
+            first_index(lambda m: False, 1, 9)
+
+    def test_check_convex_range(self):
+        # positivity is required on [lo, hi]; the value at hi + 1 only has to
+        # be below seq(hi) with a gap no larger than the one before it
+        values = check_convex(lambda m: F(3 - m), 1, 2)
+        assert values == {1: F(2), 2: F(1), 3: F(0)}
+        with pytest.raises(ValueError):
+            check_convex(lambda m: F(3 - m), 1, 3)
+        with pytest.raises(ValueError):
+            check_convex(lambda m: [F(1), F(1, 2), F(5, 12), F(1, 4)][m - 1], 1, 3)
 
 
 class TestDecompose:
