@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
-                               normalize)
+                               intersection_of_translates, normalize,
+                               union_of_translates)
 from affcopy.slowseq import HorizonError, check_convex, first_index, threshold_index
 
 #: Horizon used for formula-backed sequences, large enough that every budget
@@ -123,6 +124,8 @@ def thresholdize(beta: Union[Sequence[RationalLike], Callable[[int], Fraction]],
                  horizon: Optional[int] = None) -> ThresholdSequence:
     """Convexify a strictly decreasing positive source into a threshold
     sequence via eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2))."""
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if callable(beta):
         if horizon is None:
             raise ValueError("a callable source needs an explicit horizon")
@@ -275,7 +278,8 @@ def measure_union_translates(hole: Interval, t: ThresholdSequence,
     T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
     if M < T:
         raise ValueError(f"M={M} is below the overlap threshold {T}")
-    kernel = normalize([hole.translate(-t.eta(m)) for m in range(1, M + 1)]).measure()
+    kernel = union_of_translates(IntervalSet((hole,)),
+                                 [-t.eta(m) for m in range(1, M + 1)]).measure()
     closed = T * lam + t.eta(T) - t.eta(M)
     return TranslateMeasure(threshold=T, kernel_measure=kernel, closed_form=closed,
                             limit=T * lam + t.eta(T), identity_ok=kernel == closed)
@@ -419,11 +423,8 @@ def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLi
         delta = base / 2 ** i
         if delta >= 1:
             continue
-        residual = unit
-        for a in vector:
-            residual = residual.intersect(construction.avoider.translate(-delta * a))
-            if residual.is_empty:
-                break
+        residual = intersection_of_translates(construction.avoider,
+                                              (-delta * a for a in vector), unit)
         measure = residual.measure()
         trace.append((delta, measure))
         if measure > 0:

@@ -4,7 +4,7 @@ subcommand writing a deterministic JSON report.
 Exit codes: 0 when the subcommand's assertions all pass, 1 when a computed
 check fails (a violation list is nonempty, an identity breaks, a search
 exhausts its ladder), 2 on input errors (unknown subcommand, malformed
-rationals, horizon or depth violations).
+rationals, horizon or depth violations), 3 on internal errors (library bugs).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional
 
 from affcopy import avoider, cantor, mixedradix, presets, propcheck, slowseq
-from affcopy.intervals import Interval, as_fraction, normalize
+from affcopy.intervals import Interval, IntervalSet, as_fraction, union_of_translates
 
 ORACLES: Dict[str, Callable[[], cantor.GapOracle]] = {
     "middle-third": cantor.MiddleThirdOracle,
@@ -192,8 +192,9 @@ def _run(args: argparse.Namespace) -> tuple:
         interval = Interval.open(args.lo, args.lo + args.length)
         decomposition = slowseq.decompose_translates(interval, seq.alpha_at, args.delta,
                                                      args.m0, args.horizon)
-        brute = normalize([interval.translate(-args.delta * seq.alpha_at(m))
-                           for m in range(args.m0, args.horizon + 1)])
+        brute = union_of_translates(IntervalSet((interval,)),
+                                    [-args.delta * seq.alpha_at(m)
+                                     for m in range(args.m0, args.horizon + 1)])
         ok = decomposition.truncated_union() == brute
         report = decomposition.to_json_dict()
         report["brute_force_ok"] = ok
@@ -201,7 +202,8 @@ def _run(args: argparse.Namespace) -> tuple:
 
     if cmd == "coverage01":
         construction = _build_default(args.depth, args.oracle)
-        seq = _sequence_for(construction, args.horizon or max(args.M, 1))
+        seq = _sequence_for(construction, max(args.M, 1) if args.horizon is None
+                            else args.horizon)
         report = slowseq.coverage01(construction, seq, args.delta, args.m0,
                                     args.N, args.M)
         return report.to_json_dict(), report.passed
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
             ZeroDivisionError, OSError, ArithmeticError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except RuntimeError as err:
+        sys.stderr.write(f"internal error: {err}\n")
+        return 3
     return 0 if passed else 1
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -93,12 +93,6 @@ class Interval:
     def end_cut(self) -> Cut:
         return (self.hi, 1 if self.hi_closed else 0)
 
-    @staticmethod
-    def from_cuts(start: Cut, end: Cut) -> "Interval":
-        if start >= end:
-            raise ValueError(f"empty cut range {start}..{end}")
-        return Interval(start[0], end[0], start[1] == 0, end[1] == 1)
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -158,18 +152,6 @@ class Interval:
                         s[0] == "[", s[-1] == "]")
 
 
-def _merge_sorted_ranges(ranges: Sequence[Tuple[Cut, Cut]]) -> list[Tuple[Cut, Cut]]:
-    """Merge cut ranges sorted by start; adjacent or overlapping ranges fuse."""
-    merged: list[Tuple[Cut, Cut]] = []
-    for start, end in ranges:
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return merged
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     """A canonical finite disjoint union of intervals.
@@ -209,13 +191,14 @@ class IntervalSet:
 
     @staticmethod
     def _from_ranges(ranges: Iterable[Tuple[Cut, Cut]]) -> "IntervalSet":
-        return IntervalSet(tuple(Interval.from_cuts(s, e) for s, e in ranges))
+        # Interval's own checks reject an empty range (start cut >= end cut)
+        return IntervalSet(tuple(Interval(lo, hi, lo_flag == 0, hi_flag == 1)
+                                 for (lo, lo_flag), (hi, hi_flag) in ranges))
 
     # -- set algebra ----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        ranges = sorted(self._ranges() + other._ranges())
-        return IntervalSet._from_ranges(_merge_sorted_ranges(ranges))
+        return _union_of_ranges(self._ranges() + other._ranges())
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out: list[Tuple[Cut, Cut]] = []
@@ -314,17 +297,7 @@ class IntervalSet:
         return i > 0 and cut < self.parts[i - 1].end_cut
 
     def issuperset(self, other: "IntervalSet") -> bool:
-        i = 0
-        parts = self.parts
-        for q in other.parts:
-            qs, qe = q.start_cut, q.end_cut
-            while i < len(parts) and parts[i].end_cut <= qs:
-                i += 1
-            if i == len(parts):
-                return False
-            if not (parts[i].start_cut <= qs and qe <= parts[i].end_cut):
-                return False
-        return True
+        return other.difference(self).is_empty
 
     # -- text form ----------------------------------------------------------------
 
@@ -345,20 +318,51 @@ class IntervalSet:
 EMPTY = IntervalSet(())
 
 
+def _union_of_ranges(ranges: Iterable[Tuple[Cut, Cut]]) -> IntervalSet:
+    """The one sort-and-sweep: sort cut ranges by start, then fuse adjacent or
+    overlapping ones into a canonical set."""
+    merged: list[Tuple[Cut, Cut]] = []
+    for start, end in sorted(ranges):
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return IntervalSet._from_ranges(merged)
+
+
 def normalize(intervals: Iterable[Interval]) -> IntervalSet:
     """Canonicalize any finite collection of intervals.
 
     The result has identical point membership: overlapping or mergeable parts
     fuse, order is restored, and nothing else changes.
     """
-    ranges = sorted((iv.start_cut, iv.end_cut) for iv in intervals)
-    return IntervalSet._from_ranges(_merge_sorted_ranges(ranges))
+    return _union_of_ranges((iv.start_cut, iv.end_cut) for iv in intervals)
 
 
 def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
     """Union of many canonical sets in one sort-and-sweep pass."""
-    ranges: list[Tuple[Cut, Cut]] = []
-    for s in sets:
-        ranges.extend(s._ranges())
-    ranges.sort()
-    return IntervalSet._from_ranges(_merge_sorted_ranges(ranges))
+    return _union_of_ranges(r for s in sets for r in s._ranges())
+
+
+def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> IntervalSet:
+    """Union of the translates s + t over all shifts, in one sort-and-sweep.
+
+    Cuts are shifted directly, parts in the outer loop, so for sorted shifts
+    each part's translates arrive as one sorted run.
+    """
+    ts = [as_fraction(t) for t in shifts]
+    return _union_of_ranges([((lo + t, lo_flag), (hi + t, hi_flag))
+                             for (lo, lo_flag), (hi, hi_flag) in s._ranges() for t in ts])
+
+
+def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
+                               within: IntervalSet) -> IntervalSet:
+    """``within`` intersected with every translate s + t, stopping at the
+    first empty result; shifts after it are never evaluated."""
+    out = within
+    for t in shifts:
+        out = out.intersect(s.translate(t))
+        if out.is_empty:
+            break
+    return out

@@ -75,7 +75,7 @@ def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> Thresho
     fn, convex = preset
     if convex:
         return ThresholdSequence.from_convex(fn)
-    return thresholdize(fn, horizon or MATERIALIZED_HORIZON)
+    return thresholdize(fn, MATERIALIZED_HORIZON if horizon is None else horizon)
 
 
 def alpha_vector(spec: str, count: int) -> List[Fraction]:

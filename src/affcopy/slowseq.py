@@ -15,11 +15,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from affcopy.cantor import CantorConstruction, TWO_THIRDS
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
-                               normalize)
+                               intersection_of_translates, normalize,
+                               union_of_translates)
 
 
 class HorizonError(Exception):
@@ -127,18 +129,17 @@ def check_convex(seq: Callable[[int], RationalLike], lo: int,
                  hi: int) -> Dict[int, Fraction]:
     """seq(m) for lo <= m <= hi + 1, checked exactly: positive on [lo, hi],
     strictly decreasing and with non-increasing gaps seq(m) - seq(m+1) for
-    m in [lo, hi]. Raises ValueError at the first index that breaks this."""
+    m in [lo, hi]. Non-increasing gaps, a positive last gap and seq(hi) > 0
+    imply the rest; raises ValueError at an index that breaks this."""
     values = {m: as_fraction(seq(m)) for m in range(lo, hi + 2)}
-    prev_gap: Optional[Fraction] = None
-    for m in range(lo, hi + 1):
-        if values[m] <= 0:
-            raise ValueError(f"sequence not positive at m={m}")
-        gap = values[m] - values[m + 1]
-        if gap <= 0:
-            raise ValueError(f"sequence not strictly decreasing at m={m}")
-        if prev_gap is not None and gap > prev_gap:
+    gaps = [values[m] - values[m + 1] for m in range(lo, hi + 1)]
+    for m, (prev_gap, gap) in enumerate(pairwise(gaps), lo + 1):
+        if gap > prev_gap:
             raise ValueError(f"gaps increase at m={m}: {gap} > {prev_gap}")
-        prev_gap = gap
+    if gaps and gaps[-1] <= 0:
+        raise ValueError(f"sequence not strictly decreasing at m={hi}")
+    if gaps and values[hi] <= 0:
+        raise ValueError(f"sequence not positive at m={hi}")
     return values
 
 
@@ -174,7 +175,7 @@ class TranslateDecomposition:
     truncated_overlap: Interval
 
     def truncated_union(self) -> IntervalSet:
-        return self.disjoint_part.union(IntervalSet((self.truncated_overlap,)))
+        return normalize(self.disjoint_part.parts + (self.truncated_overlap,))
 
     def to_json_dict(self) -> dict:
         return {
@@ -358,24 +359,12 @@ def coverage01(construction: CantorConstruction, s: SlowSequence,
         raise ValueError(f"N must be in 1..{construction.depth}")
     if not 1 <= m0 <= M <= s.horizon:
         raise ValueError(f"need 1 <= m0 <= M <= horizon {s.horizon}")
-    shifts = [d * s.alpha_at(m) for m in range(m0, M + 1)]
+    shifts = [-d * s.alpha_at(m) for m in range(m0, M + 1)]
     window = Interval.half_open(0, 1)
-
-    pieces = []
-    for n in range(1, N + 1):
-        for part in construction.open_set(n).parts:
-            for t in shifts:
-                pieces.append(Interval.open(part.lo - t, part.hi - t))
-    covered = normalize(pieces)
+    covered = union_of_translates(construction.open_sets_through(N), shifts)
     uncovered = covered.complement_within(window)
-
-    remnants = construction.remnant_set(N)
-    residual = IntervalSet((window,))
-    for t in shifts:
-        residual = residual.intersect(remnants.translate(-t))
-        if residual.is_empty:
-            break
-
+    residual = intersection_of_translates(construction.remnant_set(N), shifts,
+                                          IntervalSet((window,)))
     bound = _deficit_bound(construction, s, d, m0, N, M)
     return DeficitReport(N=N, M=M, delta=d, m0=m0,
                          uncovered_measure=uncovered.measure(),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from affcopy import cantor
 from affcopy.cli import main
 
 F = Fraction
@@ -64,6 +65,12 @@ class TestSequenceCommands:
                 "--delta", "nope")
         assert err.value.code == 2
 
+    def test_zero_horizon_exits_two(self, tmp_path):
+        code, report = run(tmp_path, "coverage01", "--depth", "5", "--N", "2", "--M", "40",
+                           "--horizon", "0")
+        assert code == 2
+        assert report is None
+
 
 class TestAvoiderCommands:
     def test_build(self, tmp_path):
@@ -121,6 +128,21 @@ class TestAvoiderCommands:
         assert len(report["holes"]) == 3
 
 
+    def test_negative_horizon_on_sequence_file_exits_two(self, tmp_path):
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps([f"1/{m}" for m in range(1, 200)]))
+        code, report = run(tmp_path, "avoider-build", "--beta", str(path),
+                           "--depth", "3", "--horizon", "-1")
+        assert code == 2
+        assert report is None
+
+    def test_zero_horizon_on_materialized_preset_exits_two(self, tmp_path):
+        code, report = run(tmp_path, "avoider-build", "--beta", "iterlog:1",
+                           "--depth", "1", "--horizon", "0")
+        assert code == 2
+        assert report is None
+
+
 class TestAppendixCommands:
     def test_schedule_default(self, tmp_path):
         code, report = run(tmp_path, "appendix-schedule", "--depth", "2")
@@ -175,6 +197,16 @@ class TestHarness:
         assert code == 2
         assert os.listdir(tmp_path) == ["taken"]
         assert os.listdir(out) == []
+
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant broken; kernel bug")
+
+        monkeypatch.setattr(cantor, "build_cantor", broken)
+        code, report = run(tmp_path, "cantor-build", "--depth", "2")
+        assert code == 3
+        assert report is None
+        assert "internal error: invariant broken; kernel bug" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:

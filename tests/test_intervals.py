@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from affcopy.intervals import EMPTY, Interval, IntervalSet, normalize, union_all
-from affcopy.propcheck import run_kernel_property_suite
+from affcopy.intervals import (EMPTY, Interval, IntervalSet, intersection_of_translates,
+                               normalize, union_all, union_of_translates)
+from affcopy.propcheck import random_fraction, random_interval_set, run_kernel_property_suite
 
 F = Fraction
 
@@ -156,6 +158,69 @@ class TestQueries:
     def test_serialization_round_trip(self):
         s = iset("(0,1/3)", "[1/2,2/3]")
         assert IntervalSet.from_strings(s.to_strings()) == s
+
+    def test_superset_matches_union_definition(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            a, b = random_interval_set(rng), random_interval_set(rng)
+            for big, small in ((a, b), (a.union(b), b), (a, a.intersect(b))):
+                assert big.issuperset(small) is (big.union(small) == big)
+
+
+def naive_union_of_translates(s, shifts):
+    return normalize([p.translate(t) for p in s.parts for t in shifts])
+
+
+def naive_intersection_of_translates(s, shifts, within):
+    out = within
+    for t in shifts:
+        out = out.intersect(s.translate(t))
+    return out
+
+
+class TestTranslatePrimitives:
+    def test_union_matches_naive_definition(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            s = random_interval_set(rng)
+            shifts = [random_fraction(rng, span=6, max_den=6)
+                      for _ in range(rng.randint(0, 6))]  # unsorted, with repeats
+            assert union_of_translates(s, shifts) == naive_union_of_translates(s, shifts)
+
+    def test_intersection_matches_naive_definition(self):
+        rng = random.Random(32)
+        for _ in range(400):
+            s, within = random_interval_set(rng, max_parts=6), random_interval_set(rng)
+            shifts = [random_fraction(rng, span=3, max_den=4)
+                      for _ in range(rng.randint(0, 4))]
+            assert (intersection_of_translates(s, shifts, within)
+                    == naive_intersection_of_translates(s, shifts, within))
+
+    def test_edge_cases(self):
+        s = iset("(0,1)", "[2,3]", "[5,5]", "(6,7]")
+        assert union_of_translates(s, []) == EMPTY
+        assert union_of_translates(EMPTY, [0, 1]) == EMPTY
+        assert intersection_of_translates(s, [], iset("[0,9]")) == iset("[0,9]")
+        assert intersection_of_translates(EMPTY, [0], iset("[0,9]")) == EMPTY
+        # mixed endpoint flags: closed translates absorb open ones and points
+        assert union_of_translates(s, ["1", -1]).to_strings() == [
+            "(-1,0)", "[1,2]", "[3,4]", "(5,6]", "(7,8]"]
+        # open translates that only share an endpoint stay separated by it
+        assert len(union_of_translates(iset("(0,1)"), [1, 0])) == 2
+        assert union_of_translates(iset("(0,1)"), [F(1, 2), 0, F(-1, 2)]) == iset("(-1/2,3/2)")
+
+    def test_intersection_stops_at_first_empty_result(self):
+        evaluated = []
+
+        def shifts():
+            for t in (0, 10, 20):
+                evaluated.append(t)
+                yield t
+            raise AssertionError("shift evaluated after the chain went empty")
+
+        got = intersection_of_translates(iset("(0,1)"), shifts(), iset("[0,1]"))
+        assert got == EMPTY
+        assert evaluated == [0, 10]
 
 
 def test_kernel_property_suite_smoke():

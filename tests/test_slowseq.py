@@ -171,6 +171,34 @@ class TestSharedCore:
         with pytest.raises(ValueError):
             check_convex(lambda m: [F(1), F(1, 2), F(5, 12), F(1, 4)][m - 1], 1, 3)
 
+    def test_check_convex_matches_three_condition_definition(self):
+        rng = random.Random(20261018)
+        accepted_count = 0
+        for _ in range(3000):
+            # mostly near-convex draws, so both verdicts occur often
+            gaps = [F(rng.randint(-1, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
+            gaps.sort(reverse=rng.random() < 0.8)
+            values = [F(rng.randint(-2, 12), rng.randint(1, 3))]
+            for g in gaps:
+                values.append(values[-1] - g)
+            if rng.random() < 0.3:
+                values[rng.randrange(len(values))] = F(rng.randint(-2, 12), rng.randint(1, 3))
+            hi = len(values) - 1  # values holds seq(1..hi+1); hi = 0 is the empty range
+            diffs = [values[i] - values[i + 1] for i in range(hi)]
+            expected = (all(v > 0 for v in values[:hi]) and all(d > 0 for d in diffs)
+                        and all(b <= a for a, b in zip(diffs, diffs[1:])))
+            try:
+                got = check_convex(lambda m: values[m - 1], 1, hi)
+            except ValueError as err:
+                assert not expected, values
+                m = int(str(err).partition("m=")[2].split(":")[0])
+                assert 1 <= m <= hi  # the message names an index in range
+            else:
+                assert expected, values
+                assert got == {m: values[m - 1] for m in range(1, hi + 2)}
+                accepted_count += 1
+        assert 300 < accepted_count < 2700
+
 
 class TestDecompose:
     def test_harmonic_frozen(self):
