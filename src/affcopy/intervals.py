@@ -121,7 +121,9 @@ class Interval:
 
     def translate(self, shift: RationalLike) -> "Interval":
         t = as_fraction(shift)
-        return Interval(self.lo + t, self.hi + t, self.lo_closed, self.hi_closed)
+        moved = object.__new__(Interval)  # a translate keeps the shape: no checks
+        moved.__dict__.update(self.__dict__, lo=self.lo + t, hi=self.hi + t)
+        return moved
 
     def scaled(self, scale: RationalLike, shift: RationalLike = 0) -> "Interval":
         """Image under x -> scale*x + shift; scale < 0 swaps the endpoints."""
@@ -320,11 +322,13 @@ EMPTY = IntervalSet(())
 
 def _union_of_ranges(ranges: Iterable[Tuple[Cut, Cut]]) -> IntervalSet:
     """The one sort-and-sweep: sort cut ranges by start, then fuse adjacent or
-    overlapping ones into a canonical set."""
+    overlapping ones into a canonical set. Cuts compare point first: one
+    Fraction comparison in the usual strict case, where a tuple makes two."""
     merged: list[Tuple[Cut, Cut]] = []
-    for start, end in sorted(ranges):
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
+    for start, end in sorted(ranges, key=lambda r: r[0]):
+        last = merged[-1][1] if merged else None
+        if last and (start[0] < last[0] or (start[0] == last[0] and start[1] <= last[1])):
+            if end[0] > last[0] or (end[0] == last[0] and end[1] > last[1]):
                 merged[-1] = (merged[-1][0], end)
         else:
             merged.append((start, end))

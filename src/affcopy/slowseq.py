@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from affcopy.cantor import CantorConstruction, TWO_THIRDS
@@ -132,13 +131,15 @@ def check_convex(seq: Callable[[int], RationalLike], lo: int,
     m in [lo, hi]. Non-increasing gaps, a positive last gap and seq(hi) > 0
     imply the rest; raises ValueError at an index that breaks this."""
     values = {m: as_fraction(seq(m)) for m in range(lo, hi + 2)}
-    gaps = [values[m] - values[m + 1] for m in range(lo, hi + 1)]
-    for m, (prev_gap, gap) in enumerate(pairwise(gaps), lo + 1):
-        if gap > prev_gap:
-            raise ValueError(f"gaps increase at m={m}: {gap} > {prev_gap}")
-    if gaps and gaps[-1] <= 0:
+    # gap(m) > gap(m-1) iff a/p - 2b/q + c/r < 0 (values at m-1, m, m+1), times p*q*r
+    terms = [(v.numerator, v.denominator) for v in values.values()]
+    for m, ((a, p), (b, q), (c, r)) in enumerate(zip(terms, terms[1:], terms[2:]), lo + 1):
+        if (a * r + c * p) * q < 2 * b * p * r:
+            raise ValueError(f"gaps increase at m={m}: "
+                             f"{values[m] - values[m + 1]} > {values[m - 1] - values[m]}")
+    if hi >= lo and values[hi] <= values[hi + 1]:
         raise ValueError(f"sequence not strictly decreasing at m={hi}")
-    if gaps and values[hi] <= 0:
+    if hi >= lo and values[hi] <= 0:
         raise ValueError(f"sequence not positive at m={hi}")
     return values
 
