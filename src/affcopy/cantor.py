@@ -24,6 +24,12 @@ from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
 UNIT = Interval.closed(0, 1)
 TWO_THIRDS = Fraction(2, 3)
 
+#: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so
+#: time and memory double per level: on a 2-core VM (Python 3.11) a depth-16
+#: ladder takes 7.4 s and 60 MB peak RSS, and ``cantor-build --depth 16``
+#: 8.5 s and 125 MB. Deeper requests are refused before anything is built.
+MAX_DEPTH = 16
+
 
 class OracleViolationError(Exception):
     """An oracle broke its contract while building level n, gap j."""
@@ -258,8 +264,8 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
     length nor any oracle gap, and shrinks every oracle gap to its centered
     subinterval of that length.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     remnants: Tuple[Interval, ...] = (UNIT,)
     levels = []
     prev_length: Optional[Fraction] = None

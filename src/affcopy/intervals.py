@@ -16,14 +16,21 @@ complement reduce to sweeps over sorted half-open cut ranges, and the
 canonical adjacency rule -- ``(a,b) | [b,c)`` merges to ``(a,c)`` while
 ``(a,b) | (b,c)`` keeps two parts separated by the missing point ``b`` --
 falls out of cut equality with no special cases.
+
+The sweeps compare Python ints, never Fractions: each operation takes the lcm
+``D`` of its inputs' denominators and encodes the cut ``(x, flag)`` as the int
+``2*x*D + flag``, which orders exactly as the tuple does. Only the result is
+decoded to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple, Union
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -41,7 +48,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A nonempty rational interval with per-endpoint open/closed flags.
 
@@ -57,12 +64,14 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("empty interval: equal endpoints need both ends closed")
+        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
+            object.__setattr__(self, "lo", as_fraction(self.lo))
+            object.__setattr__(self, "hi", as_fraction(self.hi))
+        if not self.lo < self.hi:  # one comparison in the usual case
+            if self.lo > self.hi:
+                raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+            if not (self.lo_closed and self.hi_closed):
+                raise ValueError("empty interval: equal endpoints need both ends closed")
 
     # -- constructors ------------------------------------------------------
 
@@ -122,7 +131,10 @@ class Interval:
     def translate(self, shift: RationalLike) -> "Interval":
         t = as_fraction(shift)
         moved = object.__new__(Interval)  # a translate keeps the shape: no checks
-        moved.__dict__.update(self.__dict__, lo=self.lo + t, hi=self.hi + t)
+        object.__setattr__(moved, "lo", self.lo + t)
+        object.__setattr__(moved, "hi", self.hi + t)
+        object.__setattr__(moved, "lo_closed", self.lo_closed)
+        object.__setattr__(moved, "hi_closed", self.hi_closed)
         return moved
 
     def scaled(self, scale: RationalLike, shift: RationalLike = 0) -> "Interval":
@@ -154,7 +166,7 @@ class Interval:
                         s[0] == "[", s[-1] == "]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """A canonical finite disjoint union of intervals.
 
@@ -188,55 +200,16 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.parts
 
-    def _ranges(self) -> list[Tuple[Cut, Cut]]:
-        return [(p.start_cut, p.end_cut) for p in self.parts]
-
-    @staticmethod
-    def _from_ranges(ranges: Iterable[Tuple[Cut, Cut]]) -> "IntervalSet":
-        # Interval's own checks reject an empty range (start cut >= end cut)
-        return IntervalSet(tuple(Interval(lo, hi, lo_flag == 0, hi_flag == 1)
-                                 for (lo, lo_flag), (hi, hi_flag) in ranges))
-
     # -- set algebra ----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return _union_of_ranges(self._ranges() + other._ranges())
+        return _sweep(_merge, self.parts + other.parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Tuple[Cut, Cut]] = []
-        a, b = self._ranges(), other._ranges()
-        i = j = 0
-        while i < len(a) and j < len(b):
-            start = max(a[i][0], b[j][0])
-            end = min(a[i][1], b[j][1])
-            if start < end:
-                out.append((start, end))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet._from_ranges(out)
+        return _sweep(_intersect, self.parts, other.parts)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Tuple[Cut, Cut]] = []
-        b = other._ranges()
-        j = 0
-        for start, end in self._ranges():
-            cur = start
-            while j < len(b) and b[j][1] <= cur:
-                j += 1
-            k = j
-            while k < len(b) and b[k][0] < end:
-                if b[k][0] > cur:
-                    out.append((cur, b[k][0]))
-                if b[k][1] > cur:
-                    cur = b[k][1]
-                if cur >= end:
-                    break
-                k += 1
-            if cur < end:
-                out.append((cur, end))
-        return IntervalSet._from_ranges(out)
+        return _sweep(_difference, self.parts, other.parts)
 
     def complement_within(self, window: Interval) -> "IntervalSet":
         """Points of ``window`` not in this set."""
@@ -320,19 +293,78 @@ class IntervalSet:
 EMPTY = IntervalSet(())
 
 
-def _union_of_ranges(ranges: Iterable[Tuple[Cut, Cut]]) -> IntervalSet:
-    """The one sort-and-sweep: sort cut ranges by start, then fuse adjacent or
-    overlapping ones into a canonical set. Cuts compare point first: one
-    Fraction comparison in the usual strict case, where a tuple makes two."""
-    merged: list[Tuple[Cut, Cut]] = []
-    for start, end in sorted(ranges, key=lambda r: r[0]):
-        last = merged[-1][1] if merged else None
-        if last and (start[0] < last[0] or (start[0] == last[0] and start[1] <= last[1])):
-            if end[0] > last[0] or (end[0] == last[0] and end[1] > last[1]):
-                merged[-1] = (merged[-1][0], end)
+# -- the integer-cut kernel ---------------------------------------------------
+
+#: Half-open cut ranges ``[start, end)`` over one common denominator D.
+_Cuts = list[Tuple[int, int]]
+_START, _END = itemgetter(0), itemgetter(1)
+
+
+def _denominator(parts: Iterable[Interval]) -> int:
+    """The lcm of the endpoint denominators (1 for no parts)."""
+    return lcm(*{x.denominator for p in parts for x in (p.lo, p.hi)})
+
+
+def _encode(parts: Iterable[Interval], D: int, seen: dict) -> _Cuts:
+    """Cut ranges over D; ``seen`` maps x*D back to each endpoint x, so that
+    the result reuses the input's Fractions."""
+    out = []
+    for p in parts:
+        lo = p.lo.numerator * (D // p.lo.denominator)
+        hi = p.hi.numerator * (D // p.hi.denominator)
+        seen[lo], seen[hi] = p.lo, p.hi
+        out.append((2 * lo + (not p.lo_closed), 2 * hi + p.hi_closed))
+    return out
+
+
+def _decode(cuts: _Cuts, D: int, seen: dict) -> IntervalSet:
+    def at(c: int) -> Fraction:
+        x = seen.get(c >> 1)  # never `or`: the Fraction 0 is falsy
+        return Fraction(c >> 1, D) if x is None else x
+    return IntervalSet(tuple(Interval(at(lo), at(hi), not lo & 1, bool(hi & 1))
+                             for lo, hi in cuts))
+
+
+def _sweep(sweep: Callable[..., _Cuts], *groups: Sequence[Interval]) -> IntervalSet:
+    """Run ``sweep`` on the groups' cut ranges over one D; decode its result."""
+    D = _denominator(p for parts in groups for p in parts)
+    seen: dict = {}
+    return _decode(sweep(*(_encode(parts, D, seen) for parts in groups)), D, seen)
+
+
+def _merge(cuts: _Cuts) -> _Cuts:
+    """The one sort-and-sweep: fuse overlapping or adjacent cut ranges."""
+    merged: _Cuts = []
+    for lo, hi in sorted(cuts):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
         else:
-            merged.append((start, end))
-    return IntervalSet._from_ranges(merged)
+            merged.append((lo, hi))
+    return merged
+
+
+def _intersect(a: _Cuts, b: _Cuts) -> _Cuts:
+    """Each range of the shorter list clips the slice of the other it overlaps."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: _Cuts = []
+    for lo, hi in b:
+        i = bisect_right(a, lo, key=_END)
+        j = bisect_left(a, hi, lo=i, key=_START)
+        if i < j:
+            piece = a[i:j]
+            piece[0] = (max(piece[0][0], lo), piece[0][1])
+            piece[-1] = (piece[-1][0], min(piece[-1][1], hi))
+            out += piece
+    return out
+
+
+def _difference(a: _Cuts, b: _Cuts) -> _Cuts:
+    """``a`` intersected with the gaps of ``b`` inside a's span."""
+    if not a:
+        return []
+    edges = [a[0][0]] + [c for r in b for c in r] + [a[-1][1]]
+    return _intersect(a, [(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi])
 
 
 def normalize(intervals: Iterable[Interval]) -> IntervalSet:
@@ -341,12 +373,12 @@ def normalize(intervals: Iterable[Interval]) -> IntervalSet:
     The result has identical point membership: overlapping or mergeable parts
     fuse, order is restored, and nothing else changes.
     """
-    return _union_of_ranges((iv.start_cut, iv.end_cut) for iv in intervals)
+    return _sweep(_merge, tuple(intervals))
 
 
 def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
     """Union of many canonical sets in one sort-and-sweep pass."""
-    return _union_of_ranges(r for s in sets for r in s._ranges())
+    return _sweep(_merge, [p for s in sets for p in s.parts])
 
 
 def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> IntervalSet:
@@ -356,17 +388,31 @@ def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> Inter
     each part's translates arrive as one sorted run.
     """
     ts = [as_fraction(t) for t in shifts]
-    return _union_of_ranges([((lo + t, lo_flag), (hi + t, hi_flag))
-                             for (lo, lo_flag), (hi, hi_flag) in s._ranges() for t in ts])
+    D = lcm(_denominator(s.parts), *{t.denominator for t in ts})
+    moves = [2 * t.numerator * (D // t.denominator) for t in ts]
+    return _decode(_merge([(lo + m, hi + m) for lo, hi in _encode(s.parts, D, {})
+                           for m in moves]), D, {})
 
 
 def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
                                within: IntervalSet) -> IntervalSet:
     """``within`` intersected with every translate s + t, stopping at the
-    first empty result; shifts after it are never evaluated."""
-    out = within
+    first empty result; shifts after it are never evaluated.
+
+    The chain stays on the lattice: a shift whose denominator does not divide
+    D refines it by the missing factor k, so each cut 2xD + f becomes 2xDk + f.
+    """
+    D = _denominator(s.parts + within.parts)
+    base, out = _encode(s.parts, D, {}), _encode(within.parts, D, {})
     for t in shifts:
-        out = out.intersect(s.translate(t))
-        if out.is_empty:
+        t = as_fraction(t)
+        k = t.denominator // gcd(D, t.denominator)
+        if k > 1:
+            D, k2 = D * k, 2 * k
+            base, out = ([((lo >> 1) * k2 | lo & 1, (hi >> 1) * k2 | hi & 1)
+                          for lo, hi in cuts] for cuts in (base, out))
+        move = 2 * t.numerator * (D // t.denominator)
+        out = _intersect(out, [(lo + move, hi + move) for lo, hi in base])
+        if not out:
             break
-    return out
+    return _decode(out, D, {})

@@ -74,6 +74,8 @@ def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> Thresho
         return thresholdize(load_sequence_file(spec), horizon)
     fn, convex = preset
     if convex:
+        if horizon is not None and horizon < 1:  # unused here, but still an input error
+            raise ValueError("horizon must be at least 1")
         return ThresholdSequence.from_convex(fn)
     return thresholdize(fn, MATERIALIZED_HORIZON if horizon is None else horizon)
 

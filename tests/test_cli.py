@@ -39,6 +39,23 @@ class TestCantorCommands:
         code, _ = run(tmp_path, "cover", "--depth", "4", "--N", "4", "--kmax", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["cantor-build"], ["cantor-verify", "--kmax", "2"], ["cover", "--N", "2", "--kmax", "2"],
+        ["seq-build", "--horizon", "50"],
+        ["seq-decompose", "--horizon", "50", "--lo", "0", "--length", "1/9"],
+        ["coverage01", "--N", "2", "--M", "20"],
+    ])
+    def test_ladder_depth_past_the_cap_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("ladder level built past the depth cap")
+
+        monkeypatch.setattr(cantor, "middle_third", never)
+        depth = str(cantor.MAX_DEPTH + 1)
+        code, report = run(tmp_path, argv[0], "--depth", depth, *argv[1:])
+        assert code == 2
+        assert report is None
+        assert f"depth must be in 1..{cantor.MAX_DEPTH}" in capsys.readouterr().err
+
 
 class TestSequenceCommands:
     def test_seq_build(self, tmp_path):
@@ -133,6 +150,13 @@ class TestAvoiderCommands:
         path.write_text(json.dumps([f"1/{m}" for m in range(1, 200)]))
         code, report = run(tmp_path, "avoider-build", "--beta", str(path),
                            "--depth", "3", "--horizon", "-1")
+        assert code == 2
+        assert report is None
+
+    @pytest.mark.parametrize("horizon", ["-7", "0"])
+    def test_bad_horizon_on_convex_preset_exits_two(self, tmp_path, horizon):
+        code, report = run(tmp_path, "avoider-build", "--beta", "harmonic",
+                           "--depth", "2", "--horizon", horizon)
         assert code == 2
         assert report is None
 

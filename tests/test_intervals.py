@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_kernel as ref
 from affcopy.intervals import (EMPTY, Interval, IntervalSet, intersection_of_translates,
                                normalize, union_all, union_of_translates)
 from affcopy.propcheck import random_fraction, random_interval_set, run_kernel_property_suite
@@ -168,13 +169,13 @@ class TestQueries:
 
 
 def naive_union_of_translates(s, shifts):
-    return normalize([p.translate(t) for p in s.parts for t in shifts])
+    return ref.normalize([p.translate(t) for p in s.parts for t in shifts])
 
 
 def naive_intersection_of_translates(s, shifts, within):
     out = within
     for t in shifts:
-        out = out.intersect(s.translate(t))
+        out = ref.intersect(out, ref.translate(s, t))
     return out
 
 
@@ -221,6 +222,89 @@ class TestTranslatePrimitives:
         got = intersection_of_translates(iset("(0,1)"), shifts(), iset("[0,1]"))
         assert got == EMPTY
         assert evaluated == [0, 10]
+
+
+def same(got, want):
+    assert got == want
+    assert IntervalSet(got.parts) == got  # the output passes the canonical checks
+
+
+def mixed_set(rng):
+    """A random set with degenerate points added; zero and negative endpoints occur."""
+    points = [Interval.point(random_fraction(rng, span=4, max_den=3))
+              for _ in range(rng.randint(0, 3))]
+    return ref.union(random_interval_set(rng, max_parts=5), ref.normalize(points))
+
+
+def primes(count):
+    found = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found):
+            found.append(n)
+        n += 1
+    return found
+
+
+class TestIntegerKernelAgainstReference:
+    """The integer-cut kernel against the Fraction-cut reference in fraction_kernel."""
+
+    def test_set_algebra(self):
+        rng = random.Random(41)
+        for _ in range(600):
+            a, b, c = mixed_set(rng), mixed_set(rng), mixed_set(rng)
+            raw = list(a.parts + b.parts) + [Interval.point(0), Interval.closed(-1, 0)]
+            rng.shuffle(raw)
+            same(normalize(raw), ref.normalize(raw))
+            same(a.union(b), ref.union(a, b))
+            same(union_all([a, b, c]), ref.union(ref.union(a, b), c))
+            same(a.intersect(b), ref.intersect(a, b))
+            same(a.difference(b), ref.difference(a, b))
+            for window in (Interval.closed(-2, 2), Interval.point(0), Interval.open(0, 1)):
+                same(a.complement_within(window), ref.difference(IntervalSet((window,)), a))
+
+    def test_zero_negative_and_degenerate_endpoints(self):
+        a = iset("[-1,0)", "[0,0]", "(0,1/2]", "[3/4,3/4]", "(1,2)")
+        b = iset("(-1/2,0]", "[1/2,1]", "[2,2]")
+        assert a == iset("[-1,1/2]", "[3/4,3/4]", "(1,2)")
+        for x, y in ((a, b), (b, a)):
+            same(x.union(y), ref.union(x, y))
+            same(x.intersect(y), ref.intersect(x, y))
+            same(x.difference(y), ref.difference(x, y))
+        assert a.intersect(b).to_strings() == ["(-1/2,0]", "[1/2,1/2]", "[3/4,3/4]"]
+        assert a.difference(b).to_strings() == ["[-1,-1/2]", "(0,1/2)", "(1,2)"]
+
+    def test_two_hundred_parts_with_distinct_prime_denominators(self):
+        rng = random.Random(43)
+        ps = primes(400)
+        rng.shuffle(ps)
+        sets = []
+        for dens in (ps[:200], ps[200:]):
+            parts = []
+            for p, q in zip(dens[::2], dens[1::2]):
+                lo = F(rng.randint(-5 * p, 5 * p), p)
+                parts.append(Interval(lo, lo + F(rng.randint(1, q), q), rng.random() < 0.5,
+                                      rng.random() < 0.5))
+                parts.append(Interval.point(F(rng.randint(-5 * q, 5 * q), q)))
+            assert len(parts) == 200
+            same(normalize(parts), ref.normalize(parts))
+            sets.append(ref.normalize(parts))
+        a, b = sets
+        same(a.union(b), ref.union(a, b))
+        same(a.intersect(b), ref.intersect(a, b))
+        same(a.difference(b), ref.difference(a, b))
+        shifts = [F(1, p) for p in ps[:20]]
+        same(union_of_translates(a, shifts), naive_union_of_translates(a, shifts))
+
+    def test_lazy_chain_with_growing_denominators(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            s = ref.difference(iset("[-3,3]"), random_interval_set(rng, max_parts=3))
+            within = mixed_set(rng)
+            shifts = [F(rng.randint(-2, 2), 3 ** m) for m in range(1, 30)]
+            got = intersection_of_translates(s, iter(shifts), within)
+            same(got, naive_intersection_of_translates(s, shifts, within))
+            same(union_of_translates(s, shifts), naive_union_of_translates(s, shifts))
 
 
 def test_kernel_property_suite_smoke():

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import affcopy
+from affcopy import intervals
 
 SOURCES = sorted(Path(affcopy.__file__).parent.glob("*.py"))
 COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.SetComp)
@@ -39,4 +40,29 @@ def test_translate_unions_and_intersections_go_through_the_kernel():
             if (isinstance(node.func, ast.Attribute) and name == "intersect"
                     and any(_calls_translate(a) for a in node.args)):
                 found.append(f"{path.name}:{node.lineno}: intersect with a translate")
+    assert found == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_cut_encoding_stays_inside_the_kernel():
+    # the 2*x*D + flag cut encoding belongs to intervals.py alone: no other
+    # module may import a private intervals name or reach one by attribute
+    private = {name for owner in (intervals, intervals.Interval, intervals.IntervalSet)
+               for name in vars(owner) if _private(name)}
+    assert {"_encode", "_decode", "_sweep"} <= private
+    found = []
+    for path in SOURCES:
+        if path.name == "intervals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "affcopy.intervals":
+                found += [f"{path.name}:{node.lineno}: imports {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr in private or (_private(node.attr) and isinstance(node.value, ast.Name)
+                                             and node.value.id == "intervals")):
+                found.append(f"{path.name}:{node.lineno}: uses .{node.attr}")
     assert found == []
