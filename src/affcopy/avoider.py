@@ -13,11 +13,11 @@ translation t with t + delta*alpha_m in A can be found by exact search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
+from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
                                intersection_of_translates, normalize,
                                union_of_translates)
 from affcopy.slowseq import HorizonError, check_convex, first_index, threshold_index
@@ -184,10 +184,6 @@ class HoleBudget:
     lam: Fraction
     T: int
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "V": str(self.base), "lambda": str(self.lam),
-                "K": self.K, "T": self.T}
-
 
 def plan_budget(t: ThresholdSequence, n: int) -> HoleBudget:
     """K(n) = 2 * (first m with eta_m < 1/n^2); lambda_n = min(|V_n|, 2^-n,
@@ -209,13 +205,13 @@ class Hole:
     interval: Interval  # the centered open hole J_n inside V_n
 
     def to_json_dict(self) -> dict:
-        d = self.budget.to_json_dict()
-        return {"n": d["n"], "V": d["V"], "J": str(self.interval),
-                "lambda": d["lambda"], "K": d["K"], "T": d["T"]}
+        b = self.budget
+        return {"n": b.n, "V": str(b.base), "J": str(self.interval),
+                "lambda": str(b.lam), "K": b.K, "T": b.T}
 
 
 @dataclass(frozen=True)
-class AvoiderConstruction:
+class AvoiderConstruction(Report):
     """Depth-N truncation of the avoider: [0,1] minus the first N holes.
 
     The truncation contains the full set, so any embedding certificate for a
@@ -225,10 +221,7 @@ class AvoiderConstruction:
 
     depth: int
     holes: Tuple[Hole, ...]
-    avoider: IntervalSet
-
-    def to_json_dict(self) -> dict:
-        return {"depth": self.depth, "holes": [h.to_json_dict() for h in self.holes]}
+    avoider: IntervalSet = field(metadata={"json": None})
 
 
 def build_avoider(t: ThresholdSequence, depth: int) -> AvoiderConstruction:
@@ -251,17 +244,12 @@ def build_avoider(t: ThresholdSequence, depth: int) -> AvoiderConstruction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TranslateMeasure:
-    threshold: int
+class TranslateMeasure(Report):
+    threshold: int = field(metadata={"json": "T"})
     kernel_measure: Fraction
     closed_form: Fraction
     limit: Fraction
     identity_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {"T": self.threshold, "kernel_measure": str(self.kernel_measure),
-                "closed_form": str(self.closed_form), "limit": str(self.limit),
-                "identity_ok": self.identity_ok}
 
 
 def measure_union_translates(hole: Interval, t: ThresholdSequence,
@@ -286,20 +274,16 @@ def measure_union_translates(hole: Interval, t: ThresholdSequence,
 
 
 @dataclass(frozen=True)
-class SummabilityEntry:
+class SummabilityEntry(Report):
     n: int
     K: int
-    lam: Fraction
+    lam: Fraction = field(metadata={"json": "lambda"})
     T: int
     tail_measure: Fraction  # T*lambda + eta_T
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "K": self.K, "lambda": str(self.lam), "T": self.T,
-                "tail_measure": str(self.tail_measure)}
-
 
 @dataclass(frozen=True)
-class SummabilityReport:
+class SummabilityReport(Report):
     """Exact partial sums and the termwise inequalities that make the total
     translate measure finite: eta at half-T is dominated by eta at half-K,
     which sits below 1/n^2, and T*lambda telescopes into twice the eta drop
@@ -315,17 +299,6 @@ class SummabilityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "sum_eta_half_T": str(self.sum_eta_half_T),
-            "sum_inverse_squares": str(self.sum_inverse_squares),
-            "sum_tail_measures": str(self.sum_tail_measures),
-            "violations": list(self.violations),
-            "pass": self.passed,
-        }
 
 
 def summability_report(t: ThresholdSequence, depth: int) -> SummabilityReport:
@@ -373,7 +346,7 @@ def delta0_of(alpha: Sequence[RationalLike], t: ThresholdSequence) -> Optional[F
 
 
 @dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(Report):
     """An exactly verified depth-N certificate: every t + delta*alpha_m lies
     in the truncated avoider."""
 
@@ -383,17 +356,7 @@ class EmbeddingCertificate:
     residual_measure: Fraction
     trace: Tuple[Tuple[Fraction, Fraction], ...]
     budget_lower_bound: Fraction
-    delta0: Optional[Fraction]  # the ladder's scale cap (delta0_of); not in the JSON
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": str(self.delta),
-            "t": str(self.t),
-            "checked_points": self.checked_points,
-            "residual_measure": str(self.residual_measure),
-            "trace": [[str(d), str(m)] for d, m in self.trace],
-            "budget_lower_bound": str(self.budget_lower_bound),
-        }
+    delta0: Optional[Fraction] = field(metadata={"json": None})  # scale cap (delta0_of)
 
 
 def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLike],

@@ -14,11 +14,11 @@ level-N remnant skeleton the left neighborhoods of deeper gaps fail to reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
+from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
                                union_all)
 
 UNIT = Interval.closed(0, 1)
@@ -191,18 +191,18 @@ class FinitePointsOracle(GapOracle):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CantorLevel:
+class CantorLevel(Report):
     """Level n of the ladder: the gaps deleted at this level (left to right,
     all of length gap_length) and the closed remnants left afterwards."""
 
     n: int
-    gap_length: Fraction
+    gap_length: Fraction = field(metadata={"json": "l"})
     gaps: Tuple[Interval, ...]
     remnants: Tuple[Interval, ...]
 
 
 @dataclass(frozen=True)
-class CantorConstruction:
+class CantorConstruction(Report):
     depth: int
     levels: Tuple[CantorLevel, ...]
 
@@ -233,20 +233,6 @@ class CantorConstruction:
     def open_sets_through(self, n: int) -> IntervalSet:
         """Union of all gaps of levels 1..n."""
         return union_all([self.open_set(i) for i in range(1, n + 1)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "levels": [
-                {
-                    "n": lv.n,
-                    "l": str(lv.gap_length),
-                    "gaps": [str(g) for g in lv.gaps],
-                    "remnants": [str(r) for r in lv.remnants],
-                }
-                for lv in self.levels
-            ],
-        }
 
 
 def largest_unit_fraction_at_most(x: Fraction) -> Fraction:
@@ -307,7 +293,7 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Report):
     depth: int
     k_max: int
     checks_run: int
@@ -316,15 +302,6 @@ class InvariantReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "k_max": self.k_max,
-            "checks_run": self.checks_run,
-            "violations": list(self.violations),
-            "pass": self.passed,
-        }
 
 
 def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantReport:
@@ -431,7 +408,7 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
 
 
 @dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Report):
     """How much of the level-N half-open remnant skeleton the left
     (2/3)^n-neighborhoods of gap levels N+1..N+k_max fail to cover."""
 
@@ -446,18 +423,6 @@ class CoverReport:
     @property
     def passed(self) -> bool:
         return self.enclosure_ok and self.within_bound
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "k_max": self.k_max,
-            "uncovered": self.uncovered.to_strings(),
-            "uncovered_measure": str(self.uncovered_measure),
-            "enclosure_ok": self.enclosure_ok,
-            "bound": str(self.bound),
-            "within_bound": self.within_bound,
-            "pass": self.passed,
-        }
 
 
 def truncated_union_cover(construction: CantorConstruction, N: int,

@@ -26,7 +26,7 @@ decoded to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -291,6 +291,42 @@ class IntervalSet:
 
 
 EMPTY = IntervalSet(())
+
+
+# -- the JSON report format -----------------------------------------------------
+
+class Report:
+    """Base of every JSON report dataclass.
+
+    ``to_json_dict`` writes the fields in declaration order, each under its
+    own name or under ``field(metadata={"json": key})`` (a key of None leaves
+    the field out), and ends with ``"pass"`` when the class defines
+    ``passed``. Values are written in their text form: a Fraction as
+    ``p/q``, an Interval as ``(lo,hi)``, an IntervalSet as a list of interval
+    strings, a tuple as a list and a nested report as its dict.
+    """
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            key = f.metadata.get("json", f.name)
+            if key is not None:
+                out[key] = _json_value(getattr(self, f.name))
+        if hasattr(type(self), "passed"):
+            out["pass"] = self.passed
+        return out
+
+
+def _json_value(value):
+    if isinstance(value, (Fraction, Interval)):
+        return str(value)
+    if isinstance(value, IntervalSet):
+        return value.to_strings()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    return value
 
 
 # -- the integer-cut kernel ---------------------------------------------------

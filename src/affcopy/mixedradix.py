@@ -21,23 +21,23 @@ the certification flags and says so when a level is uncertified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from affcopy.expbounds import compare_with_exp, even_upper_exp_quotient
-from affcopy.intervals import Interval, RationalLike, as_fraction
+from affcopy.intervals import Interval, RationalLike, Report, as_fraction
 
 DEFAULT_EXPONENT_BUDGET = 512
 
 
 @dataclass(frozen=True)
-class MixedRadixSystem:
+class MixedRadixSystem(Report):
     """Radix schedule M_1..M_depth with exact products and per-level
     certification flags (h_verified[n-1] says level n is certified)."""
 
     radices: Tuple[int, ...]
-    products: Tuple[int, ...]
+    products: Tuple[int, ...] = field(metadata={"json": None})
     h_verified: Tuple[bool, ...]
 
     @property
@@ -52,9 +52,6 @@ class MixedRadixSystem:
         if n == 0:
             return 1
         return self.products[n - 1]
-
-    def to_json_dict(self) -> dict:
-        return {"radices": list(self.radices), "h_verified": list(self.h_verified)}
 
 
 def check_h_condition(radices: Sequence[int], n: int,
@@ -120,7 +117,7 @@ def default_schedule(depth: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DigitVector:
+class DigitVector(Report):
     """Finite-depth expansion; ``exact`` marks a zero remainder, i.e. the
     reconstruction [x] + sum(digit_n / P_n) reproduces the source."""
 
@@ -133,10 +130,6 @@ class DigitVector:
         for n, d in enumerate(self.digits, 1):
             total += Fraction(d, system.product(n))
         return total
-
-    def to_json_dict(self) -> dict:
-        return {"integer_part": self.integer_part, "digits": list(self.digits),
-                "exact": self.exact}
 
 
 def digits_of(x: RationalLike, system: MixedRadixSystem, depth: int) -> DigitVector:

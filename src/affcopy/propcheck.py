@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-from affcopy.intervals import Interval, IntervalSet, normalize, union_all
+from affcopy.intervals import Interval, IntervalSet, Report, normalize, union_all
 
 
 def random_fraction(rng: random.Random, span: int = 24, max_den: int = 12,
@@ -161,7 +161,7 @@ KERNEL_PROPERTIES: Tuple[Tuple[str, Check], ...] = (
 
 
 @dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Report):
     seed: int
     instances: int
     checks_run: int
@@ -170,15 +170,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "instances": self.instances,
-            "checks_run": self.checks_run,
-            "failures": list(self.failures),
-            "pass": self.passed,
-        }
 
 
 def run_kernel_property_suite(seed: int, instances: int) -> PropertyReport:

@@ -13,12 +13,12 @@ driven by a gap-ladder construction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from affcopy.cantor import CantorConstruction, TWO_THIRDS
-from affcopy.intervals import (Interval, IntervalSet, RationalLike, as_fraction,
+from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
                                intersection_of_translates, normalize,
                                union_of_translates)
 
@@ -161,7 +161,7 @@ def threshold_index(gap: Callable[[int], Fraction], delta: RationalLike, m0: int
 
 
 @dataclass(frozen=True)
-class TranslateDecomposition:
+class TranslateDecomposition(Report):
     """Structure of union(m >= m0) of I - delta*seq(m) for an open interval I.
 
     Below the threshold the translates are pairwise disjoint copies; from the
@@ -177,14 +177,6 @@ class TranslateDecomposition:
 
     def truncated_union(self) -> IntervalSet:
         return normalize(self.disjoint_part.parts + (self.truncated_overlap,))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "disjoint_part": self.disjoint_part.to_strings(),
-            "overlap_part": str(self.overlap_part),
-            "truncated_overlap": str(self.truncated_overlap),
-        }
 
 
 def decompose_translates(interval: Interval, seq: Callable[[int], Fraction],
@@ -222,23 +214,15 @@ def decompose_translates(interval: Interval, seq: Callable[[int], Fraction],
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SlowDecayEntry:
+class SlowDecayEntry(Report):
     n: int
-    threshold: int
-    breakpoint: int
-    alpha_at_threshold: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "M": self.threshold,
-            "N_n": self.breakpoint,
-            "alpha_at_M": str(self.alpha_at_threshold),
-        }
+    threshold: int = field(metadata={"json": "M"})
+    breakpoint: int = field(metadata={"json": "N_n"})
+    alpha_at_threshold: Fraction = field(metadata={"json": "alpha_at_M"})
 
 
 @dataclass(frozen=True)
-class SlowDecayReport:
+class SlowDecayReport(Report):
     """Per-level check that the threshold lands before the breakpoint, so the
     sequence is still above 1/(n+1) when the translates start to overlap."""
 
@@ -251,16 +235,6 @@ class SlowDecayReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": str(self.delta),
-            "m0": self.m0,
-            "n_start": self.n_start,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "violations": list(self.violations),
-            "pass": self.passed,
-        }
 
 
 def slow_decay_start(s: SlowSequence, delta: RationalLike, m0: int, k: int = 0) -> int:
@@ -311,7 +285,7 @@ def verify_slow_decay(construction: CantorConstruction, s: SlowSequence,
 
 
 @dataclass(frozen=True)
-class DeficitReport:
+class DeficitReport(Report):
     """Exact leftovers of the translate covering of [0,1).
 
     ``uncovered_measure`` is the measure of [0,1) minus all translates
@@ -335,19 +309,6 @@ class DeficitReport:
     @property
     def passed(self) -> bool:
         return self.bound is not None and self.uncovered_measure <= self.bound
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "M": self.M,
-            "delta": str(self.delta),
-            "m0": self.m0,
-            "uncovered_measure": str(self.uncovered_measure),
-            "residual_measure": str(self.residual_measure),
-            "residual": self.residual.to_strings(),
-            "bound": None if self.bound is None else str(self.bound),
-            "pass": self.passed,
-        }
 
 
 def coverage01(construction: CantorConstruction, s: SlowSequence,

@@ -1,0 +1,55 @@
+"""Byte pins for reports the CLI golden digests never reach.
+
+Each pin compares the exact ``json.dumps(..., indent=2)`` text, so key order,
+the ``p/q`` string form and the position of ``"pass"`` are all pinned.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+from affcopy.avoider import ThresholdSequence, summability_report
+from affcopy.cantor import MiddleThirdOracle, build_cantor
+from affcopy.mixedradix import default_schedule, digits_of, make_system
+from affcopy.propcheck import run_kernel_property_suite
+from affcopy.slowseq import build_mu, verify_slow_decay
+
+F = Fraction
+
+
+def text(report):
+    return json.dumps(report.to_json_dict(), indent=2)
+
+
+def test_summability_report_bytes():
+    t = ThresholdSequence.from_convex(lambda m: F(1, m + 1))
+    digest = hashlib.sha256(text(summability_report(t, 12)).encode()).hexdigest()
+    assert digest == "694f44c87e1aecb37c181b7923adbcd8d552157693e5a72528539dea1a8f45cd"
+
+
+def test_slow_decay_report_bytes():
+    ladder = build_cantor(MiddleThirdOracle(), 6)
+    seq = build_mu({0: [ladder.gap_length(n) for n in range(1, 7)]}, 500)
+    expected = {"delta": "1/3", "m0": 1, "n_start": 4, "entries": [
+        {"n": 4, "M": 10, "N_n": 178, "alpha_at_M": "1/2"},
+        {"n": 5, "M": 10, "N_n": 408, "alpha_at_M": "1/2"},
+        {"n": 6, "M": 31, "N_n": 924, "alpha_at_M": "1/3"}],
+        "violations": [], "pass": True}
+    report = verify_slow_decay(ladder, seq, F(1, 3), 1, range(1, 7))
+    assert text(report) == json.dumps(expected, indent=2)
+
+
+def test_property_report_bytes():
+    expected = {"seed": 5, "instances": 3, "checks_run": 27, "failures": [], "pass": True}
+    assert text(run_kernel_property_suite(5, 3)) == json.dumps(expected, indent=2)
+
+
+def test_digit_vector_bytes():
+    pins = [
+        (digits_of(F(5, 8), make_system([4, 14]), 2),
+         {"integer_part": 0, "digits": [2, 7], "exact": True}),
+        (digits_of(F(-7, 5), default_schedule(3), 3),
+         {"integer_part": -2, "digits": [2, 5, 22410637457282101649005], "exact": False}),
+    ]
+    for vector, expected in pins:
+        assert text(vector) == json.dumps(expected, indent=2)

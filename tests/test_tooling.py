@@ -66,3 +66,16 @@ def test_cut_encoding_stays_inside_the_kernel():
                                              and node.value.id == "intervals")):
                 found.append(f"{path.name}:{node.lineno}: uses .{node.attr}")
     assert found == []
+
+
+def test_report_format_lives_in_one_encoder():
+    # intervals.Report writes every report; only the three reports whose keys
+    # are derived values, not fields, keep their own to_json_dict
+    allowed = {"Report", "Hole", "NestedChain", "PremeasureBound"}
+    found = {node.name
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
+                     for item in node.body)}
+    assert found == allowed
