@@ -20,7 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
                                intersection_of_translates, normalize,
                                union_of_translates)
-from affcopy.slowseq import HorizonError, check_convex, first_index, threshold_index
+from affcopy.slowseq import (MAX_HORIZON, HorizonError, check_convex, check_horizon,
+                             first_index, threshold_index)
 
 #: Horizon used for formula-backed sequences, large enough that every budget
 #: search below is limited by arithmetic, not by an artificial cap.
@@ -123,15 +124,18 @@ class ThresholdSequence:
 def thresholdize(beta: Union[Sequence[RationalLike], Callable[[int], Fraction]],
                  horizon: Optional[int] = None) -> ThresholdSequence:
     """Convexify a strictly decreasing positive source into a threshold
-    sequence via eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2))."""
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    sequence via eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2)). The horizon,
+    or the length of a listed source, is at most MAX_HORIZON."""
+    if horizon is not None:
+        check_horizon(horizon)
     if callable(beta):
         if horizon is None:
             raise ValueError("a callable source needs an explicit horizon")
         values = [beta(m) for m in range(1, horizon + 1)]
     else:
         values = list(beta)[:horizon]
+        if len(values) > MAX_HORIZON:
+            raise ValueError(f"{len(values)} source values exceed MAX_HORIZON = {MAX_HORIZON}")
     beta_values = tuple(as_fraction(v) for v in values)
     if len(beta_values) < 2:
         raise ValueError("need at least two source values")

@@ -61,13 +61,13 @@ def in_ternary_cantor(x: RationalLike) -> bool:
     x = as_fraction(x)
     if x < 0 or x > 1:
         return False
-    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    third = Fraction(1, 3)
     seen = set()
     while x not in seen:
         seen.add(x)
         if x <= third:
             x = 3 * x
-        elif x >= two_thirds:
+        elif x >= TWO_THIRDS:
             x = 3 * x - 2
         else:
             return False
@@ -86,7 +86,7 @@ def ternary_gap_containing(x: RationalLike) -> Optional[Interval]:
         y = (x - lo) / scale
         if y < Fraction(1, 3):
             scale /= 3
-        elif y > Fraction(2, 3):
+        elif y > TWO_THIRDS:
             lo += 2 * scale / 3
             scale /= 3
         else:
@@ -314,6 +314,8 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     sup K(n,j) - inf K(n+k, 2^k j) < (2/3)^(n+k) for k up to k_max, and the
     per-gap left-neighborhood coverage of [inf parent, sup gap).
     """
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
     c = construction
     violations = []
     checks = 0

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 from affcopy.avoider import ThresholdSequence, thresholdize
 from affcopy.intervals import as_fraction
+from affcopy.slowseq import check_horizon
 
 #: Horizon used when a non-convex preset has to be materialized.
 MATERIALIZED_HORIZON = 60_000
@@ -74,8 +75,8 @@ def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> Thresho
         return thresholdize(load_sequence_file(spec), horizon)
     fn, convex = preset
     if convex:
-        if horizon is not None and horizon < 1:  # unused here, but still an input error
-            raise ValueError("horizon must be at least 1")
+        if horizon is not None:  # unused here, but still an input error
+            check_horizon(horizon)
         return ThresholdSequence.from_convex(fn)
     return thresholdize(fn, MATERIALIZED_HORIZON if horizon is None else horizon)
 

@@ -9,7 +9,7 @@ from affcopy.avoider import (AvoiderConstruction, EmbeddingSearchError,
                              enumerate_base, find_embedding, measure_union_translates,
                              plan_budget, summability_report, thresholdize)
 from affcopy.intervals import Interval, IntervalSet, normalize
-from affcopy.slowseq import HorizonError
+from affcopy.slowseq import MAX_HORIZON, HorizonError
 
 F = Fraction
 
@@ -49,6 +49,15 @@ class TestThresholdize:
                 assert t.eta_gap(m) >= t.eta_gap(m + 1)
             assert t.eta(horizon - 1) > t.eta(horizon) >= t.beta(horizon)
         assert time.monotonic() - started < 60
+
+    def test_horizon_past_the_cap_is_refused_before_evaluating(self):
+        def never(m):
+            raise AssertionError("source evaluated past the horizon cap")
+
+        with pytest.raises(ValueError, match="horizon must be in"):
+            thresholdize(never, MAX_HORIZON + 1)
+        with pytest.raises(ValueError, match="exceed MAX_HORIZON"):
+            thresholdize(range(MAX_HORIZON + 1, 0, -1))  # ints, never converted
 
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):

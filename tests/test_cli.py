@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from affcopy import cantor
+from affcopy import cantor, presets, slowseq
 from affcopy.cli import main
 
 F = Fraction
@@ -34,6 +34,14 @@ class TestCantorCommands:
         assert code == 0
         assert F(report["uncovered_measure"]) < F(256, 729)
         assert report["bound"] == "256/729"
+
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_verify_without_right_edge_checks_exits_two(self, tmp_path, capsys, kmax):
+        # k_max < 1 would skip every (2/3)^(n+k) right-edge check and still pass
+        code, report = run(tmp_path, "cantor-verify", "--depth", "4", "--kmax", kmax)
+        assert code == 2
+        assert report is None
+        assert "k_max must be positive" in capsys.readouterr().err
 
     def test_cover_depth_error(self, tmp_path):
         code, _ = run(tmp_path, "cover", "--depth", "4", "--N", "4", "--kmax", "1")
@@ -75,6 +83,27 @@ class TestSequenceCommands:
                            "--M", "80", "--delta", "1", "--m0", "1")
         assert report["residual_measure"] == "0"
         assert code == (0 if report["pass"] else 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["seq-build", "--depth", "2"],
+        ["seq-decompose", "--depth", "2", "--lo", "0", "--length", "1/9"],
+        ["coverage01", "--depth", "2", "--N", "1", "--M", "20"],
+        ["avoider-build", "--beta", "iterlog:1", "--depth", "1"],
+        ["avoider-measure", "--beta", "iterlog:1", "--M", "40", "--lo", "0", "--length", "1/10"],
+        ["avoider-embed", "--beta", "iterlog:1", "--alpha", "harmonic", "--M", "5",
+         "--depth", "1"],
+        ["avoider-build", "--beta", "harmonic", "--depth", "1"],
+    ])
+    def test_horizon_past_the_cap_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("sequence evaluated past the horizon cap")
+
+        monkeypatch.setattr(slowseq, "_validate_gap_table", never)
+        monkeypatch.setattr(presets, "_iterated_floor_log", never)
+        code, report = run(tmp_path, *argv, "--horizon", str(slowseq.MAX_HORIZON + 1))
+        assert code == 2
+        assert report is None
+        assert f"horizon must be in 1..{slowseq.MAX_HORIZON}" in capsys.readouterr().err
 
     def test_malformed_rational(self, tmp_path):
         with pytest.raises(SystemExit) as err:

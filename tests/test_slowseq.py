@@ -8,7 +8,7 @@ from affcopy.intervals import Interval, IntervalSet, normalize
 from affcopy.slowseq import (HorizonError, SlowSequence, build_mu, coverage01,
                              decompose_translates, slow_decay_start, threshold_index,
                              verify_slow_decay)
-from affcopy.slowseq import check_convex, first_index
+from affcopy.slowseq import MAX_HORIZON, check_convex, first_index
 
 F = Fraction
 
@@ -198,6 +198,23 @@ class TestSharedCore:
                 assert got == {m: values[m - 1] for m in range(1, hi + 2)}
                 accepted_count += 1
         assert 300 < accepted_count < 2700
+
+
+class TestHorizonCap:
+    @staticmethod
+    def never(m):
+        raise AssertionError("sequence evaluated past the horizon cap")
+
+    def test_build_mu_refuses_before_reading_tables(self):
+        with pytest.raises(ValueError, match="horizon must be in"):
+            build_mu({0: None}, MAX_HORIZON + 1)  # not a table, and never read
+
+    def test_check_convex_refuses_before_evaluating(self):
+        with pytest.raises(ValueError, match="exceed MAX_HORIZON"):
+            check_convex(self.never, 5, 5 + MAX_HORIZON)
+        with pytest.raises(ValueError, match="exceed MAX_HORIZON"):
+            decompose_translates(Interval.open(0, F(1, 10)), self.never, 1, 1,
+                                 MAX_HORIZON + 1)
 
 
 class TestDecompose:
