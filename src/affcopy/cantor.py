@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
-                               union_all)
+from affcopy.intervals import (EMPTY, Interval, IntervalSet, RationalLike, Report,
+                               as_fraction, union_all)
 
 UNIT = Interval.closed(0, 1)
 TWO_THIRDS = Fraction(2, 3)
@@ -273,11 +273,12 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
         if prev_length is not None:
             bound = min(bound, prev_length / 2)
         length = largest_unit_fraction_at_most(bound)
+        half = length / 2
         gaps = []
         next_remnants = []
         for k, g in zip(remnants, raw):
             center = g.midpoint()
-            shrunk = Interval.open(center - length / 2, center + length / 2)
+            shrunk = Interval.open(center - half, center + half)
             gaps.append(shrunk)
             next_remnants.append(Interval.closed(k.lo, shrunk.lo))
             next_remnants.append(Interval.closed(shrunk.hi, k.hi))
@@ -348,7 +349,8 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
                 flag(f"level {n}: closures of gaps {j} and {j + 1} meet")
 
     # closures of different levels are disjoint
-    closures = [c.open_set(n).closure() for n in range(1, c.depth + 1)]
+    gap_sets = [c.open_set(n) for n in range(1, c.depth + 1)]
+    closures = [gaps.closure() for gaps in gap_sets]
     for n in range(1, c.depth + 1):
         for m in range(n + 1, c.depth + 1):
             checks += 1
@@ -356,17 +358,19 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
                 flag(f"closures of level {n} and level {m} gap unions intersect")
 
     # remnant decomposition and size bound
+    remnant_sets = [c.remnant_set(n) for n in range(1, c.depth + 1)]
+    powers = [TWO_THIRDS ** n for n in range(0, c.depth + 1)]
+    gaps_through = EMPTY
     for n in range(1, c.depth + 1):
         checks += 1
-        expected = c.open_sets_through(n).complement_within(UNIT)
-        if expected != c.remnant_set(n):
+        gaps_through = gaps_through.union(gap_sets[n - 1])
+        if gaps_through.complement_within(UNIT) != remnant_sets[n - 1]:
             flag(f"level {n}: [0,1] minus gaps does not equal the remnant union")
-        limit = TWO_THIRDS ** n
-        for j, r in enumerate(c.remnant_set(n).parts, 1):
+        for j, r in enumerate(remnant_sets[n - 1].parts, 1):
             checks += 1
             if not (r.lo_closed and r.hi_closed):
                 flag(f"level {n} remnant {j}: {r} is not closed")
-            if r.length >= limit:
+            if r.length >= powers[n]:
                 flag(f"level {n} remnant {j}: length {r.length} >= (2/3)^{n}")
 
     # child indexing
@@ -389,7 +393,7 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
                 if prev_inf is not None and inf_k < prev_inf:
                     flag(f"inf of rightmost descendant of ({n},{j}) decreased at k={k}")
                 prev_inf = inf_k
-                if top - inf_k >= TWO_THIRDS ** (n + k):
+                if top - inf_k >= powers[n + k]:
                     flag(f"remnant ({n},{j}): sup - inf of level-{n + k} rightmost "
                          f"descendant is not below (2/3)^{n + k}")
 

@@ -33,6 +33,9 @@ def _emit(report: dict, out: Optional[str]) -> None:
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # a redirect's mode, not mkstemp's 0600
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, out)
@@ -46,6 +49,16 @@ def _fraction(text: str) -> Fraction:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}: {err}")
+
+
+def _capped(cap: int) -> Callable[[str], int]:
+    """An int flag refused above ``cap`` while parsing, before any work."""
+    def integer(text: str) -> int:  # argparse names the type in its messages
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is above the cap {cap}")
+        return value
+    return integer
 
 
 def _schedule(text: str) -> tuple:
@@ -117,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("avoider-build", "budget and punch the avoider holes")
     p.add_argument("--beta", required=True, help="decay preset or sequence file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_capped(avoider.MAX_DEPTH), required=True)
     p.add_argument("--horizon", type=int)
 
     p = add("avoider-measure", "translate-union measure identity for one hole")
     p.add_argument("--beta", required=True)
-    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--M", type=_capped(avoider.MAX_M), required=True)
     p.add_argument("--lo", type=_fraction, required=True)
     p.add_argument("--length", type=_fraction, required=True)
     p.add_argument("--horizon", type=int)
@@ -130,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("avoider-embed", "search for an exact affine embedding certificate")
     p.add_argument("--beta", required=True)
     p.add_argument("--alpha", required=True, help="target preset or sequence file")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--M", type=_capped(avoider.MAX_M), required=True)
+    p.add_argument("--depth", type=_capped(avoider.MAX_DEPTH), required=True)
     p.add_argument("--imax", type=int, default=40)
     p.add_argument("--horizon", type=int)
 
@@ -152,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("prop-suite", "randomized exact checks of the kernel algebra")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=1000)
+    p.add_argument("--instances", type=_capped(propcheck.MAX_INSTANCES), default=1000)
 
     return parser
 

@@ -20,7 +20,10 @@ falls out of cut equality with no special cases.
 The sweeps compare Python ints, never Fractions: each operation takes the lcm
 ``D`` of its inputs' denominators and encodes the cut ``(x, flag)`` as the int
 ``2*x*D + flag``, which orders exactly as the tuple does. Only the result is
-decoded to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``).
+decoded to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``), after
+a check on the cuts themselves: they must strictly increase, which is exactly
+the :class:`Interval` shape rule within each range and the :class:`IntervalSet`
+canonical rule between neighbours, so the decoded set skips both constructors.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -117,8 +120,9 @@ class Interval:
         return not self.lo_closed and not self.hi_closed
 
     def contains(self, x: RationalLike) -> bool:
-        cut = (as_fraction(x), 0)
-        return self.start_cut <= cut < self.end_cut
+        x = as_fraction(x)
+        return ((self.lo < x or (self.lo_closed and x == self.lo))
+                and (x < self.hi or (self.hi_closed and x == self.hi)))
 
     def closure(self) -> "Interval":
         return Interval(self.lo, self.hi, True, True)
@@ -130,12 +134,11 @@ class Interval:
 
     def translate(self, shift: RationalLike) -> "Interval":
         t = as_fraction(shift)
-        moved = object.__new__(Interval)  # a translate keeps the shape: no checks
-        object.__setattr__(moved, "lo", self.lo + t)
-        object.__setattr__(moved, "hi", self.hi + t)
-        object.__setattr__(moved, "lo_closed", self.lo_closed)
-        object.__setattr__(moved, "hi_closed", self.hi_closed)
-        return moved
+        n, d = t.numerator, t.denominator
+        lo, hi = self.lo, self.hi  # a translate keeps the shape: no checks
+        return _part(Fraction(lo.numerator * d + n * lo.denominator, lo.denominator * d),
+                     Fraction(hi.numerator * d + n * hi.denominator, hi.denominator * d),
+                     self.lo_closed, self.hi_closed)
 
     def scaled(self, scale: RationalLike, shift: RationalLike = 0) -> "Interval":
         """Image under x -> scale*x + shift; scale < 0 swaps the endpoints."""
@@ -181,7 +184,9 @@ class IntervalSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         for prev, cur in zip(self.parts, self.parts[1:]):
-            if cur.start_cut <= prev.end_cut:
+            # canonical iff prev.end_cut < cur.start_cut: a shared endpoint
+            # must be missing from both parts
+            if not prev.hi < cur.lo and (prev.hi > cur.lo or prev.hi_closed or cur.lo_closed):
                 raise ValueError(
                     f"parts not canonical: {prev} followed by {cur}; use normalize()")
 
@@ -293,6 +298,16 @@ class IntervalSet:
 EMPTY = IntervalSet(())
 
 
+def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Interval:
+    """An Interval built without ``__post_init__``, for a shape already checked."""
+    part = object.__new__(Interval)
+    object.__setattr__(part, "lo", lo)
+    object.__setattr__(part, "hi", hi)
+    object.__setattr__(part, "lo_closed", lo_closed)
+    object.__setattr__(part, "hi_closed", hi_closed)
+    return part
+
+
 # -- the JSON report format -----------------------------------------------------
 
 class Report:
@@ -354,11 +369,19 @@ def _encode(parts: Iterable[Interval], D: int, seen: dict) -> _Cuts:
 
 
 def _decode(cuts: _Cuts, D: int, seen: dict) -> IntervalSet:
+    """The set of canonical cut ranges; ValueError unless the cuts strictly
+    increase (an empty range, or neighbours that overlap or should merge)."""
+    edges = [c for r in cuts for c in r]
+    if not all(map(lt, edges, edges[1:])):
+        raise ValueError("kernel result is not a canonical cut list")
+
     def at(c: int) -> Fraction:
         x = seen.get(c >> 1)  # never `or`: the Fraction 0 is falsy
         return Fraction(c >> 1, D) if x is None else x
-    return IntervalSet(tuple(Interval(at(lo), at(hi), not lo & 1, bool(hi & 1))
-                             for lo, hi in cuts))
+    out = object.__new__(IntervalSet)
+    object.__setattr__(out, "parts", tuple(_part(at(lo), at(hi), not lo & 1, bool(hi & 1))
+                                           for lo, hi in cuts))
+    return out
 
 
 def _sweep(sweep: Callable[..., _Cuts], *groups: Sequence[Interval]) -> IntervalSet:

@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from affcopy.avoider import ThresholdSequence, thresholdize
+from affcopy.avoider import MAX_M, ThresholdSequence, thresholdize
 from affcopy.intervals import as_fraction
 from affcopy.slowseq import check_horizon
 
@@ -83,8 +83,8 @@ def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> Thresho
 
 def alpha_vector(spec: str, count: int) -> List[Fraction]:
     """A finite target vector from a preset name or a sequence file."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not 1 <= count <= MAX_M:
+        raise ValueError(f"count must be in 1..{MAX_M}, got {count}")
     preset = _parse_preset(spec)
     if preset is None:
         values = load_sequence_file(spec)

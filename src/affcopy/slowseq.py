@@ -122,19 +122,26 @@ def build_mu(gap_tables: Mapping[int, Sequence[Fraction]], horizon: int) -> Slow
 
 def first_index(pred: Callable[[int], bool], lo: int, hi: int) -> int:
     """Least m in lo..hi with pred(m), for a predicate that is false and then
-    true on lo..hi. Probes lo, then hi, then bisects; raises HorizonError when
-    pred(hi) fails."""
+    true on lo..hi. Probes lo, then gallops through lo+1, lo+3, lo+7, ...
+    (capped at hi) and bisects the last bracket, so no probe lies further from
+    lo than twice the answer does; raises HorizonError when pred(hi) fails."""
     if pred(lo):
         return lo
-    if not pred(hi):
-        raise HorizonError(f"threshold not reached by m={hi}")
-    while hi - lo > 1:  # pred(lo) fails, pred(hi) holds
-        mid = (lo + hi) // 2
+    step = 1
+    while True:  # pred(lo) fails
+        probe = min(lo + step, hi)
+        if pred(probe):
+            break
+        if probe == hi:
+            raise HorizonError(f"threshold not reached by m={hi}")
+        lo, step = probe, 2 * step
+    while probe - lo > 1:  # pred(lo) fails, pred(probe) holds
+        mid = (lo + probe) // 2
         if pred(mid):
-            hi = mid
+            probe = mid
         else:
             lo = mid
-    return hi
+    return probe
 
 
 def check_convex(seq: Callable[[int], RationalLike], lo: int,

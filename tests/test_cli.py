@@ -1,11 +1,17 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from affcopy import cantor, presets, slowseq
+import affcopy
+from affcopy import avoider, cantor, presets, propcheck, slowseq
 from affcopy.cli import main
+from affcopy.intervals import Interval
 
 F = Fraction
 
@@ -196,6 +202,76 @@ class TestAvoiderCommands:
         assert report is None
 
 
+    @pytest.mark.parametrize("beta", ["geometric:1/2", "geometric:9/10"])
+    def test_geometric_presets_build(self, beta):
+        # the threshold search once probed m = 2^62 - 1 first, evaluating
+        # r ** (2^62 - 1); the child's address space is capped in case it does again
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(affcopy.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "affcopy.cli", "avoider-build", "--beta", beta,
+             "--depth", "16"],
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["holes"]) == 16
+
+
+class TestWorkCaps:
+    """Caps on the work a flag asks for are checked while parsing, before any
+    sequence, avoider or property instance is built."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started past a cap")
+
+        for owner, name in ((presets, "threshold_sequence_from"), (presets, "alpha_vector"),
+                            (avoider, "build_avoider"), (avoider, "measure_union_translates"),
+                            (propcheck, "run_kernel_property_suite")):
+            monkeypatch.setattr(owner, name, never)
+
+    @pytest.mark.parametrize("argv, flag, cap", [
+        (["avoider-build", "--beta", "harmonic"], "--depth", avoider.MAX_DEPTH),
+        (["avoider-embed", "--beta", "harmonic", "--alpha", "harmonic", "--M", "5"],
+         "--depth", avoider.MAX_DEPTH),
+        (["avoider-embed", "--beta", "harmonic", "--alpha", "harmonic", "--depth", "2"],
+         "--M", avoider.MAX_M),
+        (["avoider-measure", "--beta", "harmonic", "--lo", "0", "--length", "1/10"],
+         "--M", avoider.MAX_M),
+        (["prop-suite"], "--instances", propcheck.MAX_INSTANCES),
+    ])
+    def test_past_the_cap_exits_two(self, tmp_path, capsys, nothing_built, argv, flag, cap):
+        with pytest.raises(SystemExit) as err:
+            run(tmp_path, *argv, flag, str(cap + 1))
+        assert err.value.code == 2
+        assert f"{cap + 1} is above the cap {cap}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        # the cap itself is accepted: parsing passes and the work starts
+        with pytest.raises(AssertionError, match="work started"):
+            run(tmp_path, *argv, flag, str(cap))
+
+    def test_caps_admit_the_documented_examples(self):
+        # README, perfbench and the acceptance suite use depth 64, M 100 and
+        # 1000 instances
+        assert avoider.MAX_DEPTH >= 64
+        assert avoider.MAX_M >= 160  # the acceptance suite's largest translate count
+        assert propcheck.MAX_INSTANCES >= 1000
+
+    def test_library_refuses_past_the_caps(self):
+        with pytest.raises(ValueError, match="depth must be in"):
+            avoider.build_avoider(None, avoider.MAX_DEPTH + 1)
+        with pytest.raises(ValueError, match="M must be at most"):
+            avoider.measure_union_translates(Interval.open(0, F(1, 10)), None,
+                                             avoider.MAX_M + 1)
+        with pytest.raises(ValueError, match="count must be in"):
+            presets.alpha_vector("harmonic", avoider.MAX_M + 1)
+        with pytest.raises(ValueError, match="instances must be in"):
+            propcheck.run_kernel_property_suite(0, propcheck.MAX_INSTANCES + 1)
+
+
 class TestAppendixCommands:
     def test_schedule_default(self, tmp_path):
         code, report = run(tmp_path, "appendix-schedule", "--depth", "2")
@@ -250,6 +326,16 @@ class TestHarness:
         assert code == 2
         assert os.listdir(tmp_path) == ["taken"]
         assert os.listdir(out) == []
+
+    def test_out_file_gets_the_umask_mode(self, tmp_path):
+        # like a shell redirect, not mkstemp's private 0600
+        old = os.umask(0o022)
+        try:
+            code, _ = run(tmp_path, "cantor-build", "--depth", "2")
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o644
 
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_kernel as ref
+from affcopy import intervals
 from affcopy.intervals import (EMPTY, Interval, IntervalSet, intersection_of_translates,
                                normalize, union_all, union_of_translates)
 from affcopy.propcheck import random_fraction, random_interval_set, run_kernel_property_suite
@@ -305,6 +306,78 @@ class TestIntegerKernelAgainstReference:
             got = intersection_of_translates(s, iter(shifts), within)
             same(got, naive_intersection_of_translates(s, shifts, within))
             same(union_of_translates(s, shifts), naive_union_of_translates(s, shifts))
+
+
+def checked_build(cuts, D):
+    """The set of int cut ranges, built through the checking constructors."""
+    return IntervalSet(tuple(Interval(F(lo >> 1, D), F(hi >> 1, D), not lo & 1, bool(hi & 1))
+                             for lo, hi in cuts))
+
+
+def raises_value_error(build, *args):
+    try:
+        return build(*args), False
+    except ValueError:
+        return None, True
+
+
+def grid_interval(rng):
+    """A valid interval on the grid {0, 1/2, 1}: degenerate points, shared
+    endpoints and every flag combination occur."""
+    lo, hi = sorted(F(rng.randint(0, 2), 2) for _ in range(2))
+    if lo == hi:
+        return Interval.point(lo)
+    return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+class TestChecksOnCuts:
+    """The kernel checks its results on the int cuts; the constructors compare
+    endpoints. Both must agree with the cut-tuple definitions."""
+
+    def test_decode_rejects_an_empty_range(self):
+        with pytest.raises(ValueError):
+            intervals._decode([(5, 5)], 1, {})
+
+    def test_decode_rejects_mergeable_neighbours(self):
+        with pytest.raises(ValueError):
+            intervals._decode([(0, 4), (4, 6)], 1, {})
+
+    def test_decode_raises_exactly_when_the_constructors_do(self):
+        rng = random.Random(53)
+        outcomes = set()
+        for _ in range(3000):
+            D = rng.randint(1, 4)
+            cuts = [(rng.randint(-12, 12), rng.randint(-12, 12))
+                    for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.7:  # mostly sorted, so that valid lists occur often
+                flat = sorted(c for r in cuts for c in r)
+                cuts = list(zip(flat[::2], flat[1::2]))
+            want, want_error = raises_value_error(checked_build, cuts, D)
+            got, got_error = raises_value_error(intervals._decode, cuts, D, {})
+            assert got_error == want_error, cuts
+            assert got == want, cuts
+            outcomes.add(got_error)
+        assert outcomes == {True, False}
+
+    def test_interval_set_matches_the_cut_rule(self):
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(3000):
+            prev, cur = grid_interval(rng), grid_interval(rng)
+            canonical = prev.end_cut < cur.start_cut
+            _, error = raises_value_error(IntervalSet, (prev, cur))
+            assert error == (not canonical), (prev, cur)
+            seen.add((prev.hi == cur.lo, prev.hi_closed, cur.lo_closed, canonical))
+        # shared endpoints with all four flag combinations were exercised
+        assert {(True, a, b) for a in (False, True) for b in (False, True)} <= \
+            {key[:3] for key in seen}
+
+    def test_contains_matches_the_cut_rule(self):
+        rng = random.Random(61)
+        for _ in range(3000):
+            part = grid_interval(rng)
+            x = F(rng.randint(-1, 5), 4)
+            assert part.contains(x) == (part.start_cut <= (x, 0) < part.end_cut), (part, x)
 
 
 def test_kernel_property_suite_smoke():

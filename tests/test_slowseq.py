@@ -155,11 +155,33 @@ class TestSharedCore:
             return m >= 7
 
         assert first_index(at_least_seven, 1, 100) == 7
-        assert probes[:2] == [1, 100]  # lo, then hi, then bisection
-        assert probes[2:] == [50, 25, 13, 7, 4, 5, 6]
+        assert probes[:4] == [1, 2, 4, 8]  # lo, then gallop lo+1, lo+3, lo+7
+        assert probes[4:] == [6, 7]  # then bisect the bracket (4, 8]
         assert first_index(lambda m: True, 3, 9) == 3
         with pytest.raises(HorizonError):
             first_index(lambda m: False, 1, 9)
+
+    def test_first_index_stays_near_the_answer(self):
+        # a huge hi must not be probed: geometric presets search up to 2^62 - 1,
+        # where one probe would evaluate r ** (2^62 - 1)
+        probes = []
+
+        def at_least_seven(m):
+            if m > 14:
+                raise AssertionError(f"probed m={m}, twice past the answer")
+            probes.append(m)
+            return m >= 7
+
+        assert first_index(at_least_seven, 1, 2 ** 62 - 1) == 7
+        assert max(probes) <= 14
+
+    def test_first_index_least_index_and_horizon(self):
+        for lo in range(1, 6):
+            for hi in range(lo, 30):
+                for answer in range(lo, hi + 1):
+                    assert first_index(lambda m: m >= answer, lo, hi) == answer
+                with pytest.raises(HorizonError):
+                    first_index(lambda m: m > hi, lo, hi)
 
     def test_check_convex_range(self):
         # positivity is required on [lo, hi]; the value at hi + 1 only has to

@@ -79,3 +79,14 @@ def test_report_format_lives_in_one_encoder():
              and any(isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
                      for item in node.body)}
     assert found == allowed
+
+
+def test_unchecked_construction_stays_in_intervals():
+    # object.__new__ skips the Interval and IntervalSet checks; only the
+    # kernel, which checks its results on the cuts, may do that
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "intervals.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert found == []
