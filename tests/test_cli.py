@@ -201,7 +201,6 @@ class TestAvoiderCommands:
         assert code == 2
         assert report is None
 
-
     @pytest.mark.parametrize("beta", ["geometric:1/2", "geometric:9/10"])
     def test_geometric_presets_build(self, beta):
         # the threshold search once probed m = 2^62 - 1 first, evaluating
