@@ -39,10 +39,12 @@ CONVEXITY_SPOT_CHECKS = 128
 MAX_DEPTH = 128
 
 #: Most sequence terms one translate union or embedding takes (``--M``). Each
-#: term can refine the common denominator: ``avoider-embed --depth 64 --M
-#: 1000`` takes 1.6 s with ``--alpha polynomial:2`` (26 s at M = 4000) and
-#: 34 s with ``geometric:99/100``; ``avoider-measure --beta harmonic`` takes
-#: 0.4 s at M = 10^4 and runs out of a 2 GB address space at 10^5.
+#: term can add a factor to the common denominator: on a 2-core VM (Python
+#: 3.11) ``avoider-embed --beta harmonic --depth 64 --M 1000`` takes 0.5 s
+#: with ``--alpha polynomial:2`` (3.7 s for the embedding alone at M = 4000)
+#: and 4.9 s with ``geometric:99/100``; ``measure_union_translates`` on the
+#: harmonic preset takes 0.2 s at M = 10^4 and runs out of a 2 GB address
+#: space at 10^5.
 MAX_M = 1000
 
 
@@ -212,7 +214,11 @@ def plan_budget(t: ThresholdSequence, n: int) -> HoleBudget:
     base = enumerate_base(n)
     K = 2 * t.first_index_below(Fraction(1, n * n))
     lam = min(base.length, Fraction(1, 2 ** n), t.eta_gap(K))
-    T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
+    try:
+        T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
+    except HorizonError:
+        raise HorizonError(f"hole n={n}: no eta gap falls below its length lambda={lam} "
+                           f"within the sequence horizon {t.horizon}") from None
     if T <= K:
         raise RuntimeError(f"budget invariant broken at n={n}: T={T} <= K={K}")
     return HoleBudget(n=n, base=base, K=K, lam=lam, T=T)
@@ -408,12 +414,11 @@ def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLi
         if delta >= 1:
             continue
         residual = intersection_of_translates(construction.avoider,
-                                              (-delta * a for a in vector), unit)
+                                              [-delta * a for a in vector], unit)
         measure = residual.measure()
         trace.append((delta, measure))
         if measure > 0:
-            best = max(residual.parts, key=lambda p: p.length)
-            t_star = best.midpoint()
+            t_star = residual.longest().midpoint()
             for m, a in enumerate(vector, 1):
                 if not construction.avoider.contains_point(t_star + delta * a):
                     raise RuntimeError(

@@ -4,7 +4,8 @@ subcommand writing a deterministic JSON report.
 Exit codes: 0 when the subcommand's assertions all pass, 1 when a computed
 check fails (a violation list is nonempty, an identity breaks, a search
 exhausts its ladder), 2 on input errors (unknown subcommand, malformed
-rationals, horizon or depth violations), 3 on internal errors (library bugs).
+rationals, horizon or depth violations, running out of memory), 3 on internal
+errors (library bugs).
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
     except (ValueError, slowseq.HorizonError, cantor.OracleViolationError,
             ZeroDivisionError, OSError, ArithmeticError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory; the input asks for more work than fits\n")
         return 2
     except RuntimeError as err:
         sys.stderr.write(f"internal error: {err}\n")

@@ -24,16 +24,21 @@ decoded to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``), after
 a check on the cuts themselves: they must strictly increase, which is exactly
 the :class:`Interval` shape rule within each range and the :class:`IntervalSet`
 canonical rule between neighbours, so the decoded set skips both constructors.
+It keeps the ``(D, cuts)`` it was decoded from, so :meth:`IntervalSet.measure`
+and :meth:`IntervalSet.longest` read lengths ``(hi >> 1) - (lo >> 1)`` as ints;
+a set built by the constructor is encoded when asked. A chain of translates
+stays on one lattice: listed shifts size ``D`` once, up front, and an iterator
+of shifts refines it as each new denominator arrives.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -180,6 +185,10 @@ class IntervalSet:
     """
 
     parts: Tuple[Interval, ...]
+    #: The kernel's ``(D, cuts)`` for a set it decoded, stored once at
+    #: creation; None for a set built by the constructor.
+    _lattice: Optional[Tuple[int, "_Cuts"]] = field(default=None, init=False,
+                                                    compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -222,9 +231,25 @@ class IntervalSet:
 
     # -- measure & geometry ----------------------------------------------------
 
+    def _cuts(self) -> Tuple[int, "_Cuts"]:
+        """``(D, cuts)``: the stored lattice of a kernel result, or a fresh
+        encoding of a constructor-built set."""
+        if self._lattice is not None:
+            return self._lattice
+        D = _denominator(self.parts)
+        return D, _encode(self.parts, D, {})
+
     def measure(self) -> Fraction:
         """Total length; endpoint flags do not affect the value."""
-        return sum((p.length for p in self.parts), Fraction(0))
+        D, cuts = self._cuts()
+        return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
+
+    def longest(self) -> Interval:
+        """The first part of greatest length; ValueError for the empty set."""
+        if not self.parts:
+            raise ValueError("the empty set has no longest part")
+        lengths = [(hi >> 1) - (lo >> 1) for lo, hi in self._cuts()[1]]
+        return self.parts[lengths.index(max(lengths))]
 
     def affine(self, scale: RationalLike, shift: RationalLike = 0) -> "IntervalSet":
         """Image set {scale*x + shift : x in self}; scale must be nonzero."""
@@ -381,6 +406,7 @@ def _decode(cuts: _Cuts, D: int, seen: dict) -> IntervalSet:
     out = object.__new__(IntervalSet)
     object.__setattr__(out, "parts", tuple(_part(at(lo), at(hi), not lo & 1, bool(hi & 1))
                                            for lo, hi in cuts))
+    object.__setattr__(out, "_lattice", (D, cuts))
     return out
 
 
@@ -456,12 +482,18 @@ def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> Inter
 def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
                                within: IntervalSet) -> IntervalSet:
     """``within`` intersected with every translate s + t, stopping at the
-    first empty result; shifts after it are never evaluated.
+    first empty result.
 
-    The chain stays on the lattice: a shift whose denominator does not divide
-    D refines it by the missing factor k, so each cut 2xD + f becomes 2xDk + f.
+    The chain stays on one lattice. Listed shifts (a list or tuple) size D
+    once, from every shift's denominator. Any other iterable is read lazily,
+    so shifts after the first empty result are never evaluated: a shift whose
+    denominator does not divide D refines it by the missing factor k, and
+    each cut 2xD + f becomes 2xDk + f.
     """
     D = _denominator(s.parts + within.parts)
+    if isinstance(shifts, (list, tuple)):
+        shifts = [as_fraction(t) for t in shifts]
+        D = lcm(D, *{t.denominator for t in shifts})
     base, out = _encode(s.parts, D, {}), _encode(within.parts, D, {})
     for t in shifts:
         t = as_fraction(t)

@@ -201,6 +201,15 @@ class TestAvoiderCommands:
         assert code == 2
         assert report is None
 
+    def test_depth_past_the_formula_horizon_names_the_hole(self, tmp_path, capsys):
+        # hole 125 is 2^-125 long; no harmonic gap falls below that by m = 2^62
+        code, report = run(tmp_path, "avoider-build", "--beta", "harmonic", "--depth", "125")
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: hole n=125: ")
+        assert f"sequence horizon {avoider.FORMULA_HORIZON}" in err
+
     @pytest.mark.parametrize("beta", ["geometric:1/2", "geometric:9/10"])
     def test_geometric_presets_build(self, beta):
         # the threshold search once probed m = 2^62 - 1 first, evaluating
@@ -345,6 +354,18 @@ class TestHarness:
         assert code == 3
         assert report is None
         assert "internal error: invariant broken; kernel bug" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(avoider, "find_embedding", exhausted)
+        code, report = run(tmp_path, "avoider-embed", "--beta", "harmonic",
+                           "--alpha", "geometric:1/2", "--M", "5", "--depth", "2")
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -105,9 +105,48 @@ class TestMeasure:
 
     def test_empty(self):
         assert EMPTY.measure() == 0
+        with pytest.raises(ValueError, match="no longest part"):
+            EMPTY.longest()
 
     def test_two_parts(self):
         assert iset("[0,4/9]", "[5/9,1]").measure() == F(8, 9)
+
+    def test_degenerate_points(self):
+        points = iset("[-1,-1]", "[0,0]", "[1/3,1/3]")
+        assert points.measure() == 0
+        assert points.longest() == iv("[-1,-1]")
+        assert iset("[0,0]", "(1,3/2)").longest() == iv("(1,3/2)")
+
+    def test_longest_picks_the_first_of_a_tie(self):
+        tied = iset("[1/2,1]", "(2,5/2]", "(3,7/2)", "[4,4]")
+        assert tied.longest() == iv("[1/2,1]")
+        assert IntervalSet(tied.parts).longest() == iv("[1/2,1]")
+        assert iset("[0,1/3]", "(1,2)", "[3,4)").longest() == iv("(1,2)")
+
+    def test_cuts_agree_with_fraction_sums(self):
+        # measure() and longest() read the integer cuts; the oracles are the
+        # Fraction sum of lengths and max by length (the first maximum)
+        rng = random.Random(67)
+        ties = 0
+        for _ in range(1500):
+            kernel = random_interval_set(rng, max_parts=6)
+            if rng.random() < 0.3:
+                kernel = kernel.union(normalize([Interval.point(random_fraction(rng))]))
+            if rng.random() < 0.3:  # far-apart translates: equal lengths tie
+                kernel = union_of_translates(kernel, rng.sample(range(-500, 500, 100), 3))
+            built = IntervalSet(kernel.parts)
+            assert kernel._lattice is not None and built._lattice is None
+            want = sum((p.length for p in kernel.parts), F(0))
+            lengths = [p.length for p in kernel.parts]
+            ties += len(lengths) > len(set(lengths))
+            for s in (kernel, built):
+                assert s.measure() == want
+                if s:
+                    assert s.longest() == max(s.parts, key=lambda p: p.length)
+                else:
+                    with pytest.raises(ValueError):
+                        s.longest()
+        assert ties > 300
 
 
 class TestLeftNeighborhood:
@@ -227,7 +266,13 @@ class TestTranslatePrimitives:
 
 def same(got, want):
     assert got == want
-    assert IntervalSet(got.parts) == got  # the output passes the canonical checks
+    rebuilt = IntervalSet(got.parts)  # the output passes the canonical checks
+    # the kernel's stored lattice takes no part in equality, hash or repr
+    assert rebuilt == got and hash(rebuilt) == hash(got) and repr(rebuilt) == repr(got)
+    for s in (got, rebuilt):  # read from the stored cuts, and encoded afresh
+        assert s.measure() == sum((p.length for p in want.parts), F(0))
+        if s:
+            assert s.longest() == max(want.parts, key=lambda p: p.length)
 
 
 def mixed_set(rng):
@@ -303,8 +348,10 @@ class TestIntegerKernelAgainstReference:
             s = ref.difference(iset("[-3,3]"), random_interval_set(rng, max_parts=3))
             within = mixed_set(rng)
             shifts = [F(rng.randint(-2, 2), 3 ** m) for m in range(1, 30)]
-            got = intersection_of_translates(s, iter(shifts), within)
-            same(got, naive_intersection_of_translates(s, shifts, within))
+            want = naive_intersection_of_translates(s, shifts, within)
+            # an iterator refines D shift by shift; a list sizes it once
+            for given in (iter(shifts), shifts):
+                same(intersection_of_translates(s, given, within), want)
             same(union_of_translates(s, shifts), naive_union_of_translates(s, shifts))
 
 

@@ -8,7 +8,10 @@ import hashlib
 import json
 from fractions import Fraction
 
-from affcopy.avoider import ThresholdSequence, summability_report
+import pytest
+
+from affcopy import presets
+from affcopy.avoider import ThresholdSequence, build_avoider, find_embedding, summability_report
 from affcopy.cantor import MiddleThirdOracle, build_cantor
 from affcopy.mixedradix import default_schedule, digits_of, make_system
 from affcopy.propcheck import run_kernel_property_suite
@@ -53,3 +56,14 @@ def test_digit_vector_bytes():
     ]
     for vector, expected in pins:
         assert text(vector) == json.dumps(expected, indent=2)
+
+
+@pytest.mark.parametrize("alpha, M, digest", [
+    ("geometric:2/3", 200, "3d8cf9ed920e407ecfc2c679863b9c6ae2337539d52161f4125f87812c35b53d"),
+    ("polynomial:2", 300, "514d04c23baa7a5f39cb9bd3aecaa2c1b7bd0ca92dbf3e26f78a704e7674fd80"),
+])
+def test_embedding_certificate_bytes(alpha, M, digest):
+    t = presets.threshold_sequence_from("harmonic", None)
+    certificate = find_embedding(build_avoider(t, 48), presets.alpha_vector(alpha, M), t)
+    assert certificate.checked_points == M
+    assert hashlib.sha256(text(certificate).encode()).hexdigest() == digest

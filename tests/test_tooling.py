@@ -90,3 +90,16 @@ def test_unchecked_construction_stays_in_intervals():
              if isinstance(node, ast.Attribute) and node.attr == "__new__"
              and isinstance(node.value, ast.Name) and node.value.id == "object"]
     assert found == []
+
+
+def test_measure_and_longest_part_come_from_the_kernel():
+    # IntervalSet.measure() and .longest() read the integer cuts; no other
+    # module may sum part lengths or pick a part by length in Fractions
+    found = [f"{path.name}:{node.lineno}: {node.func.id} of part lengths"
+             for path in SOURCES if path.name != "intervals.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("sum", "max", "min")
+             and {"parts", "length"} <= {n.attr for n in ast.walk(node)
+                                         if isinstance(n, ast.Attribute)}]
+    assert found == []
