@@ -38,12 +38,20 @@ CONVEXITY_SPOT_CHECKS = 128
 #: out of formula horizon (exit 2) before depth 128.
 MAX_DEPTH = 128
 
+#: Longest hole endpoint, in bits, that :func:`build_avoider` accepts. The
+#: depth cap bounds the count of holes, not their size: a geometric ratio
+#: close to 1 gives the second hole of ``geometric:999/1000`` endpoints of
+#: 27,637 bits, past the 4,300 decimal digits (about 14,284 bits) that
+#: ``str()`` writes by default. ``geometric:99/100`` peaks at 8,526 bits
+#: (hole 25) within MAX_DEPTH.
+MAX_ENDPOINT_BITS = 12_000
+
 #: Most sequence terms one translate union or embedding takes (``--M``). Each
 #: term can add a factor to the common denominator: on a 2-core VM (Python
-#: 3.11) ``avoider-embed --beta harmonic --depth 64 --M 1000`` takes 0.5 s
-#: with ``--alpha polynomial:2`` (3.7 s for the embedding alone at M = 4000)
-#: and 4.9 s with ``geometric:99/100``; ``measure_union_translates`` on the
-#: harmonic preset takes 0.2 s at M = 10^4 and runs out of a 2 GB address
+#: 3.11) ``avoider-embed --beta harmonic --depth 64 --M 1000`` takes 0.6 s
+#: with ``--alpha polynomial:2`` (2.0 s for the embedding alone at M = 4000)
+#: and 1.3 s with ``geometric:99/100``; ``measure_union_translates`` on the
+#: harmonic preset takes 0.2 s at M = 10^4 and ran out of a 2 GB address
 #: space at 10^5.
 MAX_M = 1000
 
@@ -258,6 +266,11 @@ def build_avoider(t: ThresholdSequence, depth: int) -> AvoiderConstruction:
         budget = plan_budget(t, n)
         center = budget.base.midpoint()
         hole = Interval.open(center - budget.lam / 2, center + budget.lam / 2)
+        # both endpoints lie in (0,1), so the denominator is the longer int
+        bits = max(hole.lo.denominator.bit_length(), hole.hi.denominator.bit_length())
+        if bits > MAX_ENDPOINT_BITS:
+            raise ValueError(f"hole n={n}: endpoints of {bits} bits exceed "
+                             f"MAX_ENDPOINT_BITS = {MAX_ENDPOINT_BITS}")
         holes.append(Hole(budget=budget, interval=hole))
     removed = normalize([h.interval for h in holes])
     avoider = removed.complement_within(Interval.closed(0, 1))

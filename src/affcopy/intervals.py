@@ -19,26 +19,28 @@ falls out of cut equality with no special cases.
 
 The sweeps compare Python ints, never Fractions: each operation takes the lcm
 ``D`` of its inputs' denominators and encodes the cut ``(x, flag)`` as the int
-``2*x*D + flag``, which orders exactly as the tuple does. Only the result is
-decoded to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``), after
-a check on the cuts themselves: they must strictly increase, which is exactly
-the :class:`Interval` shape rule within each range and the :class:`IntervalSet`
-canonical rule between neighbours, so the decoded set skips both constructors.
-It keeps the ``(D, cuts)`` it was decoded from, so :meth:`IntervalSet.measure`
-and :meth:`IntervalSet.longest` read lengths ``(hi >> 1) - (lo >> 1)`` as ints;
-a set built by the constructor is encoded when asked. A chain of translates
-stays on one lattice: listed shifts size ``D`` once, up front, and an iterator
-of shifts refines it as each new denominator arrives.
+``2*x*D + flag``, which orders exactly as the tuple does. A result is checked
+on the cuts themselves: they must strictly increase, which is exactly the
+:class:`Interval` shape rule within each range and the :class:`IntervalSet`
+canonical rule between neighbours, so the result skips both constructors.
+It keeps its ``(D, cuts)`` and decodes its parts to Fraction endpoints
+(``c >> 1`` over ``D``, flag ``c & 1``) only when ``parts`` is first read.
+``len``, truth, ``is_empty``, :meth:`IntervalSet.measure` and
+:meth:`IntervalSet.longest` read the cuts, lengths ``(hi >> 1) - (lo >> 1)``
+as ints, and ``longest`` decodes only the part it returns; a set built by the
+constructor is encoded when asked. A chain of translates stays on one
+lattice: listed shifts size ``D`` once, up front, and an iterator of shifts
+refines it as each new denominator arrives.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -174,45 +176,73 @@ class Interval:
                         s[0] == "[", s[-1] == "]")
 
 
-@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """A canonical finite disjoint union of intervals.
 
     The constructor insists on canonical input (sorted, no two parts
     overlapping or mergeable); use :func:`normalize` to canonicalize an
     arbitrary collection. Equality of two IntervalSets is exact equality of
-    the point sets they denote.
+    the point sets they denote. Instances are immutable.
     """
 
-    parts: Tuple[Interval, ...]
-    #: The kernel's ``(D, cuts)`` for a set it decoded, stored once at
-    #: creation; None for a set built by the constructor.
-    _lattice: Optional[Tuple[int, "_Cuts"]] = field(default=None, init=False,
-                                                    compare=False, repr=False)
+    #: ``_parts`` is the Interval tuple, or None until a kernel result is
+    #: first read; ``_lattice`` is the kernel's ``(D, cuts)`` (None for a set
+    #: built by the constructor); ``_seen`` maps x*D to the input Fractions a
+    #: kernel result reuses, until its parts are decoded.
+    __slots__ = ("_parts", "_lattice", "_seen")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for prev, cur in zip(self.parts, self.parts[1:]):
+    def __init__(self, parts: Iterable[Interval]) -> None:
+        parts = tuple(parts)
+        for prev, cur in zip(parts, parts[1:]):
             # canonical iff prev.end_cut < cur.start_cut: a shared endpoint
             # must be missing from both parts
             if not prev.hi < cur.lo and (prev.hi > cur.lo or prev.hi_closed or cur.lo_closed):
                 raise ValueError(
                     f"parts not canonical: {prev} followed by {cur}; use normalize()")
+        _set_parts(self, parts)
+        _set_lattice(self, None)
+        _set_seen(self, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IntervalSet, (self.parts,)
+
+    @property
+    def parts(self) -> Tuple[Interval, ...]:
+        """The parts in order; a kernel result decodes them on first read."""
+        if self._parts is None:
+            D, cuts = self._lattice
+            _set_parts(self, tuple(_decode_part(lo, hi, D, self._seen) for lo, hi in cuts))
+            _set_seen(self, None)
+        return self._parts
 
     # -- basics ---------------------------------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(parts={self.parts!r})"
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
+    def __len__(self) -> int:  # also truth: an empty set is falsy
+        return len(self._parts) if self._lattice is None else len(self._lattice[1])
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not len(self)
 
     # -- set algebra ----------------------------------------------------------
 
@@ -245,11 +275,16 @@ class IntervalSet:
         return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
 
     def longest(self) -> Interval:
-        """The first part of greatest length; ValueError for the empty set."""
-        if not self.parts:
+        """The first part of greatest length; ValueError for the empty set.
+        A kernel result not yet decoded decodes only that part."""
+        D, cuts = self._cuts()
+        if not cuts:
             raise ValueError("the empty set has no longest part")
-        lengths = [(hi >> 1) - (lo >> 1) for lo, hi in self._cuts()[1]]
-        return self.parts[lengths.index(max(lengths))]
+        lengths = [(hi >> 1) - (lo >> 1) for lo, hi in cuts]
+        i = lengths.index(max(lengths))
+        if self._parts is None:
+            return _decode_part(*cuts[i], D, self._seen)
+        return self._parts[i]
 
     def affine(self, scale: RationalLike, shift: RationalLike = 0) -> "IntervalSet":
         """Image set {scale*x + shift : x in self}; scale must be nonzero."""
@@ -320,7 +355,9 @@ class IntervalSet:
         return normalize([Interval.parse(t) for t in texts])
 
 
-EMPTY = IntervalSet(())
+#: Setters of the IntervalSet slots that bypass its frozen ``__setattr__``.
+_set_parts, _set_lattice, _set_seen = (vars(IntervalSet)[name].__set__
+                                       for name in IntervalSet.__slots__)
 
 
 def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Interval:
@@ -331,6 +368,9 @@ def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Inter
     object.__setattr__(part, "lo_closed", lo_closed)
     object.__setattr__(part, "hi_closed", hi_closed)
     return part
+
+
+EMPTY = IntervalSet(())
 
 
 # -- the JSON report format -----------------------------------------------------
@@ -394,24 +434,33 @@ def _encode(parts: Iterable[Interval], D: int, seen: dict) -> _Cuts:
 
 
 def _decode(cuts: _Cuts, D: int, seen: dict) -> IntervalSet:
-    """The set of canonical cut ranges; ValueError unless the cuts strictly
-    increase (an empty range, or neighbours that overlap or should merge)."""
+    """The set of canonical cut ranges, its parts left to decode on first
+    read; ValueError unless the cuts strictly increase (an empty range, or
+    neighbours that overlap or should merge). A ``seen`` map of more
+    entries than the result has cuts is cut down to the endpoints it uses."""
     edges = [c for r in cuts for c in r]
     if not all(map(lt, edges, edges[1:])):
         raise ValueError("kernel result is not a canonical cut list")
-
-    def at(c: int) -> Fraction:
-        x = seen.get(c >> 1)  # never `or`: the Fraction 0 is falsy
-        return Fraction(c >> 1, D) if x is None else x
+    if len(seen) > len(edges):  # a map no longer than the cut list is kept whole
+        get = seen.get
+        seen = {x: f for c in edges if (f := get(x := c >> 1)) is not None}
     out = object.__new__(IntervalSet)
-    object.__setattr__(out, "parts", tuple(_part(at(lo), at(hi), not lo & 1, bool(hi & 1))
-                                           for lo, hi in cuts))
-    object.__setattr__(out, "_lattice", (D, cuts))
+    _set_parts(out, None)
+    _set_lattice(out, (D, cuts))
+    _set_seen(out, seen)
     return out
 
 
+def _decode_part(lo: int, hi: int, D: int, seen: dict) -> Interval:
+    """The part of the cut range ``[lo, hi)`` over D, reusing the Fractions
+    in ``seen``."""
+    a, b = seen.get(lo >> 1), seen.get(hi >> 1)  # never `or`: the Fraction 0 is falsy
+    return _part(Fraction(lo >> 1, D) if a is None else a,
+                 Fraction(hi >> 1, D) if b is None else b, not lo & 1, bool(hi & 1))
+
+
 def _sweep(sweep: Callable[..., _Cuts], *groups: Sequence[Interval]) -> IntervalSet:
-    """Run ``sweep`` on the groups' cut ranges over one D; decode its result."""
+    """Run ``sweep`` on the groups' cut ranges over one D; check its result."""
     D = _denominator(p for parts in groups for p in parts)
     seen: dict = {}
     return _decode(sweep(*(_encode(parts, D, seen) for parts in groups)), D, seen)

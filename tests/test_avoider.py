@@ -1,9 +1,11 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from affcopy import avoider, presets
 from affcopy.avoider import (AvoiderConstruction, EmbeddingSearchError,
                              ThresholdSequence, build_avoider, delta0_of,
                              enumerate_base, find_embedding, measure_union_translates,
@@ -164,6 +166,24 @@ class TestBuildAvoider:
             assert a.avoider.contains_point(part.hi)
         for p in a.avoider.parts:
             assert p.lo_closed and p.hi_closed
+
+    def test_endpoint_cap_sits_between_the_presets_and_str(self):
+        # hole 25 of geometric:99/100 is the longest within MAX_DEPTH; a cap
+        # that lets str() write every accepted endpoint
+        a = build_avoider(presets.threshold_sequence_from("geometric:99/100"), 32)
+        bits = [h.interval.lo.denominator.bit_length() for h in a.holes]
+        assert max(bits) == bits[24] == 8526 < avoider.MAX_ENDPOINT_BITS
+        assert len(str(2 ** avoider.MAX_ENDPOINT_BITS)) <= sys.int_info.default_max_str_digits
+
+    def test_first_hole_past_the_endpoint_cap_is_refused(self, eta_harmonic, monkeypatch):
+        bits = [max(x.denominator.bit_length() for x in (h.interval.lo, h.interval.hi))
+                for h in build_avoider(eta_harmonic, 8).holes]
+        cap = bits[4] - 1
+        first = next(n for n, b in enumerate(bits, 1) if b > cap)
+        monkeypatch.setattr(avoider, "MAX_ENDPOINT_BITS", cap)
+        with pytest.raises(ValueError, match=f"^hole n={first}: endpoints of {bits[first - 1]} "
+                                             f"bits exceed MAX_ENDPOINT_BITS = {cap}$"):
+            build_avoider(eta_harmonic, 8)
 
 
 class TestMeasureIdentity:

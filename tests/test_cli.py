@@ -210,6 +210,17 @@ class TestAvoiderCommands:
         assert err.startswith("error: hole n=125: ")
         assert f"sequence horizon {avoider.FORMULA_HORIZON}" in err
 
+    def test_endpoints_past_the_bit_cap_exit_two(self, tmp_path, capsys):
+        # hole 2 of geometric:999/1000 has 27,637-bit endpoints; the report
+        # once failed to write them after 8 s of work
+        code, report = run(tmp_path, "avoider-build", "--beta", "geometric:999/1000",
+                           "--depth", "16")
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == (
+            "error: hole n=2: endpoints of 27637 bits exceed "
+            f"MAX_ENDPOINT_BITS = {avoider.MAX_ENDPOINT_BITS}\n")
+
     @pytest.mark.parametrize("beta", ["geometric:1/2", "geometric:9/10"])
     def test_geometric_presets_build(self, beta):
         # the threshold search once probed m = 2^62 - 1 first, evaluating

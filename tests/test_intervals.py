@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -265,7 +268,12 @@ class TestTranslatePrimitives:
 
 
 def same(got, want):
+    # the cut queries run first, while a kernel result is still undecoded
+    size, measure = len(got), got.measure()
+    longest = got.longest() if got else None
     assert got == want
+    assert size == len(want) and measure == want.measure()
+    assert longest == (max(want.parts, key=lambda p: p.length) if want else None)
     rebuilt = IntervalSet(got.parts)  # the output passes the canonical checks
     # the kernel's stored lattice takes no part in equality, hash or repr
     assert rebuilt == got and hash(rebuilt) == hash(got) and repr(rebuilt) == repr(got)
@@ -273,6 +281,60 @@ def same(got, want):
         assert s.measure() == sum((p.length for p in want.parts), F(0))
         if s:
             assert s.longest() == max(want.parts, key=lambda p: p.length)
+
+
+class TestLazyResults:
+    """A kernel result keeps its ``(D, cuts)`` and decodes its parts on first read."""
+
+    @staticmethod
+    def results(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            s, within = mixed_set(rng), random_interval_set(rng, max_parts=6)
+            shifts = [random_fraction(rng, span=3, max_den=5) for _ in range(rng.randint(0, 4))]
+            yield intersection_of_translates(s, shifts, within)
+            yield normalize([*s, *within])
+
+    def test_cut_queries_leave_the_parts_undecoded(self):
+        nonempty = 0
+        for got in self.results(73):
+            answers = (len(got), bool(got), got.is_empty, got.measure(),
+                       got.longest() if got else None)
+            assert got._parts is None
+            assert len(got._seen) <= 2 * len(got)  # the inputs' map is cut down
+            built = IntervalSet(got.parts)
+            assert answers == (len(built), bool(built), built.is_empty, built.measure(),
+                               max(built, key=lambda p: p.length) if built else None)
+            nonempty += bool(got)
+        assert nonempty > 300
+
+    def test_a_decoded_result_is_an_ordinary_set(self):
+        for got in self.results(79):
+            built = IntervalSet(got.parts)
+            assert got.parts is got.parts  # decoded once
+            assert built == got and hash(built) == hash(got) and repr(built) == repr(got)
+            assert repr(got) == f"IntervalSet(parts={got.parts!r})"
+            for twin in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+                assert twin == got and hash(twin) == hash(got) and repr(twin) == repr(got)
+
+    def test_results_are_immutable(self):
+        got = normalize([iv("[0,1]")])
+        for name in ("parts", "_parts", "_lattice", "_seen"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(got, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(got, name)
+        assert got == iset("[0,1]")
+
+    def test_a_result_keeps_only_the_input_fractions_it_uses(self):
+        inputs = [iv("[0,1]"), iv("[1/2,3/2]"), iv("(2,3)"), iv("[5/2,7/2)")]
+        got = normalize(inputs)
+        assert sorted(got._seen.values()) == [0, F(3, 2), 2, F(7, 2)]
+        assert got.longest().hi is inputs[1].hi  # the one part decoded so far
+        assert got._parts is None
+        assert [p.lo for p in got.parts] == [inputs[0].lo, inputs[2].lo]
+        assert got.parts[1].hi is inputs[3].hi and got._seen is None
+        assert got == iset("[0,3/2]", "(2,7/2)")
 
 
 def mixed_set(rng):

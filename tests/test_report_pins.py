@@ -11,8 +11,10 @@ from fractions import Fraction
 import pytest
 
 from affcopy import presets
-from affcopy.avoider import ThresholdSequence, build_avoider, find_embedding, summability_report
+from affcopy.avoider import (AvoiderConstruction, ThresholdSequence, build_avoider,
+                             find_embedding, summability_report)
 from affcopy.cantor import MiddleThirdOracle, build_cantor
+from affcopy.intervals import Interval, normalize
 from affcopy.mixedradix import default_schedule, digits_of, make_system
 from affcopy.propcheck import run_kernel_property_suite
 from affcopy.slowseq import build_mu, verify_slow_decay
@@ -66,4 +68,19 @@ def test_embedding_certificate_bytes(alpha, M, digest):
     t = presets.threshold_sequence_from("harmonic", None)
     certificate = find_embedding(build_avoider(t, 48), presets.alpha_vector(alpha, M), t)
     assert certificate.checked_points == M
+    assert hashlib.sha256(text(certificate).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("hi, alpha, rungs, digest", [
+    (F(1, 8), [F(1)], 2, "034047ff56a93d749faf74e6392df1807b668a90dc47099e0400b918738a8f2a"),
+    (F(1, 64), [F(1), F(-1, 2), F(1, 3)], 5,
+     "1b3daf736325ef5d70138929c187207589a2e0b1ab0ac2a2170f39494d37f6cb"),
+])
+def test_embedding_certificate_bytes_past_the_first_rung(hi, alpha, rungs, digest):
+    # no preset certificate needs a second rung of the delta ladder; an
+    # avoider [0, hi] that the first rungs' translates only touch at 0 does
+    t = presets.threshold_sequence_from("harmonic", None)
+    crafted = AvoiderConstruction(depth=0, holes=(), avoider=normalize([Interval.closed(0, hi)]))
+    certificate = find_embedding(crafted, alpha, t)
+    assert len(certificate.trace) == rungs
     assert hashlib.sha256(text(certificate).encode()).hexdigest() == digest

@@ -32,6 +32,16 @@ def seq6(ladder6):
     return build_mu(tables, horizon=500)
 
 
+@pytest.fixture(scope="module")
+def ladder12():
+    return build_cantor(MiddleThirdOracle(), depth=12)
+
+
+@pytest.fixture(scope="module")
+def seq12(ladder12):
+    return build_mu({0: [ladder12.gap_length(n) for n in range(1, 13)]}, horizon=20_000)
+
+
 class TestBuildMu:
     def test_three_tables(self):
         tables = {0: [F(1, 2), F(1, 4), F(1, 8)],
@@ -307,11 +317,15 @@ class TestCoverage:
         report = coverage01(ladder6, seq6, 1, 1, N=3, M=60)
         assert report.residual_measure == 0
 
-    def test_bound_when_dominated(self, ladder6, seq6):
-        report = coverage01(ladder6, seq6, 1, 1, N=3, M=seq6.horizon)
-        if report.bound is not None:
-            assert report.uncovered_measure <= report.bound
-            assert report.passed
+    def test_bound_when_dominated(self, ladder12, seq12):
+        # every threshold lies within M here, and the bound is below the
+        # window measure, so the pass is not vacuous
+        for N in (1, 2, 3):
+            report = coverage01(ladder12, seq12, 1, 1, N=N, M=seq12.horizon)
+            assert report.bound is not None, N
+            assert report.bound < 1, N
+            assert report.uncovered_measure <= report.bound, N
+            assert report.passed, N
 
     def test_json_shape(self, ladder6, seq6):
         d = coverage01(ladder6, seq6, 1, 1, N=2, M=40).to_json_dict()

@@ -52,7 +52,8 @@ def test_cut_encoding_stays_inside_the_kernel():
     # module may import a private intervals name or reach one by attribute
     private = {name for owner in (intervals, intervals.Interval, intervals.IntervalSet)
                for name in vars(owner) if _private(name)}
-    assert {"_encode", "_decode", "_sweep"} <= private
+    assert {"_encode", "_decode", "_decode_part", "_sweep",
+            "_parts", "_lattice", "_seen"} <= private
     found = []
     for path in SOURCES:
         if path.name == "intervals.py":
@@ -102,4 +103,30 @@ def test_measure_and_longest_part_come_from_the_kernel():
              and node.func.id in ("sum", "max", "min")
              and {"parts", "length"} <= {n.attr for n in ast.walk(node)
                                          if isinstance(n, ast.Attribute)}]
+    assert found == []
+
+
+def _truth_tested(tree):
+    """Every expression whose length or truth a statement in ``tree`` takes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            yield node.test
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node.operand
+        elif isinstance(node, ast.BoolOp):
+            yield from node.values
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("len", "bool") and node.args):
+            yield node.args[0]
+
+
+def test_sizes_and_emptiness_come_from_the_cuts():
+    # len(), truth and is_empty of a set read a kernel result's cuts; the
+    # length or truth of its .parts would decode every part
+    found = [f"{path.name}:{expr.lineno}: length or truth of .parts"
+             for path in SOURCES if path.name != "intervals.py"
+             for expr in _truth_tested(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(expr, ast.Attribute) and expr.attr == "parts"]
     assert found == []
