@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
                                intersection_of_translates, normalize,
                                union_of_translates)
-from affcopy.slowseq import (MAX_HORIZON, HorizonError, check_convex, check_horizon,
-                             first_index, threshold_index)
+from affcopy.slowseq import (MAX_HORIZON, HorizonError, check_convex, first_index,
+                             threshold_index)
 
 #: Horizon used for formula-backed sequences, large enough that every budget
 #: search below is limited by arithmetic, not by an artificial cap.
@@ -65,117 +65,62 @@ class EmbeddingSearchError(Exception):
         self.trace = trace
 
 
+@dataclass(frozen=True)
 class ThresholdSequence:
-    """A strictly decreasing positive null sequence with non-increasing gaps.
+    """A strictly decreasing positive null sequence eta with non-increasing
+    gaps, defined on 1..horizon.
 
-    Built either by ``thresholdize`` from explicit source values via the
+    Built either by ``thresholdize`` from listed source values via the
     convexification recurrence eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2)),
     or by ``from_convex`` from a formula that is already convex (then eta
     coincides with the source and arbitrary indices can be evaluated without
     materializing a prefix).
     """
 
-    def __init__(self, beta: Callable[[int], Fraction], eta: Callable[[int], Fraction],
-                 horizon: int,
-                 beta_values: Optional[Tuple[Fraction, ...]] = None,
-                 eta_values: Optional[Tuple[Fraction, ...]] = None):
-        self._beta = beta
-        self._eta = eta
-        self.horizon = horizon
-        self._beta_values = beta_values
-        self._eta_values = eta_values
-
-    # -- constructors --------------------------------------------------------
+    fn: Callable[[int], Fraction]
+    horizon: int
 
     @classmethod
-    def from_convex(cls, fn: Callable[[int], Fraction],
-                    horizon: int = FORMULA_HORIZON) -> "ThresholdSequence":
-        """Wrap an already-convex formula (non-increasing gaps), so eta = beta.
+    def from_convex(cls, fn: Callable[[int], Fraction]) -> "ThresholdSequence":
+        """Wrap an already-convex formula (non-increasing gaps) up to
+        FORMULA_HORIZON.
 
         The gap condition is checked by ``check_convex`` on the first
         CONVEXITY_SPOT_CHECKS gaps; beyond that the formula is trusted, which
         is what allows threshold searches at indices far past anything a
         materialized prefix could reach.
         """
-        check_convex(fn, 1, min(horizon - 1, CONVEXITY_SPOT_CHECKS))
-        wrapped = lambda m: as_fraction(fn(m))
-        return cls(beta=wrapped, eta=wrapped, horizon=horizon)
-
-    # -- evaluation -----------------------------------------------------------
-
-    def _check_index(self, m: int) -> None:
-        if not 1 <= m <= self.horizon:
-            raise HorizonError(f"index {m} outside 1..{self.horizon}")
-
-    def beta(self, m: int) -> Fraction:
-        self._check_index(m)
-        return self._beta(m)
+        check_convex(fn, 1, CONVEXITY_SPOT_CHECKS)
+        return cls(lambda m: as_fraction(fn(m)), FORMULA_HORIZON)
 
     def eta(self, m: int) -> Fraction:
-        self._check_index(m)
-        return self._eta(m)
+        if not 1 <= m <= self.horizon:
+            raise HorizonError(f"index {m} outside 1..{self.horizon}")
+        return self.fn(m)
 
     def eta_gap(self, m: int) -> Fraction:
-        self._check_index(m + 1)
-        return self._eta(m) - self._eta(m + 1)
-
-    def first_index_below(self, x: RationalLike) -> int:
-        """Least m with eta_m < x (eta is strictly decreasing)."""
-        target = as_fraction(x)
-        return first_index(lambda m: self.eta(m) < target, 1, self.horizon)
-
-    def convergence_prognosis(self) -> dict:
-        """Finite stand-in for the null limit, which no prefix can certify.
-
-        Either the sequence still touches its source near the end of the
-        horizon (the source drags it to zero), or it ends in an arithmetic
-        tail whose extrapolated zero crossing is reported.
-        """
-        if self._eta_values is None:
-            return {"kind": "follows-source", "detail": "eta equals the convex source"}
-        h = self.horizon
-        tail_start = max(1, h - h // 10)
-        for m in range(h, tail_start - 1, -1):
-            if self._eta_values[m - 1] == self._beta_values[m - 1]:
-                return {"kind": "follows-source",
-                        "detail": f"eta_m = beta_m at m={m} within the final tenth"}
-        last_gap = self._eta_values[-2] - self._eta_values[-1]
-        crossing = h + -(-self._eta_values[-1].numerator * last_gap.denominator
-                         // (self._eta_values[-1].denominator * last_gap.numerator))
-        return {"kind": "linear-tail",
-                "detail": f"final gap {last_gap} extrapolates to zero by m={crossing}"}
+        return self.eta(m) - self.eta(m + 1)
 
 
-def thresholdize(beta: Union[Sequence[RationalLike], Callable[[int], Fraction]],
-                 horizon: Optional[int] = None) -> ThresholdSequence:
-    """Convexify a strictly decreasing positive source into a threshold
-    sequence via eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2)). The horizon,
-    or the length of a listed source, is at most MAX_HORIZON."""
-    if horizon is not None:
-        check_horizon(horizon)
-    if callable(beta):
-        if horizon is None:
-            raise ValueError("a callable source needs an explicit horizon")
-        values = [beta(m) for m in range(1, horizon + 1)]
-    else:
-        values = list(beta)[:horizon]
-        if len(values) > MAX_HORIZON:
-            raise ValueError(f"{len(values)} source values exceed MAX_HORIZON = {MAX_HORIZON}")
-    beta_values = tuple(as_fraction(v) for v in values)
-    if len(beta_values) < 2:
+def thresholdize(values: Sequence[RationalLike]) -> ThresholdSequence:
+    """Convexify listed strictly decreasing positive source values, at most
+    MAX_HORIZON of them, into a threshold sequence via
+    eta_m = max(beta_m, 2*eta_(m-1) - eta_(m-2))."""
+    if len(values) > MAX_HORIZON:
+        raise ValueError(f"{len(values)} source values exceed MAX_HORIZON = {MAX_HORIZON}")
+    beta = [as_fraction(v) for v in values]
+    if len(beta) < 2:
         raise ValueError("need at least two source values")
-    for i, v in enumerate(beta_values):
+    for i, v in enumerate(beta):
         if v <= 0:
             raise ValueError(f"source value {i + 1} is not positive")
-        if i and v >= beta_values[i - 1]:
+        if i and v >= beta[i - 1]:
             raise ValueError(f"source not strictly decreasing at index {i + 1}")
-    eta: List[Fraction] = [beta_values[0], beta_values[1]]
-    for m in range(3, len(beta_values) + 1):
-        eta.append(max(beta_values[m - 1], 2 * eta[-1] - eta[-2]))
+    eta = beta[:2]
+    for b in beta[2:]:
+        eta.append(max(b, 2 * eta[-1] - eta[-2]))
     eta_values = tuple(eta)
-    return ThresholdSequence(beta=lambda m: beta_values[m - 1],
-                             eta=lambda m: eta_values[m - 1], horizon=len(beta_values),
-                             beta_values=beta_values, eta_values=eta_values)
+    return ThresholdSequence(lambda m: eta_values[m - 1], len(eta_values))
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +149,16 @@ def enumerate_base(n: int) -> Interval:
 @dataclass(frozen=True)
 class HoleBudget:
     """Per-index budget: the even cutoff K after which eta sinks below 1/n^2,
-    the hole length lambda, and the overlap threshold T of the eta-translates
-    of a length-lambda interval. T > K always."""
+    the hole length lambda, the overlap threshold T of the eta-translates
+    of a length-lambda interval, and the measure T*lambda + eta_T those
+    translates sweep. T > K always."""
 
     n: int
     base: Interval
     K: int
     lam: Fraction
     T: int
+    tail: Fraction
 
 
 def plan_budget(t: ThresholdSequence, n: int) -> HoleBudget:
@@ -220,7 +167,8 @@ def plan_budget(t: ThresholdSequence, n: int) -> HoleBudget:
     if n < 1:
         raise ValueError("budget index starts at 1")
     base = enumerate_base(n)
-    K = 2 * t.first_index_below(Fraction(1, n * n))
+    target = Fraction(1, n * n)
+    K = 2 * first_index(lambda m: t.eta(m) < target, 1, t.horizon)
     lam = min(base.length, Fraction(1, 2 ** n), t.eta_gap(K))
     try:
         T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
@@ -229,7 +177,7 @@ def plan_budget(t: ThresholdSequence, n: int) -> HoleBudget:
                            f"within the sequence horizon {t.horizon}") from None
     if T <= K:
         raise RuntimeError(f"budget invariant broken at n={n}: T={T} <= K={K}")
-    return HoleBudget(n=n, base=base, K=K, lam=lam, T=T)
+    return HoleBudget(n=n, base=base, K=K, lam=lam, T=T, tail=T * lam + t.eta(T))
 
 
 @dataclass(frozen=True)
@@ -352,11 +300,10 @@ def summability_report(t: ThresholdSequence, depth: int) -> SummabilityReport:
         eta_half_T = t.eta(b.T // 2)
         eta_half_K = t.eta(b.K // 2)
         eta_T = t.eta(b.T)
-        tail = b.T * b.lam + eta_T
-        entries.append(SummabilityEntry(n=n, K=b.K, lam=b.lam, T=b.T, tail_measure=tail))
+        entries.append(SummabilityEntry(n=n, K=b.K, lam=b.lam, T=b.T, tail_measure=b.tail))
         sum_half += eta_half_T
         sum_squares += Fraction(1, n * n)
-        sum_tails += tail
+        sum_tails += b.tail
         if b.K % 2 != 0:
             violations.append(f"n={n}: K={b.K} is odd")
         if eta_half_T > eta_half_K:
@@ -419,9 +366,7 @@ def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLi
     base = delta0 if delta0 is not None else Fraction(1)
     unit = IntervalSet((Interval.closed(0, 1),))
     trace: List[Tuple[Fraction, Fraction]] = []
-    budget_bound = Fraction(1) - sum(
-        (e.T * e.lam + t.eta(e.T) for e in
-         (h.budget for h in construction.holes)), Fraction(0))
+    budget_bound = 1 - sum((h.budget.tail for h in construction.holes), Fraction(0))
     for i in range(1, i_max + 1):
         delta = base / 2 ** i
         if delta >= 1:

@@ -129,17 +129,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int)
     p.add_argument("--oracle", choices=sorted(ORACLES), default="middle-third")
 
+    horizon_help = ("length a sequence file is truncated to and an iterlog preset is "
+                    f"materialized over (default {presets.MATERIALIZED_HORIZON}); "
+                    "convex presets only range-check it")
+
     p = add("avoider-build", "budget and punch the avoider holes")
     p.add_argument("--beta", required=True, help="decay preset or sequence file")
     p.add_argument("--depth", type=_capped(avoider.MAX_DEPTH), required=True)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=int, help=horizon_help)
 
     p = add("avoider-measure", "translate-union measure identity for one hole")
     p.add_argument("--beta", required=True)
     p.add_argument("--M", type=_capped(avoider.MAX_M), required=True)
     p.add_argument("--lo", type=_fraction, required=True)
     p.add_argument("--length", type=_fraction, required=True)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=int, help=horizon_help)
 
     p = add("avoider-embed", "search for an exact affine embedding certificate")
     p.add_argument("--beta", required=True)
@@ -147,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_capped(avoider.MAX_M), required=True)
     p.add_argument("--depth", type=_capped(avoider.MAX_DEPTH), required=True)
     p.add_argument("--imax", type=int, default=40)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=int, help=horizon_help)
 
     p = add("appendix-schedule", "build or certify a radix schedule")
     p.add_argument("--depth", type=int)

@@ -183,12 +183,8 @@ def f_membership(x: RationalLike, n: int, system: MixedRadixSystem) -> bool:
     half = system.radix(n) // 2
     if primary.digits[n - 1] in (0, half):
         return True
-    if not primary.exact:
-        return False
-    # the twin only changes digit n when n is the last nonzero position
-    if primary.digits[n - 1] - 1 in (0, half) and primary.digits[n - 1] > 0:
-        return True
-    return False
+    twin = alternate_digits(x, system, n)
+    return twin is not None and twin.digits[n - 1] in (0, half)
 
 
 def branch_index(u: int) -> int:

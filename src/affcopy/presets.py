@@ -67,18 +67,21 @@ def load_sequence_file(path: str) -> List[Fraction]:
 def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> ThresholdSequence:
     """A threshold sequence from a preset name or a sequence file.
 
-    Convex presets evaluate directly at any index; everything else runs the
-    convexification recurrence over a materialized horizon.
+    Convex presets evaluate directly at any index and only range-check
+    ``horizon``; a sequence file is truncated to ``horizon`` values and the
+    other presets are materialized over that many (MATERIALIZED_HORIZON by
+    default), then convexified.
     """
+    if horizon is not None:
+        check_horizon(horizon)
     preset = _parse_preset(spec)
     if preset is None:
-        return thresholdize(load_sequence_file(spec), horizon)
+        return thresholdize(load_sequence_file(spec)[:horizon])
     fn, convex = preset
     if convex:
-        if horizon is not None:  # unused here, but still an input error
-            check_horizon(horizon)
         return ThresholdSequence.from_convex(fn)
-    return thresholdize(fn, MATERIALIZED_HORIZON if horizon is None else horizon)
+    count = MATERIALIZED_HORIZON if horizon is None else horizon
+    return thresholdize([fn(m) for m in range(1, count + 1)])
 
 
 def alpha_vector(spec: str, count: int) -> List[Fraction]:

@@ -1,6 +1,8 @@
+import json
 import random
 import sys
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -46,18 +48,13 @@ class TestThresholdize:
             probes = [1, 2, 3, horizon // 2, horizon - 2] + \
                 [rng.randint(1, horizon - 2) for _ in range(8)]
             for m in probes:
-                assert t.eta(m) >= t.beta(m)
+                assert t.eta(m) >= values[m - 1]
                 assert t.eta(m) > t.eta(m + 1)
                 assert t.eta_gap(m) >= t.eta_gap(m + 1)
-            assert t.eta(horizon - 1) > t.eta(horizon) >= t.beta(horizon)
+            assert t.eta(horizon - 1) > t.eta(horizon) >= values[horizon - 1]
         assert time.monotonic() - started < 60
 
     def test_horizon_past_the_cap_is_refused_before_evaluating(self):
-        def never(m):
-            raise AssertionError("source evaluated past the horizon cap")
-
-        with pytest.raises(ValueError, match="horizon must be in"):
-            thresholdize(never, MAX_HORIZON + 1)
         with pytest.raises(ValueError, match="exceed MAX_HORIZON"):
             thresholdize(range(MAX_HORIZON + 1, 0, -1))  # ints, never converted
 
@@ -65,17 +62,21 @@ class TestThresholdize:
         with pytest.raises(ValueError):
             thresholdize([F(1), F(1, 2), F(1, 2)])
 
-    def test_convergence_prognosis_kinds(self):
-        follows = thresholdize([F(1, m) for m in range(1, 40)])
-        assert follows.convergence_prognosis()["kind"] == "follows-source"
-        # a sharp drop after the convex stretch keeps the arithmetic tail
-        # strictly above the source through the final tenth of the horizon
-        values = [F(1, m) for m in range(1, 880)] + \
-            [F(1, 10 ** 6 * m) for m in range(880, 1001)]
-        linear = thresholdize(values)
-        prognosis = linear.convergence_prognosis()
-        assert prognosis["kind"] == "linear-tail"
-        assert "zero by m=" in prognosis["detail"]
+    def test_gap_outside_the_horizon_is_refused(self):
+        # eta_gap(0) reads eta(0): neither a wrap to the last listed value
+        # nor a formula value outside 1..horizon
+        for t in (thresholdize([F(1), F(1, 2), F(1, 3)]),
+                  ThresholdSequence.from_convex(lambda m: F(1, m + 1))):
+            with pytest.raises(HorizonError):
+                t.eta_gap(0)
+            with pytest.raises(HorizonError):
+                t.eta_gap(t.horizon)
+
+    def test_is_frozen(self):
+        t = thresholdize([F(1), F(1, 2), F(1, 3)])
+        with pytest.raises(FrozenInstanceError):
+            t.horizon = 10
+        assert t.horizon == 3
 
     def test_convex_wrapper_validates(self):
         with pytest.raises(ValueError):
@@ -84,6 +85,43 @@ class TestThresholdize:
             # gaps increase: 1, 9/10, 1/5 drops faster later
             values = {1: F(1), 2: F(9, 10), 3: F(1, 5), 4: F(1, 10)}
             ThresholdSequence.from_convex(lambda m: values.get(m, F(1, 10 * m)))
+
+
+class TestThresholdSequenceFrom:
+    def test_sequence_file_is_truncated_to_the_horizon(self, tmp_path):
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps([f"1/{m}" for m in range(1, 200)]))
+        assert presets.threshold_sequence_from(str(path)).horizon == 199
+        t = presets.threshold_sequence_from(str(path), 11)
+        assert t.horizon == 11
+        assert [t.eta(m) for m in range(1, 12)] == [F(1, m) for m in range(1, 12)]
+
+    def test_iterlog_is_materialized_over_the_horizon(self):
+        assert presets.threshold_sequence_from("iterlog:1").horizon == \
+            presets.MATERIALIZED_HORIZON
+        assert presets.threshold_sequence_from("iterlog:1", 500).horizon == 500
+
+    @pytest.mark.parametrize("horizon", [None, 1, 500, MAX_HORIZON])
+    def test_convex_preset_keeps_the_formula_horizon(self, horizon):
+        t = presets.threshold_sequence_from("harmonic", horizon)
+        assert t.horizon == avoider.FORMULA_HORIZON
+
+    @pytest.mark.parametrize("horizon", [0, MAX_HORIZON + 1])
+    def test_bad_horizon_is_refused_before_any_value(self, horizon, tmp_path, monkeypatch):
+        def never(*args):
+            raise AssertionError("a value was computed for a bad horizon")
+
+        class NoSequence:
+            from_convex = staticmethod(never)
+
+        monkeypatch.setattr(presets, "_iterated_floor_log", never)
+        monkeypatch.setattr(presets, "ThresholdSequence", NoSequence)
+        # not a valid source either: only the horizon check may name it
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(["1/2"] * 10))
+        for spec in (str(path), "harmonic", "iterlog:1"):
+            with pytest.raises(ValueError, match="horizon must be in"):
+                presets.threshold_sequence_from(spec, horizon)
 
 
 class TestBase:

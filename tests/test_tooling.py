@@ -130,3 +130,25 @@ def test_sizes_and_emptiness_come_from_the_cuts():
              for expr in _truth_tested(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(expr, ast.Attribute) and expr.attr == "parts"]
     assert found == []
+
+
+def _dataclass_decorators(tree):
+    """(class name, decorator) for every @dataclass or @dataclass(...) in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass":
+                    yield node.name, deco
+
+
+def test_every_dataclass_is_frozen():
+    # no mutable side channels: a value built once is never reassigned
+    decorated = [(path.name, name, deco) for path in SOURCES
+                 for name, deco in _dataclass_decorators(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(decorated) > 10
+    found = [f"{path}: {name}" for path, name, deco in decorated
+             if not (isinstance(deco, ast.Call)
+                     and any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                             and k.value.value is True for k in deco.keywords))]
+    assert found == []
