@@ -28,9 +28,13 @@ It keeps its ``(D, cuts)`` and decodes its parts to Fraction endpoints
 ``len``, truth, ``is_empty``, :meth:`IntervalSet.measure` and
 :meth:`IntervalSet.longest` read the cuts, lengths ``(hi >> 1) - (lo >> 1)``
 as ints, and ``longest`` decodes only the part it returns; a set built by the
-constructor is encoded when asked. A chain of translates stays on one
-lattice: listed shifts size ``D`` once, up front, and an iterator of shifts
-refines it as each new denominator arrives.
+constructor is encoded when asked. The operands of union, intersection and
+difference bring their own lattices, a kernel result its stored cuts and a
+constructor-built set a fresh encoding, and each is carried to the lcm of
+the lattices (``2xD + f`` becomes ``2xDk + f``). While either side of ``==``
+is undecoded, equality compares the two cut lists on that common lattice. A
+chain of translates stays on one lattice: listed shifts size ``D`` once, up
+front, and an iterator of shifts refines it as each new denominator arrives.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -224,9 +229,16 @@ class IntervalSet:
     # -- basics ---------------------------------------------------------------
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._parts is not None and other._parts is not None:
+            return self._parts == other._parts
+        if len(self) != len(other):
+            return False
+        # canonical cut lists over one D are equal exactly when the sets are
+        (D1, a, _), (D2, b, _) = self._cuts(), other._cuts()
+        D = lcm(D1, D2)
+        return _rescale(a, D // D1) == _rescale(b, D // D2)
 
     def __hash__(self) -> int:
         return hash((self.parts,))
@@ -247,13 +259,13 @@ class IntervalSet:
     # -- set algebra ----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return _sweep(_merge, self.parts + other.parts)
+        return _sweep(_merge, self, other)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return _sweep(_intersect, self.parts, other.parts)
+        return _sweep(_intersect, self, other)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return _sweep(_difference, self.parts, other.parts)
+        return _sweep(_difference, self, other)
 
     def complement_within(self, window: Interval) -> "IntervalSet":
         """Points of ``window`` not in this set."""
@@ -261,23 +273,25 @@ class IntervalSet:
 
     # -- measure & geometry ----------------------------------------------------
 
-    def _cuts(self) -> Tuple[int, "_Cuts"]:
-        """``(D, cuts)``: the stored lattice of a kernel result, or a fresh
-        encoding of a constructor-built set."""
+    def _cuts(self) -> Tuple[int, "_Cuts", dict]:
+        """``(D, cuts, seen)``: the stored lattice of a kernel result, or a
+        fresh encoding of a constructor-built set; ``seen`` maps x*D to the
+        endpoint Fractions the set already holds (none once a kernel result
+        is decoded)."""
         if self._lattice is not None:
-            return self._lattice
-        D = _denominator(self.parts)
-        return D, _encode(self.parts, D, {})
+            return (*self._lattice, self._seen or {})
+        D, seen = _denominator(self._parts), {}
+        return D, _encode(self._parts, D, seen), seen
 
     def measure(self) -> Fraction:
         """Total length; endpoint flags do not affect the value."""
-        D, cuts = self._cuts()
+        D, cuts, _ = self._cuts()
         return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
 
     def longest(self) -> Interval:
         """The first part of greatest length; ValueError for the empty set.
         A kernel result not yet decoded decodes only that part."""
-        D, cuts = self._cuts()
+        D, cuts, _ = self._cuts()
         if not cuts:
             raise ValueError("the empty set has no longest part")
         lengths = [(hi >> 1) - (lo >> 1) for lo, hi in cuts]
@@ -459,17 +473,30 @@ def _decode_part(lo: int, hi: int, D: int, seen: dict) -> Interval:
                  Fraction(hi >> 1, D) if b is None else b, not lo & 1, bool(hi & 1))
 
 
-def _sweep(sweep: Callable[..., _Cuts], *groups: Sequence[Interval]) -> IntervalSet:
-    """Run ``sweep`` on the groups' cut ranges over one D; check its result."""
-    D = _denominator(p for parts in groups for p in parts)
+def _rescale(cuts: _Cuts, k: int) -> _Cuts:
+    """Cut ranges over D carried to the lattice D*k: 2xD + f becomes 2xDk + f."""
+    if k == 1:
+        return cuts
+    k2 = 2 * k
+    return [((lo >> 1) * k2 | lo & 1, (hi >> 1) * k2 | hi & 1) for lo, hi in cuts]
+
+
+def _sweep(sweep: Callable[..., _Cuts], *sets: IntervalSet) -> IntervalSet:
+    """Run ``sweep`` on the sets' cut lists, each carried to the lcm D of
+    their lattices; check its result, which reuses the operands' Fractions."""
+    lattices = [s._cuts() for s in sets]
+    D = lcm(*(d for d, _, _ in lattices))
     seen: dict = {}
-    return _decode(sweep(*(_encode(parts, D, seen) for parts in groups)), D, seen)
+    for d, _, known in lattices:
+        k = D // d
+        seen.update(known if k == 1 else {x * k: f for x, f in known.items()})
+    return _decode(sweep(*(_rescale(cuts, D // d) for d, cuts, _ in lattices)), D, seen)
 
 
-def _merge(cuts: _Cuts) -> _Cuts:
+def _merge(*groups: _Cuts) -> _Cuts:
     """The one sort-and-sweep: fuse overlapping or adjacent cut ranges."""
     merged: _Cuts = []
-    for lo, hi in sorted(cuts):
+    for lo, hi in sorted(chain(*groups)):
         if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
         else:
@@ -507,12 +534,14 @@ def normalize(intervals: Iterable[Interval]) -> IntervalSet:
     The result has identical point membership: overlapping or mergeable parts
     fuse, order is restored, and nothing else changes.
     """
-    return _sweep(_merge, tuple(intervals))
+    parts = tuple(intervals)
+    D, seen = _denominator(parts), {}
+    return _decode(_merge(_encode(parts, D, seen)), D, seen)
 
 
 def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
     """Union of many canonical sets in one sort-and-sweep pass."""
-    return _sweep(_merge, [p for s in sets for p in s.parts])
+    return _sweep(_merge, *sets)
 
 
 def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> IntervalSet:
@@ -522,9 +551,10 @@ def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> Inter
     each part's translates arrive as one sorted run.
     """
     ts = [as_fraction(t) for t in shifts]
-    D = lcm(_denominator(s.parts), *{t.denominator for t in ts})
+    d, cuts, _ = s._cuts()
+    D = lcm(d, *{t.denominator for t in ts})
     moves = [2 * t.numerator * (D // t.denominator) for t in ts]
-    return _decode(_merge([(lo + m, hi + m) for lo, hi in _encode(s.parts, D, {})
+    return _decode(_merge([(lo + m, hi + m) for lo, hi in _rescale(cuts, D // d)
                            for m in moves]), D, {})
 
 
@@ -539,18 +569,17 @@ def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
     denominator does not divide D refines it by the missing factor k, and
     each cut 2xD + f becomes 2xDk + f.
     """
-    D = _denominator(s.parts + within.parts)
+    (d1, base, _), (d2, out, _) = s._cuts(), within._cuts()
+    D = lcm(d1, d2)
     if isinstance(shifts, (list, tuple)):
         shifts = [as_fraction(t) for t in shifts]
         D = lcm(D, *{t.denominator for t in shifts})
-    base, out = _encode(s.parts, D, {}), _encode(within.parts, D, {})
+    base, out = _rescale(base, D // d1), _rescale(out, D // d2)
     for t in shifts:
         t = as_fraction(t)
         k = t.denominator // gcd(D, t.denominator)
         if k > 1:
-            D, k2 = D * k, 2 * k
-            base, out = ([((lo >> 1) * k2 | lo & 1, (hi >> 1) * k2 | hi & 1)
-                          for lo, hi in cuts] for cuts in (base, out))
+            D, base, out = D * k, _rescale(base, k), _rescale(out, k)
         move = 2 * t.numerator * (D // t.denominator)
         out = _intersect(out, [(lo + move, hi + move) for lo, hi in base])
         if not out:

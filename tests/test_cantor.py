@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,74 @@ class TestBuild:
         with pytest.raises(OracleViolationError) as err:
             build_cantor(Offside(), depth=1)
         assert err.value.n == 1 and err.value.j == 1
+
+
+def scanned_gap(points, k):
+    """The finite-points gap by a linear scan of every point."""
+    third = (k.hi - k.lo) / 3
+    lo, hi = k.lo + third, k.hi - third
+    stops = [lo] + [p for p in sorted(points) if lo < p < hi] + [hi]
+    best_lo, best_hi = max(zip(stops, stops[1:]), key=lambda s: s[1] - s[0])  # leftmost tie
+    step = (best_hi - best_lo) / 3
+    return Interval.open(best_lo + step, best_hi - step)
+
+
+def scanned_avoids(points, iv):
+    """Whether iv holds none of the points, by a linear scan of every point."""
+    return not any((iv.lo < p or (iv.lo_closed and p == iv.lo))
+                   and (p < iv.hi or (iv.hi_closed and p == iv.hi)) for p in points)
+
+
+class TestFinitePointsOracle:
+    """The oracle bisects its sorted points; a linear scan is the reference."""
+
+    def test_gaps_match_a_linear_scan(self):
+        rng = random.Random(83)
+        on_edges = 0
+        for _ in range(2000):
+            lo = F(rng.randint(-30, 30), rng.randint(1, 9))
+            k = Interval.closed(lo, lo + F(rng.randint(1, 30), rng.randint(1, 9)))
+            third = k.length / 3
+            inner = (k.lo + third, k.hi - third)
+            points = [F(rng.randint(-40, 40), rng.randint(1, 12))
+                      for _ in range(rng.randint(0, 6))]
+            points += [k.lo + k.length * F(rng.randint(0, 12), 12)
+                       for _ in range(rng.randint(0, 4))]
+            points += rng.sample(inner, rng.randint(0, 2))  # exactly on inner.lo / inner.hi
+            points += rng.choices(points, k=rng.randint(0, 3)) if points else []  # duplicates
+            rng.shuffle(points)
+            on_edges += any(p in inner for p in points)
+            assert FinitePointsOracle(tuple(points))(k) == scanned_gap(points, k), (k, points)
+        assert on_edges > 1000
+
+    def test_avoids_target_matches_a_linear_scan(self):
+        a, b = F(1, 3), F(3, 4)
+        points_on = {"none": (), "lo": (a,), "hi": (b,), "both": (a, b, b),
+                     "inside": (F(1, 2),), "outside": (0, F(1, 3) - F(1, 10**9), 1)}
+        answers = set()
+        for lo_closed in (False, True):
+            for hi_closed in (False, True):
+                iv = Interval(a, b, lo_closed, hi_closed)
+                for name, points in points_on.items():
+                    got = FinitePointsOracle(points + (F(7, 8), -1)).interval_avoids_target(iv)
+                    assert got == scanned_avoids(points, iv), (iv, name)
+                    answers.add((name, got))
+        assert {("lo", True), ("lo", False), ("hi", True), ("hi", False),
+                ("both", False), ("inside", False), ("none", True), ("outside", True)} <= answers
+        point = Interval.point(a)
+        assert not FinitePointsOracle((a, a)).interval_avoids_target(point)
+        assert FinitePointsOracle((F(1, 4), b)).interval_avoids_target(point)
+
+    def test_avoids_target_seeded(self):
+        rng = random.Random(89)
+        for _ in range(2000):
+            points = [F(rng.randint(0, 12), 6) for _ in range(rng.randint(0, 6))]
+            lo = F(rng.randint(0, 12), 6)
+            hi = lo + F(rng.randint(0, 6), 6)
+            iv = (Interval.point(lo) if lo == hi else
+                  Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+            assert FinitePointsOracle(tuple(points)).interval_avoids_target(iv) == \
+                scanned_avoids(points, iv), (iv, points)
 
 
 class TestVerify:

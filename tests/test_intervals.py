@@ -3,6 +3,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -415,6 +416,104 @@ class TestIntegerKernelAgainstReference:
             for given in (iter(shifts), shifts):
                 same(intersection_of_translates(s, given, within), want)
             same(union_of_translates(s, shifts), naive_union_of_translates(s, shifts))
+
+
+def on_lattice(rng, D):
+    """A kernel result on the lattice D exactly, and its twin built by the
+    reference kernel from the same input intervals."""
+    def x():
+        return F(rng.randint(-3 * D, 3 * D), D)
+
+    # a point of denominator D fixes the lattice, even if another part absorbs it
+    parts = [Interval.point(F(1 + D * rng.randint(-3, 2), D))]
+    for _ in range(rng.randint(0, 5)):
+        lo, hi = sorted((x(), x()))
+        parts.append(Interval.point(lo) if lo == hi else
+                     Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    rng.shuffle(parts)
+    got = normalize(parts)
+    assert got._lattice[0] == D and got._parts is None
+    return got, ref.normalize(parts)
+
+
+class TestOperandLattices:
+    """union, intersect and difference read each operand's stored cuts and
+    carry both to the lcm of the two lattices; the operands stay undecoded."""
+
+    OPS = ((IntervalSet.union, ref.union), (IntervalSet.intersect, ref.intersect),
+           (IntervalSet.difference, ref.difference))
+
+    @pytest.mark.parametrize("d1, d2", [
+        (6, 10), (9, 4), (12, 18), (7, 5),    # neither D divides the other
+        (3, 12), (35, 5), (8, 8), (1, 6),     # one D divides the other
+    ])
+    def test_kernel_operands_against_the_reference(self, d1, d2):
+        rng = random.Random(100 * d1 + d2)
+        for _ in range(120):
+            (a, ra), (b, rb) = on_lattice(rng, d1), on_lattice(rng, d2)
+            for op, want in self.OPS:
+                got = op(a, b)
+                assert got._lattice[0] == lcm(d1, d2)
+                same(got, want(ra, rb))
+            same(union_all([a, b, a]), ref.union(ra, rb))
+            assert a._parts is None and b._parts is None
+            assert a == ra and b == rb  # compared on the cuts, still undecoded
+            assert a._parts is None and b._parts is None
+
+    def test_kernel_and_constructor_operands_mix(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            (a, ra), (_, built) = on_lattice(rng, rng.randint(1, 12)), on_lattice(rng, 5)
+            assert built._lattice is None  # the reference builds through the constructor
+            for op, want in self.OPS:
+                same(op(a, built), want(ra, built))
+                same(op(built, a), want(built, ra))
+            shifts = [random_fraction(rng, span=3, max_den=7) for _ in range(rng.randint(0, 3))]
+            same(intersection_of_translates(a, shifts, built),
+                 naive_intersection_of_translates(ra, shifts, built))
+            same(intersection_of_translates(built, shifts, a),
+                 naive_intersection_of_translates(built, shifts, ra))
+            same(union_of_translates(a, shifts), naive_union_of_translates(ra, shifts))
+            assert a._parts is None
+
+
+class TestEquality:
+    """Equality compares cut lists on a common lattice while either side is
+    undecoded; it never depends on which D a result happens to carry."""
+
+    def test_a_result_on_a_finer_lattice_equals_the_built_set(self):
+        got = normalize([iv("[0,1/2]"), iv("[1/3,1)"), iv("(3/2,7/4]")])
+        built = IntervalSet((iv("[0,1)"), iv("(3/2,7/4]")))
+        assert got._lattice[0] == 12 and got._parts is None  # not the minimal 4
+        assert got == built and built == got
+        assert got._parts is None
+        assert got == normalize([iv("[0,1)"), iv("(3/2,7/4]")])  # two lattices, both undecoded
+        assert hash(got) == hash(built)  # hash reads the parts
+        assert got._parts is not None
+        assert got == built and built == got
+
+    def test_one_endpoint_flag_apart_is_unequal(self):
+        got = normalize([iv("[0,1/2]"), iv("[1/3,1)")])
+        for other in (iset("[0,1]"), iset("(0,1)"), IntervalSet((iv("[0,1]"),)),
+                      normalize([iv("[0,1/6]"), iv("[1/6,1]")]), iset("[0,1)", "[2,2]")):
+            assert got != other and other != got
+        assert got._parts is None
+        assert got == IntervalSet((iv("[0,1)"),))
+
+    def test_cut_equality_matches_part_equality(self):
+        rng = random.Random(71)
+        outcomes = set()
+        for _ in range(400):
+            (a, ra), (b, rb) = on_lattice(rng, rng.randint(1, 6)), on_lattice(rng, rng.randint(1, 6))
+            # the midpoint of a part is a member: the set stays, the lattice may refine
+            twin = normalize([*ra.parts, Interval.point(ra.parts[-1].midpoint())])
+            for other, built in ((b, rb), (twin, ra)):
+                want = ra.parts == built.parts
+                assert (a == other) is want and (a == built) is want and (ra == other) is want
+                outcomes.add(want)
+            assert a._parts is None and b._parts is None and twin._parts is None
+            assert (a.parts == b.parts) is (a == b) and a == twin
+        assert outcomes == {False, True}
 
 
 def checked_build(cuts, D):

@@ -52,7 +52,7 @@ def test_cut_encoding_stays_inside_the_kernel():
     # module may import a private intervals name or reach one by attribute
     private = {name for owner in (intervals, intervals.Interval, intervals.IntervalSet)
                for name in vars(owner) if _private(name)}
-    assert {"_encode", "_decode", "_decode_part", "_sweep",
+    assert {"_encode", "_decode", "_decode_part", "_sweep", "_rescale",
             "_parts", "_lattice", "_seen"} <= private
     found = []
     for path in SOURCES:
@@ -66,6 +66,20 @@ def test_cut_encoding_stays_inside_the_kernel():
                     node.attr in private or (_private(node.attr) and isinstance(node.value, ast.Name)
                                              and node.value.id == "intervals")):
                 found.append(f"{path.name}:{node.lineno}: uses .{node.attr}")
+    assert found == []
+
+
+def test_set_operations_read_the_operands_cuts():
+    # union, intersect and difference take each operand's (D, cuts): reading
+    # .parts would decode a kernel result only to encode it again
+    tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "IntervalSet"]
+    methods = {item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)}
+    found = [f"IntervalSet.{name}:{node.lineno}: reads .parts"
+             for name in ("union", "intersect", "difference")
+             for node in ast.walk(methods[name])
+             if isinstance(node, ast.Attribute) and node.attr == "parts"]
     assert found == []
 
 
