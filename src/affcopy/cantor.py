@@ -314,6 +314,16 @@ class InvariantReport(Report):
         return not self.violations
 
 
+def _signum(*terms: Tuple[int, Fraction]) -> int:
+    """An integer with the sign of sum(k * x) over the (k, x) terms, for
+    integers k and Fractions x: the numerator of the sum over the product of
+    the denominators, so no gcd is taken and no Fraction is built."""
+    num, den = 0, 1
+    for k, x in terms:
+        num, den = num * x.denominator + k * x.numerator * den, den * x.denominator
+    return num
+
+
 def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantReport:
     """Re-check every structural claim of the ladder, exactly.
 
@@ -323,6 +333,18 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     (2/3)^n, the child indexing, the monotone right-edge approach
     sup K(n,j) - inf K(n+k, 2^k j) < (2/3)^(n+k) for k up to k_max, and the
     per-gap left-neighborhood coverage of [inf parent, sup gap).
+
+    The set-valued claims (cross-level disjointness, the decomposition) run
+    through the interval kernel; every other claim compares endpoints read
+    from each level's tuples. The coverage claim is one of them, checked in
+    closed form. Let the gap have ends a and b and its parent ends lo < hi, so
+    r = (2/3)(hi - lo) > 0. The left r-neighborhood of the gap is (a - r, b),
+    closed at b when the gap is, and the target [lo, b) is nonempty exactly
+    when lo < b. The neighborhood then contains the target exactly when
+    a - r < lo, that is 3a < lo + 2hi: strict because the neighborhood is
+    open at a - r and the target closed at lo, and blind to the flag at b
+    because the target is open there. A degenerate parent (r = 0) and a gap
+    ending at or before lo each get a violation of their own.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -350,7 +372,7 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
             checks += 1
             if not g.is_open:
                 flag(f"level {n} gap {j}: {g} is not open")
-            if g.length != lv.gap_length:
+            if _signum((1, g.hi), (-1, g.lo), (-1, lv.gap_length)):
                 flag(f"level {n} gap {j}: length {g.length} != {lv.gap_length}")
         for j, (a, b) in enumerate(zip(lv.gaps, lv.gaps[1:]), 1):
             checks += 1
@@ -366,8 +388,11 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
             if not closures[n - 1].intersect(closures[m - 1]).is_empty:
                 flag(f"closures of level {n} and level {m} gap unions intersect")
 
-    # remnant decomposition and size bound
+    # remnant decomposition and size bound; the IntervalSet constructor
+    # accepts only canonical tuples, so each set's parts are the level's
+    # remnants themselves
     remnant_sets = [c.remnant_set(n) for n in range(1, c.depth + 1)]
+    rems = [(UNIT,)] + [lv.remnants for lv in c.levels[:c.depth]]  # rems[n][j-1] is K(n,j)
     powers = [TWO_THIRDS ** n for n in range(0, c.depth + 1)]
     gaps_through = EMPTY
     for n in range(1, c.depth + 1):
@@ -375,48 +400,54 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
         gaps_through = gaps_through.union(gap_sets[n - 1])
         if gaps_through.complement_within(UNIT) != remnant_sets[n - 1]:
             flag(f"level {n}: [0,1] minus gaps does not equal the remnant union")
-        for j, r in enumerate(remnant_sets[n - 1].parts, 1):
+        for j, r in enumerate(rems[n], 1):
             checks += 1
             if not (r.lo_closed and r.hi_closed):
                 flag(f"level {n} remnant {j}: {r} is not closed")
-            if r.length >= powers[n]:
+            if _signum((1, r.hi), (-1, r.lo), (-1, powers[n])) >= 0:
                 flag(f"level {n} remnant {j}: length {r.length} >= (2/3)^{n}")
 
     # child indexing
     for n in range(0, c.depth):
-        for j in range(1, 2 ** n + 1):
+        kids = rems[n + 1]
+        for j, (parent, left, right) in enumerate(
+                zip(rems[n][:2 ** n], kids[0::2], kids[1::2]), 1):
             checks += 1
-            parent = c.remnant(n, j)
-            left, right = c.remnant(n + 1, 2 * j - 1), c.remnant(n + 1, 2 * j)
             if not (parent.lo == left.lo and left.hi < right.lo and right.hi == parent.hi):
                 flag(f"children of remnant ({n},{j}) misplaced: {left}, {right}")
 
     # monotone approach of descendant left edges to the parent's right edge
     for n in range(1, c.depth):
-        for j in range(1, 2 ** n + 1):
-            top = c.remnant(n, j).hi
+        for j, parent in enumerate(rems[n][:2 ** n], 1):
+            top = parent.hi
             prev_inf = None
             for k in range(1, min(k_max, c.depth - n) + 1):
+                if (2 ** k) * j > len(rems[n + k]):
+                    break  # a short level; the shape check flags its count
                 checks += 1
-                inf_k = c.remnant(n + k, (2 ** k) * j).lo
+                inf_k = rems[n + k][(2 ** k) * j - 1].lo
                 if prev_inf is not None and inf_k < prev_inf:
                     flag(f"inf of rightmost descendant of ({n},{j}) decreased at k={k}")
                 prev_inf = inf_k
-                if top - inf_k >= powers[n + k]:
+                if _signum((1, top), (-1, inf_k), (-1, powers[n + k])) >= 0:
                     flag(f"remnant ({n},{j}): sup - inf of level-{n + k} rightmost "
                          f"descendant is not below (2/3)^{n + k}")
 
-    # left neighborhood of each gap covers [inf parent, sup gap)
+    # left neighborhood of each gap covers [inf parent, sup gap), in the
+    # closed form 3a < lo + 2hi of the docstring
     for n in range(1, c.depth + 1):
-        for j in range(1, 2 ** (n - 1) + 1):
+        count = 2 ** (n - 1)
+        parents, gaps = rems[n - 1][:count], c.levels[n - 1].gaps[:count]
+        for j, (parent, gap) in enumerate(zip(parents, gaps), 1):
             checks += 1
-            parent = c.remnant(n - 1, j)
-            gap = c.gap(n, j)
-            covered = IntervalSet((gap,)).left_neighborhood(TWO_THIRDS * parent.length)
-            target = IntervalSet((Interval.half_open(parent.lo, gap.hi),))
-            if not covered.issuperset(target):
+            lo, hi = parent.lo, parent.hi
+            if not lo < hi:
+                flag(f"level {n} gap {j}: parent {parent} is degenerate")
+            elif not lo < gap.hi:
+                flag(f"level {n} gap {j}: {gap} ends at or before inf parent {lo}")
+            elif _signum((3, gap.lo), (-1, lo), (-2, hi)) >= 0:
                 flag(f"level {n} gap {j}: left 2/3|K|-neighborhood misses "
-                     f"[{parent.lo},{gap.hi})")
+                     f"[{lo},{gap.hi})")
 
     return InvariantReport(depth=c.depth, k_max=k_max, checks_run=checks,
                            violations=tuple(violations))

@@ -1,9 +1,12 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from affcopy import intervals
 from affcopy.cantor import (CantorConstruction, FinitePointsOracle, MiddleThirdOracle,
                             OracleViolationError, TernaryCantorOracle, build_cantor,
                             in_ternary_cantor, largest_unit_fraction_at_most,
@@ -160,6 +163,20 @@ class TestFinitePointsOracle:
                 scanned_avoids(points, iv), (iv, points)
 
 
+def tamper(c, n, gaps=None, remnants=None):
+    """The ladder c with level n's gaps and/or remnants replaced."""
+    lv = c.levels[n - 1]
+    level = dataclasses.replace(lv, gaps=lv.gaps if gaps is None else tuple(gaps),
+                                remnants=lv.remnants if remnants is None else tuple(remnants))
+    return dataclasses.replace(c, levels=c.levels[:n - 1] + (level,) + c.levels[n:])
+
+
+def kernel_covers(parent, gap):
+    """The left-neighborhood claim for one gap, computed by the interval kernel."""
+    covered = IntervalSet((gap,)).left_neighborhood(TWO_THIRDS * parent.length)
+    return covered.issuperset(IntervalSet((Interval.half_open(parent.lo, gap.hi),)))
+
+
 class TestVerify:
     def test_default_depth_six_clean(self, default6):
         report = verify_cantor(default6, k_max=3)
@@ -184,6 +201,50 @@ class TestVerify:
         report = verify_cantor(tampered, k_max=1)
         assert not report.passed
         assert any("neighborhood misses" in v for v in report.violations)
+
+    def test_gap_ending_on_parent_inf_is_reported(self, default6):
+        # gap (2,2) slid left until it ends on inf K(1,2) = 5/9
+        lv = default6.levels[1]
+        moved = Interval.open(F(5, 9) - lv.gap_length, F(5, 9))
+        report = verify_cantor(tamper(default6, 2, gaps=(lv.gaps[0], moved)), k_max=2)
+        assert f"level 2 gap 2: {moved} ends at or before inf parent 5/9" in report.violations
+
+    def test_degenerate_parent_is_reported(self, default6):
+        # K(1,1) collapsed to the point [0,0]
+        remnants = (Interval.point(0), default6.remnant(1, 2))
+        report = verify_cantor(tamper(default6, 1, remnants=remnants), k_max=2)
+        assert "level 2 gap 1: parent [0,0] is degenerate" in report.violations
+        assert "children of remnant (1,1) misplaced: " \
+            f"{default6.remnant(2, 1)}, {default6.remnant(2, 2)}" in report.violations
+
+    @pytest.mark.parametrize("short_remnants", [False, True])
+    def test_short_level_is_reported(self, default6, short_remnants):
+        # level 3 loses its last gap, and with it possibly its last two remnants
+        lv = default6.levels[2]
+        remnants = lv.remnants[:-2] if short_remnants else None
+        report = verify_cantor(tamper(default6, 3, gaps=lv.gaps[:-1], remnants=remnants),
+                               k_max=4)
+        assert "level 3: expected 4 gaps, found 3" in report.violations
+        assert ("level 3: expected 8 remnants, found 6" in report.violations) == short_remnants
+
+    def test_no_kernel_call_per_gap(self, monkeypatch):
+        # the gap count doubles from depth 9 to 10; the kernel calls may grow
+        # with the number of levels only
+        calls = Counter()
+        for name in ("normalize", "_sweep"):
+            def counted(*args, _op=getattr(intervals, name), _name=name):
+                calls[_name] += 1
+                return _op(*args)
+            monkeypatch.setattr(intervals, name, counted)
+        per_depth = {}
+        for depth in (9, 10):
+            ladder = build_cantor(MiddleThirdOracle(), depth)
+            calls.clear()
+            assert verify_cantor(ladder, 4).passed
+            per_depth[depth] = dict(calls)
+        for name in ("normalize", "_sweep"):
+            assert per_depth[9][name] > 0
+            assert per_depth[10][name] - per_depth[9][name] <= 2 * 10, per_depth
 
     def test_adjacency_of_gap_and_right_child(self, default6):
         c = default6
@@ -215,6 +276,44 @@ class TestVerify:
                     # intersection with the parent remnant skeleton
                     assert got.intersect(IntervalSet((Interval.half_open(
                         c.remnant(n, j).lo, c.remnant(n, j).hi),))) == want
+
+
+class TestNeighborhoodClosedForm:
+    """verify_cantor decides the left-neighborhood claim with 3a < lo + 2hi;
+    the kernel's left_neighborhood and issuperset are the reference."""
+
+    @pytest.mark.parametrize("oracle", [
+        MiddleThirdOracle(), FinitePointsOracle((F(1, 2), F(2, 7), F(5, 11), F(13, 17)))])
+    def test_verdict_matches_the_kernel(self, oracle):
+        c = build_cantor(oracle, 4)
+        rng = random.Random(97)
+        seen = Counter()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            j = rng.randint(1, 2 ** (n - 1))
+            parent, l = c.remnant(n - 1, j), c.gap_length(n)
+            step = F(1, 3 * lcm(parent.lo.denominator, parent.hi.denominator, l.denominator))
+            edge = (parent.lo + 2 * parent.hi) / 3  # 3a = lo + 2hi
+            # the left end on the edge, one lattice step off it, or anywhere
+            # from just left of the parent to just right of it
+            offset = rng.choice([-1, 0, 1, None])
+            if offset is None:
+                a = parent.lo - l + (parent.length + 2 * l) * F(rng.randint(1, 199), 200)
+            else:
+                a = edge + offset * step
+            moved = Interval(a, a + l, False, rng.random() < 0.5)
+            gaps = list(c.levels[n - 1].gaps)
+            gaps[j - 1] = moved
+            report = verify_cantor(tamper(c, n, gaps=gaps), k_max=2)
+            flagged = (f"level {n} gap {j}: left 2/3|K|-neighborhood misses "
+                       f"[{parent.lo},{moved.hi})") in report.violations
+            covers = kernel_covers(parent, moved)
+            assert flagged == (not covers), (n, j, moved)
+            if offset is not None:
+                assert covers == (offset < 0), (n, j, moved)
+            seen[offset, covers, moved.hi_closed] += 1
+        assert {(0, False, True), (0, False, False), (-1, True, True), (1, False, False),
+                (None, True, False), (None, False, True)} <= set(seen), seen
 
 
 class TestCover:

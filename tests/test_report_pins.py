@@ -4,8 +4,10 @@ Each pin compares the exact ``json.dumps(..., indent=2)`` text, so key order,
 the ``p/q`` string form and the position of ``"pass"`` are all pinned.
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from affcopy import presets
 from affcopy.avoider import (AvoiderConstruction, ThresholdSequence, build_avoider,
                              find_embedding, summability_report)
-from affcopy.cantor import MiddleThirdOracle, build_cantor
+from affcopy.cantor import FinitePointsOracle, MiddleThirdOracle, build_cantor, verify_cantor
 from affcopy.intervals import Interval, normalize
 from affcopy.mixedradix import default_schedule, digits_of, make_system
 from affcopy.propcheck import run_kernel_property_suite
@@ -42,6 +44,43 @@ def test_slow_decay_report_bytes():
         "violations": [], "pass": True}
     report = verify_slow_decay(ladder, seq, F(1, 3), 1, range(1, 7))
     assert text(report) == json.dumps(expected, indent=2)
+
+
+def test_ladder_invariant_report_bytes():
+    rng = random.Random(2024)
+    points = tuple(F(rng.randint(1, 996), 997) for _ in range(5))
+    report = verify_cantor(build_cantor(FinitePointsOracle(points), 10), 4)
+    assert report.checks_run == 8105
+    digest = hashlib.sha256(text(report).encode()).hexdigest()
+    assert digest == "1314de2aac3de6153af1d8e1e356342337d5c9d9f6bc6da89430ee3ccb07d122"
+
+
+def test_tampered_ladder_invariant_report_bytes():
+    # one violation or more from every scalar check family, in a ladder the
+    # set-valued checks still accept as canonical
+    c = build_cantor(MiddleThirdOracle(), 5)
+    levels = list(c.levels)
+    lv = levels[2]  # a gap closed at its right end and a half-open remnant
+    g, r = lv.gaps[2], lv.remnants[5]
+    levels[2] = dataclasses.replace(
+        lv, gaps=lv.gaps[:2] + (Interval(g.lo, g.hi, False, True),) + lv.gaps[3:],
+        remnants=lv.remnants[:5] + (Interval.half_open(r.lo, r.hi),) + lv.remnants[6:])
+    levels[3] = dataclasses.replace(levels[3], gap_length=2 * levels[3].gap_length)
+    lv = levels[4]  # gap (5,1) shoved into the right third of K(4,1)
+    parent = c.remnant(4, 1)
+    shoved = Interval.open(parent.hi - 2 * lv.gap_length, parent.hi - lv.gap_length)
+    # and K(4,2)'s children moved left of it, past the rightmost descendant of K(3,1)
+    start, stop = parent.hi, c.remnant(4, 2).lo
+    step = (stop - start) / 4
+    levels[4] = dataclasses.replace(
+        lv, gaps=(shoved,) + lv.gaps[1:],
+        remnants=(Interval.closed(parent.lo, shoved.lo), Interval.closed(shoved.hi, parent.hi),
+                  Interval.closed(start + step, start + 2 * step),
+                  Interval.closed(start + 3 * step, c.remnant(4, 2).hi)) + lv.remnants[4:])
+    report = verify_cantor(dataclasses.replace(c, levels=tuple(levels)), 3)
+    assert (report.checks_run, len(report.violations)) == (251, 17)
+    digest = hashlib.sha256(text(report).encode()).hexdigest()
+    assert digest == "e2e1f3dca0c3c175387b6ffca7bf0c83ada941c302967e89398b403e7e512db1"
 
 
 def test_property_report_bytes():
