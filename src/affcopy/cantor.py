@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from affcopy.intervals import (EMPTY, Interval, IntervalSet, RationalLike, Report,
                                as_fraction, union_all)
@@ -27,8 +27,8 @@ TWO_THIRDS = Fraction(2, 3)
 
 #: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so
 #: time and memory double per level: on a 2-core VM (Python 3.11) a depth-16
-#: ladder takes 2.9 s and 60 MB peak RSS, and ``cantor-build --depth 16``
-#: 3.5 s and 124 MB. Deeper requests are refused before anything is built.
+#: ladder takes 1.9-2.5 s and 55 MB peak RSS, and ``cantor-build --depth 16``
+#: 2.5-3.0 s and 125 MB. Deeper requests are refused before anything is built.
 MAX_DEPTH = 16
 
 
@@ -44,12 +44,14 @@ class OracleViolationError(Exception):
 
 def middle_third(k: Interval) -> Interval:
     """Closed middle third of a closed interval."""
-    return Interval(*_thirds(k.lo, k.hi), True, True)
+    lo, hi = k.lo, k.hi
+    return Interval(*_thirds(lo.numerator, lo.denominator, hi.numerator, hi.denominator),
+                    True, True)
 
 
-def _thirds(lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    """The points (2lo + hi)/3 and (lo + 2hi)/3, each normalized once."""
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+def _thirds(a: int, b: int, c: int, d: int) -> Tuple[Fraction, Fraction]:
+    """The points (2lo + hi)/3 and (lo + 2hi)/3 for lo = a/b and hi = c/d
+    (b, d > 0), each normalized once."""
     den = 3 * b * d
     return Fraction(2 * a * d + c * b, den), Fraction(a * d + 2 * c * b, den)
 
@@ -126,8 +128,11 @@ class MiddleThirdOracle(GapOracle):
     name = "middle-third"
 
     def __call__(self, k: Interval) -> Interval:
-        inner = middle_third(k)
-        return Interval(*_thirds(inner.lo, inner.hi), False, False)
+        # the middle third of [(2lo + hi)/3, (lo + 2hi)/3] is ((5lo + 4hi)/9, (4lo + 5hi)/9)
+        a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
+        den = 9 * b * d
+        return Interval(Fraction(5 * a * d + 4 * c * b, den),
+                        Fraction(4 * a * d + 5 * c * b, den), False, False)
 
     def interval_avoids_target(self, iv: Interval) -> bool:
         return True
@@ -171,28 +176,47 @@ class TernaryCantorOracle(GapOracle):
 class FinitePointsOracle(GapOracle):
     """Target set is a finite set of rationals. The gap is the open middle
     third of the longest point-free stretch of the middle third of K
-    (leftmost on ties)."""
+    (leftmost on ties).
+
+    The sorted points are kept also as ``(numerator, denominator)`` pairs, and
+    both methods bisect and compare those by cross-multiplication.
+    """
 
     name = "finite-points"
 
     def __init__(self, points: "tuple[RationalLike, ...]"):
         self.points = tuple(sorted(as_fraction(p) for p in points))
+        self._pairs = tuple((p.numerator, p.denominator) for p in self.points)
 
     def __call__(self, k: Interval) -> Interval:
-        inner = middle_third(k)
-        points = self.points  # sorted: the stops inside the middle third are one slice
-        i = bisect_right(points, inner.lo)
-        stops = [inner.lo, *points[i:bisect_left(points, inner.hi, i)], inner.hi]
-        best_lo, best_hi = stops[0], stops[1]
-        for lo, hi in zip(stops, stops[1:]):
-            if hi - lo > best_hi - best_lo:
-                best_lo, best_hi = lo, hi
-        return Interval(*_thirds(best_lo, best_hi), False, False)
+        a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
+        den = 3 * b * d  # the middle third is [u/den, v/den]
+        u, v = 2 * a * d + c * b, a * d + 2 * c * b
+        pairs = self._pairs  # sorted: the stops inside the middle third are one slice
+        i = bisect_right(pairs, 0, key=_minus(u, den))
+        stops = [(u, den), *pairs[i:bisect_left(pairs, 0, i, key=_minus(v, den))], (v, den)]
+        # the stretch from p/q to r/s has length (rq - ps)/(qs); keep the first longest
+        best, num, dnm = 0, -1, 1
+        for i, ((p, q), (r, s)) in enumerate(zip(stops, stops[1:])):
+            if (r * q - p * s) * dnm > num * q * s:
+                best, num, dnm = i, r * q - p * s, q * s
+        (p, q), (r, s) = stops[best:best + 2]
+        return Interval(*_thirds(p, q, r, s), False, False)
 
     def interval_avoids_target(self, iv: Interval) -> bool:
-        points = self.points  # only the points in [lo, hi] can lie in iv
-        return not any(iv.contains(p)
-                       for p in points[bisect_left(points, iv.lo):bisect_right(points, iv.hi)])
+        pairs = self._pairs  # only the points in [lo, hi] can lie in iv
+        past_lo = _minus(iv.lo.numerator, iv.lo.denominator)
+        past_hi = _minus(iv.hi.numerator, iv.hi.denominator)
+        i = bisect_left(pairs, 0, key=past_lo)
+        # a point in [lo, hi] misses iv only on an open end
+        return all((not iv.lo_closed and not past_lo(pq)) or (not iv.hi_closed and not past_hi(pq))
+                   for pq in pairs[i:bisect_right(pairs, 0, i, key=past_hi)])
+
+
+def _minus(num: int, den: int) -> Callable[[Tuple[int, int]], int]:
+    """The key ``(p, q) -> p*den - num*q``, of the sign of p/q - num/den (q,
+    den > 0), so bisecting sorted pairs for 0 finds the cut at num/den."""
+    return lambda pq: pq[0] * den - num * pq[1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,43 +282,50 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
     reciprocal-of-integer length not exceeding half the previous level's
     length nor any oracle gap, and shrinks every oracle gap to its centered
     subinterval of that length.
+
+    The per-remnant work runs on the endpoints' numerators and denominators.
+    For an oracle gap (p/q, r/s) in K = [lo, hi], the containment in the
+    closed middle third is 3p/q >= 2lo + hi and 3r/s <= lo + 2hi,
+    cross-multiplied; the level length is 1/M with M the larger of twice the
+    previous level's M and every ceil(qs / (rq - ps)); and the shrunk gap's
+    ends are ((ps + rq)M - qs) / (2qsM) and ((ps + rq)M + qs) / (2qsM), one
+    Fraction each.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     remnants: Tuple[Interval, ...] = (UNIT,)
     levels = []
-    prev_length: Optional[Fraction] = None
+    m = 0  # 1/m is the previous level's gap length; no bound before level 1
     for n in range(1, depth + 1):
         raw = []
+        m *= 2
         for j, k in enumerate(remnants, 1):
             gap = oracle(k)
-            if not gap.is_open or gap.lo >= gap.hi:
+            p, q, r, s = gap.lo.numerator, gap.lo.denominator, gap.hi.numerator, gap.hi.denominator
+            width = r * q - p * s  # |gap| = width / (qs)
+            if not gap.is_open or width <= 0:
                 raise OracleViolationError(n, j, f"gap {gap} is not a nondegenerate open interval")
-            inner = middle_third(k)
-            if gap.lo < inner.lo or gap.hi > inner.hi:
+            a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
+            if 3 * p * b * d < (2 * a * d + c * b) * q or 3 * r * b * d > (a * d + 2 * c * b) * s:
                 raise OracleViolationError(
-                    n, j, f"gap {gap} leaves the closed middle third {inner} of {k}")
+                    n, j, f"gap {gap} leaves the closed middle third {middle_third(k)} of {k}")
             avoids = oracle.interval_avoids_target(gap)
             if avoids is False:
                 raise OracleViolationError(n, j, f"gap {gap} meets the target set")
-            raw.append(gap)
-        bound = min(g.length for g in raw)
-        if prev_length is not None:
-            bound = min(bound, prev_length / 2)
-        length = largest_unit_fraction_at_most(bound)
-        half = length / 2
+            m = max(m, -(-q * s // width))
+            raw.append((p * s + r * q, q * s))  # the midpoint is the first over twice the second
         gaps = []
         next_remnants = []
-        for k, g in zip(remnants, raw):
-            center = g.midpoint()
-            shrunk = Interval.open(center - half, center + half)
+        for k, (mid, qs) in zip(remnants, raw):
+            den = 2 * qs * m
+            shrunk = Interval(Fraction(mid * m - qs, den), Fraction(mid * m + qs, den),
+                              False, False)
             gaps.append(shrunk)
-            next_remnants.append(Interval.closed(k.lo, shrunk.lo))
-            next_remnants.append(Interval.closed(shrunk.hi, k.hi))
-        levels.append(CantorLevel(n=n, gap_length=length, gaps=tuple(gaps),
-                                  remnants=tuple(next_remnants)))
+            next_remnants.append(Interval(k.lo, shrunk.lo, True, True))
+            next_remnants.append(Interval(shrunk.hi, k.hi, True, True))
         remnants = tuple(next_remnants)
-        prev_length = length
+        levels.append(CantorLevel(n=n, gap_length=Fraction(1, m), gaps=tuple(gaps),
+                                  remnants=remnants))
     return CantorConstruction(depth=depth, levels=tuple(levels))
 
 
@@ -344,7 +375,9 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     a - r < lo, that is 3a < lo + 2hi: strict because the neighborhood is
     open at a - r and the target closed at lo, and blind to the flag at b
     because the target is open there. A degenerate parent (r = 0) and a gap
-    ending at or before lo each get a violation of their own.
+    ending at or before lo each get a violation of their own, and so do a
+    depth that disagrees with the number of levels and a level numbered off
+    its place; every check reads the levels by place.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -355,19 +388,37 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     def flag(msg: str) -> None:
         violations.append(msg)
 
+    # the checks below walk the levels that are there
+    depth = min(c.depth, len(c.levels))
+    if c.depth != len(c.levels):
+        flag(f"depth {c.depth} but {len(c.levels)} levels")
+
+    def union_of(parts: Tuple[Interval, ...]) -> IntervalSet:
+        """A level's parts as one set: the tuple itself when it is canonical,
+        else the kernel's union of its parts. A gap tuple out of order or
+        overlapping fails the shape check, and a remnant tuple the child
+        indexing, closedness or count checks, so the fallback hides nothing."""
+        try:
+            return IntervalSet(parts)
+        except ValueError:
+            return union_all([IntervalSet((part,)) for part in parts])
+
     # per-level shape
-    for lv in c.levels:
-        n = lv.n
+    prev = None
+    for n, lv in enumerate(c.levels, 1):
         checks += 1
+        if lv.n != n:
+            flag(f"level {n} is numbered {lv.n}")
         if len(lv.gaps) != 2 ** (n - 1):
             flag(f"level {n}: expected {2 ** (n - 1)} gaps, found {len(lv.gaps)}")
         if len(lv.remnants) != 2 ** n:
             flag(f"level {n}: expected {2 ** n} remnants, found {len(lv.remnants)}")
         if lv.gap_length.numerator != 1 or lv.gap_length <= 0:
             flag(f"level {n}: gap length {lv.gap_length} is not a unit fraction")
-        if n >= 2 and lv.gap_length > c.gap_length(n - 1) / 2:
+        if prev is not None and lv.gap_length > prev.gap_length / 2:
             flag(f"level {n}: gap length {lv.gap_length} exceeds half of "
-                 f"{c.gap_length(n - 1)}")
+                 f"{prev.gap_length}")
+        prev = lv
         for j, g in enumerate(lv.gaps, 1):
             checks += 1
             if not g.is_open:
@@ -379,26 +430,27 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
             if a.hi >= b.lo:
                 flag(f"level {n}: closures of gaps {j} and {j + 1} meet")
 
-    # closures of different levels are disjoint
-    gap_sets = [c.open_set(n) for n in range(1, c.depth + 1)]
+    # closures of different levels are disjoint. Within a level they are
+    # (each closure set is canonical), so the union of all of them has as
+    # many parts as they have together exactly when no two levels' closures
+    # meet; the pairwise pass runs only to name the pairs that do
+    gap_sets = [union_of(lv.gaps) for lv in c.levels[:depth]]
     closures = [gaps.closure() for gaps in gap_sets]
-    for n in range(1, c.depth + 1):
-        for m in range(n + 1, c.depth + 1):
-            checks += 1
-            if not closures[n - 1].intersect(closures[m - 1]).is_empty:
-                flag(f"closures of level {n} and level {m} gap unions intersect")
+    checks += depth * (depth - 1) // 2
+    if len(union_all(closures)) != sum(map(len, closures)):
+        for n in range(1, depth + 1):
+            for m in range(n + 1, depth + 1):
+                if not closures[n - 1].intersect(closures[m - 1]).is_empty:
+                    flag(f"closures of level {n} and level {m} gap unions intersect")
 
-    # remnant decomposition and size bound; the IntervalSet constructor
-    # accepts only canonical tuples, so each set's parts are the level's
-    # remnants themselves
-    remnant_sets = [c.remnant_set(n) for n in range(1, c.depth + 1)]
-    rems = [(UNIT,)] + [lv.remnants for lv in c.levels[:c.depth]]  # rems[n][j-1] is K(n,j)
-    powers = [TWO_THIRDS ** n for n in range(0, c.depth + 1)]
+    # remnant decomposition and size bound
+    rems = [(UNIT,)] + [lv.remnants for lv in c.levels[:depth]]  # rems[n][j-1] is K(n,j)
+    powers = [TWO_THIRDS ** n for n in range(0, depth + 1)]
     gaps_through = EMPTY
-    for n in range(1, c.depth + 1):
+    for n in range(1, depth + 1):
         checks += 1
         gaps_through = gaps_through.union(gap_sets[n - 1])
-        if gaps_through.complement_within(UNIT) != remnant_sets[n - 1]:
+        if gaps_through.complement_within(UNIT) != union_of(rems[n]):
             flag(f"level {n}: [0,1] minus gaps does not equal the remnant union")
         for j, r in enumerate(rems[n], 1):
             checks += 1
@@ -408,7 +460,7 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
                 flag(f"level {n} remnant {j}: length {r.length} >= (2/3)^{n}")
 
     # child indexing
-    for n in range(0, c.depth):
+    for n in range(0, depth):
         kids = rems[n + 1]
         for j, (parent, left, right) in enumerate(
                 zip(rems[n][:2 ** n], kids[0::2], kids[1::2]), 1):
@@ -417,11 +469,11 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
                 flag(f"children of remnant ({n},{j}) misplaced: {left}, {right}")
 
     # monotone approach of descendant left edges to the parent's right edge
-    for n in range(1, c.depth):
+    for n in range(1, depth):
         for j, parent in enumerate(rems[n][:2 ** n], 1):
             top = parent.hi
             prev_inf = None
-            for k in range(1, min(k_max, c.depth - n) + 1):
+            for k in range(1, min(k_max, depth - n) + 1):
                 if (2 ** k) * j > len(rems[n + k]):
                     break  # a short level; the shape check flags its count
                 checks += 1
@@ -435,7 +487,7 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
 
     # left neighborhood of each gap covers [inf parent, sup gap), in the
     # closed form 3a < lo + 2hi of the docstring
-    for n in range(1, c.depth + 1):
+    for n in range(1, depth + 1):
         count = 2 ** (n - 1)
         parents, gaps = rems[n - 1][:count], c.levels[n - 1].gaps[:count]
         for j, (parent, gap) in enumerate(zip(parents, gaps), 1):

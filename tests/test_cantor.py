@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,9 +9,9 @@ from math import lcm
 import pytest
 
 from affcopy import intervals
-from affcopy.cantor import (CantorConstruction, FinitePointsOracle, MiddleThirdOracle,
-                            OracleViolationError, TernaryCantorOracle, build_cantor,
-                            in_ternary_cantor, largest_unit_fraction_at_most,
+from affcopy.cantor import (CantorConstruction, CantorLevel, FinitePointsOracle,
+                            MiddleThirdOracle, OracleViolationError, TernaryCantorOracle,
+                            build_cantor, in_ternary_cantor, largest_unit_fraction_at_most,
                             middle_third, ternary_gap_containing, truncated_union_cover,
                             verify_cantor)
 from affcopy.intervals import Interval, IntervalSet, union_all
@@ -111,6 +113,153 @@ def scanned_avoids(points, iv):
                    and (p < iv.hi or (iv.hi_closed and p == iv.hi)) for p in points)
 
 
+def reference_middle_third(k):
+    third = (k.hi - k.lo) / 3
+    return Interval.closed(k.lo + third, k.hi - third)
+
+
+def reference_ladder(gap_of, avoids, depth):
+    """The ladder by the plain-Fraction algorithm: Fraction comparisons for
+    the oracle checks, the least gap length by min, and each shrunk gap as
+    midpoint -+ half; shares no arithmetic with build_cantor."""
+    remnants, levels, prev = (Interval.closed(0, 1),), [], None
+    for n in range(1, depth + 1):
+        raw = []
+        for j, k in enumerate(remnants, 1):
+            gap = gap_of(k)
+            if not gap.is_open or gap.lo >= gap.hi:
+                raise OracleViolationError(n, j, f"gap {gap} is not a nondegenerate open interval")
+            inner = reference_middle_third(k)
+            if gap.lo < inner.lo or gap.hi > inner.hi:
+                raise OracleViolationError(
+                    n, j, f"gap {gap} leaves the closed middle third {inner} of {k}")
+            if avoids(gap) is False:
+                raise OracleViolationError(n, j, f"gap {gap} meets the target set")
+            raw.append(gap)
+        bound = min(g.hi - g.lo for g in raw)
+        if prev is not None:
+            bound = min(bound, prev / 2)
+        prev = F(1, math.ceil(1 / bound))
+        gaps, kids = [], []
+        for k, g in zip(remnants, raw):
+            mid = (g.lo + g.hi) / 2
+            gaps.append(Interval.open(mid - prev / 2, mid + prev / 2))
+            kids += [Interval.closed(k.lo, gaps[-1].lo), Interval.closed(gaps[-1].hi, k.hi)]
+        remnants = tuple(kids)
+        levels.append(CantorLevel(n=n, gap_length=prev, gaps=tuple(gaps), remnants=remnants))
+    return CantorConstruction(depth=depth, levels=tuple(levels))
+
+
+def reference_middle_ninth(k):
+    inner = reference_middle_third(k)
+    third = (inner.hi - inner.lo) / 3
+    return Interval.open(inner.lo + third, inner.hi - third)
+
+
+def seeded_point_sets(seed, count):
+    """Point sets with duplicates and with points exactly on the ends of
+    remnants' middle thirds (of the ladder the points build so far)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        points = [F(rng.randint(1, q - 1), q) for q in rng.choices(range(2, 60), k=3)]
+        for _ in range(3):
+            ladder = reference_ladder(lambda k: scanned_gap(points, k),
+                                      lambda iv: scanned_avoids(points, iv), 4)
+            n = rng.randint(0, 3)
+            inner = reference_middle_third(ladder.remnant(n, rng.randint(1, 2 ** n)))
+            points.append(rng.choice((inner.lo, inner.hi)))
+        points += rng.choices(points, k=2)
+        rng.shuffle(points)
+        yield tuple(points)
+
+
+class TestBuildAgainstReference:
+    """build_cantor runs on integer numerators; the plain-Fraction ladder is
+    the reference, with plain-Fraction oracles for the middle-third and
+    finite-points targets (the ternary oracle's own logic is unchanged)."""
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_middle_third_and_ternary(self, depth):
+        ternary = TernaryCantorOracle()
+        for got, want in [
+                (build_cantor(MiddleThirdOracle(), depth),
+                 reference_ladder(reference_middle_ninth, lambda iv: True, depth)),
+                (build_cantor(ternary, depth),
+                 reference_ladder(ternary, ternary.interval_avoids_target, depth))]:
+            assert got == want
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    def test_finite_points(self):
+        on_ends = Counter()
+        for points in seeded_point_sets(61, 6):
+            for depth in range(1, 9):
+                want = reference_ladder(lambda k: scanned_gap(points, k),
+                                        lambda iv: scanned_avoids(points, iv), depth)
+                got = build_cantor(FinitePointsOracle(points), depth)
+                assert got == want, (points, depth)
+                assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+            for n in range(0, 8):
+                for j in range(1, 2 ** n + 1):
+                    inner = reference_middle_third(got.remnant(n, j))
+                    on_ends[n > 0] += sum(p in (inner.lo, inner.hi) for p in points)
+        assert on_ends[False] >= 3 and on_ends[True] >= 6, on_ends  # levels 0 and deeper
+
+    def test_middle_third_helper(self):
+        rng = random.Random(67)
+        for _ in range(500):
+            lo = F(rng.randint(-50, 50), rng.randint(1, 40))
+            k = Interval.closed(lo, lo + F(rng.randint(0, 50), rng.randint(1, 40)))
+            assert middle_third(k) == reference_middle_third(k)
+            if not k.is_point:
+                assert MiddleThirdOracle()(k) == reference_middle_ninth(k)
+
+
+class Nudged(MiddleThirdOracle):
+    """The middle-third oracle, except that in one remnant K its gap runs from
+    the midpoint of K's middle third to `offset` lattice steps past one end."""
+
+    def __init__(self, target, side, offset):
+        self.target, self.side, self.offset = target, side, offset
+
+    def __call__(self, k):
+        if k != self.target:
+            return super().__call__(k)
+        inner = reference_middle_third(k)
+        step = self.offset * F(1, 3 * lcm(k.lo.denominator, k.hi.denominator))
+        mid = (inner.lo + inner.hi) / 2
+        if self.side == "lo":
+            return Interval.open(inner.lo - step, mid)
+        return Interval.open(mid, inner.hi + step)
+
+
+class TestOracleGapOnTheMiddleThirdEnds:
+    """A gap ending exactly on an end of the closed middle third is accepted;
+    one lattice step 1/(3 lcm(den lo, den hi)) past it is rejected, with the
+    reference's (n, j, reason)."""
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_touching_and_one_step_outside(self, side, offset):
+        clean = build_cantor(MiddleThirdOracle(), 4)
+        rng = random.Random(71)
+        for _ in range(6):
+            n = rng.randint(1, 4)
+            j = rng.randint(1, 2 ** (n - 1))
+            oracle = Nudged(clean.remnant(n - 1, j), side, offset)
+            if offset == 0:
+                got = build_cantor(oracle, 4)
+                assert got == reference_ladder(oracle, oracle.interval_avoids_target, 4)
+                assert got.gap(n, j) != clean.gap(n, j)  # the nudged gap was used
+                continue
+            with pytest.raises(OracleViolationError) as want:
+                reference_ladder(oracle, oracle.interval_avoids_target, 4)
+            with pytest.raises(OracleViolationError) as got:
+                build_cantor(oracle, 4)
+            assert (got.value.n, got.value.j) == (want.value.n, want.value.j) == (n, j)
+            assert got.value.reason == want.value.reason
+            assert "leaves the closed middle third" in got.value.reason
+
+
 class TestFinitePointsOracle:
     """The oracle bisects its sorted points; a linear scan is the reference."""
 
@@ -150,6 +299,27 @@ class TestFinitePointsOracle:
         point = Interval.point(a)
         assert not FinitePointsOracle((a, a)).interval_avoids_target(point)
         assert FinitePointsOracle((F(1, 4), b)).interval_avoids_target(point)
+
+    def test_avoids_target_with_points_on_the_ends(self):
+        # ends and points over unrelated denominators, so the cross-multiplied
+        # comparisons meet unreduced lattices
+        rng = random.Random(79)
+        seen = Counter()
+        for _ in range(3000):
+            lo = F(rng.randint(-20, 20), rng.randint(1, 15))
+            hi = lo + F(rng.randint(0, 20), rng.randint(1, 15))
+            iv = (Interval.point(lo) if lo == hi else
+                  Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+            points = [F(rng.randint(-30, 30), rng.randint(1, 17))
+                      for _ in range(rng.randint(0, 5))]
+            points += rng.sample((lo, hi, (lo + hi) / 2), rng.randint(0, 2))
+            points += rng.choices(points, k=rng.randint(0, 2)) if points else []
+            got = FinitePointsOracle(tuple(points)).interval_avoids_target(iv)
+            assert got == scanned_avoids(points, iv), (iv, points)
+            for end, closed in ((lo, iv.lo_closed), (hi, iv.hi_closed)):
+                if end in points:
+                    seen[closed, got] += 1
+        assert set(seen) == {(False, True), (False, False), (True, False)}, seen
 
     def test_avoids_target_seeded(self):
         rng = random.Random(89)
@@ -226,6 +396,48 @@ class TestVerify:
                                k_max=4)
         assert "level 3: expected 4 gaps, found 3" in report.violations
         assert ("level 3: expected 8 remnants, found 6" in report.violations) == short_remnants
+
+    @pytest.mark.parametrize("part", ["gaps", "remnants"])
+    def test_level_out_of_order_is_reported(self, part):
+        # the reversed tuple is no canonical IntervalSet; verify reports it
+        c = build_cantor(MiddleThirdOracle(), 3)
+        reversed_part = getattr(c.levels[2], part)[::-1]
+        report = verify_cantor(tamper(c, 3, **{part: reversed_part}), k_max=2)
+        if part == "gaps":
+            assert "level 3: closures of gaps 1 and 2 meet" in report.violations
+        else:
+            left, right = reversed_part[:2]
+            assert f"children of remnant (2,1) misplaced: {left}, {right}" in report.violations
+
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_depth_off_the_levels_is_reported(self, depth):
+        c = build_cantor(MiddleThirdOracle(), 3)
+        report = verify_cantor(dataclasses.replace(c, depth=depth), k_max=2)
+        assert report.depth == depth
+        assert report.violations == (f"depth {depth} but 3 levels",)
+
+    @pytest.mark.parametrize("place, number", [(2, 5), (3, 1)])
+    def test_level_numbered_off_its_place_is_reported(self, place, number):
+        c = build_cantor(MiddleThirdOracle(), 3)
+        levels = list(c.levels)
+        levels[place - 1] = dataclasses.replace(levels[place - 1], n=number)
+        report = verify_cantor(dataclasses.replace(c, levels=tuple(levels)), k_max=2)
+        assert report.violations == (f"level {place} is numbered {number}",)
+
+    def test_closures_meeting_across_levels_are_named(self, default6):
+        # gap (3,2) slid right until its closure meets the level-1 gap's at 4/9;
+        # the pairwise pass runs and names the pair, and the count holds
+        lv = default6.levels[2]
+        moved = Interval.open(F(4, 9) - lv.gap_length, F(4, 9))
+        tampered = tamper(default6, 3, gaps=(lv.gaps[0], moved) + lv.gaps[2:])
+        report = verify_cantor(tampered, 3)
+        closures = [tampered.open_set(n).closure() for n in range(1, 7)]
+        meeting = [f"closures of level {n} and level {m} gap unions intersect"
+                   for n in range(1, 7) for m in range(n + 1, 7)
+                   if closures[n - 1].intersect(closures[m - 1])]
+        assert "closures of level 1 and level 3 gap unions intersect" in meeting
+        assert [v for v in report.violations if v.startswith("closures of level")] == meeting
+        assert report.checks_run == verify_cantor(default6, 3).checks_run
 
     def test_no_kernel_call_per_gap(self, monkeypatch):
         # the gap count doubles from depth 9 to 10; the kernel calls may grow

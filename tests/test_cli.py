@@ -60,10 +60,14 @@ class TestCantorCommands:
         ["coverage01", "--N", "2", "--M", "20"],
     ])
     def test_ladder_depth_past_the_cap_exits_two(self, tmp_path, capsys, monkeypatch, argv):
-        def never(*args):
-            raise AssertionError("ladder level built past the depth cap")
+        def never(*args, **kwargs):
+            raise AssertionError("ladder level built")
 
-        monkeypatch.setattr(cantor, "middle_third", never)
+        # every level of build_cantor makes one CantorLevel; the in-cap run
+        # shows the hook still fires, so the refusal below is not vacuous
+        monkeypatch.setattr(cantor, "CantorLevel", never)
+        with pytest.raises(AssertionError, match="ladder level built"):
+            run(tmp_path, argv[0], "--depth", str(cantor.MAX_DEPTH), *argv[1:])
         depth = str(cantor.MAX_DEPTH + 1)
         code, report = run(tmp_path, argv[0], "--depth", depth, *argv[1:])
         assert code == 2

@@ -55,6 +55,15 @@ def test_ladder_invariant_report_bytes():
     assert digest == "1314de2aac3de6153af1d8e1e356342337d5c9d9f6bc6da89430ee3ccb07d122"
 
 
+def test_ladder_build_bytes():
+    # the ladder itself, endpoint for endpoint; digest taken before the build
+    # moved to integer numerators
+    rng = random.Random(2024)
+    points = tuple(F(rng.randint(1, 996), 997) for _ in range(5))
+    digest = hashlib.sha256(text(build_cantor(FinitePointsOracle(points), 10)).encode())
+    assert digest.hexdigest() == "f70533375a33ff954bce5a1e0b39f668b3ec8f5ed78cc8ed50d5a663b87a61dc"
+
+
 def test_tampered_ladder_invariant_report_bytes():
     # one violation or more from every scalar check family, in a ladder the
     # set-valued checks still accept as canonical
