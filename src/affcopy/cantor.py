@@ -27,8 +27,11 @@ TWO_THIRDS = Fraction(2, 3)
 
 #: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so
 #: time and memory double per level: on a 2-core VM (Python 3.11) a depth-16
-#: ladder takes 1.9-2.5 s and 55 MB peak RSS, and ``cantor-build --depth 16``
-#: 2.5-3.0 s and 125 MB. Deeper requests are refused before anything is built.
+#: middle-third ladder builds in 2.2-2.4 s at 55 MB peak RSS and verifies
+#: (k_max 4, a 135-bit lattice D) in 2.1-2.3 s more at 130 MB;
+#: ``cantor-build --depth 16`` takes 3.0-3.5 s and 125 MB, and
+#: ``cantor-verify --depth 16 --kmax 4`` 4.4-4.8 s and 130 MB. Deeper requests
+#: are refused before anything is built.
 MAX_DEPTH = 16
 
 
@@ -345,14 +348,49 @@ class InvariantReport(Report):
         return not self.violations
 
 
-def _signum(*terms: Tuple[int, Fraction]) -> int:
-    """An integer with the sign of sum(k * x) over the (k, x) terms, for
-    integers k and Fractions x: the numerator of the sum over the product of
-    the denominators, so no gcd is taken and no Fraction is built."""
-    num, den = 0, 1
-    for k, x in terms:
-        num, den = num * x.denominator + k * x.numerator * den, den * x.denominator
-    return num
+def _on_lattice(groups: list) -> Tuple[int, list]:
+    """The lcm D of the denominators of the rationals in ``groups`` (lists of
+    Fractions), and each group as the ints x*D, with one quotient D // d per
+    distinct denominator d."""
+    dens = {x.denominator for group in groups for x in group}
+    D = math.lcm(*dens)
+    scale = {d: D // d for d in dens}
+    return D, [[x.numerator * scale[x.denominator] for x in group] for group in groups]
+
+
+def _set_claims(levels: Tuple[CantorLevel, ...]) -> Tuple[list, list]:
+    """The set-valued claims of :func:`verify_cantor`, through the interval
+    kernel: the violation naming each pair of levels whose gap closures
+    meet, and for each level n whether [0,1] minus the gaps of levels 1..n is
+    the union of the level-n remnants. The kernel's sets are freed on return,
+    before the verifier reads its lattice."""
+
+    def union_of(parts: Tuple[Interval, ...]) -> IntervalSet:
+        """A level's parts as one set: the tuple itself when it is canonical,
+        else the kernel's union of its parts. A gap tuple out of order or
+        overlapping fails the shape check, and a remnant tuple the child
+        indexing, closedness or count checks, so the fallback hides nothing."""
+        try:
+            return IntervalSet(parts)
+        except ValueError:
+            return union_all([IntervalSet((part,)) for part in parts])
+
+    # closures of different levels are disjoint. Within a level they are
+    # (each closure set is canonical), so the union of all of them has as
+    # many parts as they have together exactly when no two levels' closures
+    # meet; the pairwise pass runs only to name the pairs that do
+    gap_sets = [union_of(lv.gaps) for lv in levels]
+    closures = [gaps.closure() for gaps in gap_sets]
+    meeting = []
+    if len(union_all(closures)) != sum(map(len, closures)):
+        meeting = [f"closures of level {n} and level {m} gap unions intersect"
+                   for n in range(1, len(levels) + 1) for m in range(n + 1, len(levels) + 1)
+                   if not closures[n - 1].intersect(closures[m - 1]).is_empty]
+    decomposed, gaps_through = [], EMPTY
+    for lv, gaps in zip(levels, gap_sets):
+        gaps_through = gaps_through.union(gaps)
+        decomposed.append(gaps_through.complement_within(UNIT) == union_of(lv.remnants))
+    return meeting, decomposed
 
 
 def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantReport:
@@ -366,8 +404,13 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     per-gap left-neighborhood coverage of [inf parent, sup gap).
 
     The set-valued claims (cross-level disjointness, the decomposition) run
-    through the interval kernel; every other claim compares endpoints read
-    from each level's tuples. The coverage claim is one of them, checked in
+    through the interval kernel. Every other claim is decided on ints: every
+    endpoint and gap length x is read once as x*D, with D the lcm of all
+    their denominators. Each x*D is then an integer, and x -> x*D is
+    strictly increasing and linear, so the ints order, differ and sum exactly
+    as the Fractions do: equal lengths compare differences of ints, and the
+    remnant bound len < (2/3)^n reads 3^n (hi - lo) < 2^n D. Messages print
+    the original Fractions. The coverage claim is one of these, checked in
     closed form. Let the gap have ends a and b and its parent ends lo < hi, so
     r = (2/3)(hi - lo) > 0. The left r-neighborhood of the gap is (a - r, b),
     closed at b when the gap is, and the target [lo, b) is nonempty exactly
@@ -393,18 +436,23 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     if c.depth != len(c.levels):
         flag(f"depth {c.depth} but {len(c.levels)} levels")
 
-    def union_of(parts: Tuple[Interval, ...]) -> IntervalSet:
-        """A level's parts as one set: the tuple itself when it is canonical,
-        else the kernel's union of its parts. A gap tuple out of order or
-        overlapping fails the shape check, and a remnant tuple the child
-        indexing, closedness or count checks, so the fallback hides nothing."""
-        try:
-            return IntervalSet(parts)
-        except ValueError:
-            return union_all([IntervalSet((part,)) for part in parts])
+    meeting, decomposed = _set_claims(c.levels[:depth])
+
+    # the gap lengths, then each level's gap and remnant ends, as ints over
+    # one lattice D: gap_lo[n][j-1] is inf of gap (n,j) times D, and
+    # rem_lo[n][j-1] inf K(n,j) times D
+    groups = [[lv.gap_length for lv in c.levels]]
+    for lv in c.levels:
+        groups += ([g.lo for g in lv.gaps], [g.hi for g in lv.gaps],
+                   [r.lo for r in lv.remnants], [r.hi for r in lv.remnants])
+    D, (lengths, *ends) = _on_lattice(groups)
+    gap_lo, gap_hi = [None] + ends[0::4], [None] + ends[1::4]
+    rem_lo, rem_hi = [[0]] + ends[2::4], [[D]] + ends[3::4]
+    # the bound (2/3)^n over D is 2^n D / 3^n
+    threes = [3 ** n for n in range(depth + 1)]
+    twos_D = [2 ** n * D for n in range(depth + 1)]
 
     # per-level shape
-    prev = None
     for n, lv in enumerate(c.levels, 1):
         checks += 1
         if lv.n != n:
@@ -413,75 +461,65 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
             flag(f"level {n}: expected {2 ** (n - 1)} gaps, found {len(lv.gaps)}")
         if len(lv.remnants) != 2 ** n:
             flag(f"level {n}: expected {2 ** n} remnants, found {len(lv.remnants)}")
-        if lv.gap_length.numerator != 1 or lv.gap_length <= 0:
+        length = lengths[n - 1]
+        if lv.gap_length.numerator != 1:  # denominators are positive: 1/m > 0
             flag(f"level {n}: gap length {lv.gap_length} is not a unit fraction")
-        if prev is not None and lv.gap_length > prev.gap_length / 2:
+        if n > 1 and 2 * length > lengths[n - 2]:
             flag(f"level {n}: gap length {lv.gap_length} exceeds half of "
-                 f"{prev.gap_length}")
-        prev = lv
-        for j, g in enumerate(lv.gaps, 1):
+                 f"{c.levels[n - 2].gap_length}")
+        los, his = gap_lo[n], gap_hi[n]
+        for j, (g, lo, hi) in enumerate(zip(lv.gaps, los, his), 1):
             checks += 1
-            if not g.is_open:
+            if g.lo_closed or g.hi_closed:
                 flag(f"level {n} gap {j}: {g} is not open")
-            if _signum((1, g.hi), (-1, g.lo), (-1, lv.gap_length)):
+            if hi - lo != length:
                 flag(f"level {n} gap {j}: length {g.length} != {lv.gap_length}")
-        for j, (a, b) in enumerate(zip(lv.gaps, lv.gaps[1:]), 1):
+        for j, (hi, lo) in enumerate(zip(his, los[1:]), 1):
             checks += 1
-            if a.hi >= b.lo:
+            if hi >= lo:
                 flag(f"level {n}: closures of gaps {j} and {j + 1} meet")
 
-    # closures of different levels are disjoint. Within a level they are
-    # (each closure set is canonical), so the union of all of them has as
-    # many parts as they have together exactly when no two levels' closures
-    # meet; the pairwise pass runs only to name the pairs that do
-    gap_sets = [union_of(lv.gaps) for lv in c.levels[:depth]]
-    closures = [gaps.closure() for gaps in gap_sets]
+    # closures of different levels are disjoint (decided by _set_claims)
     checks += depth * (depth - 1) // 2
-    if len(union_all(closures)) != sum(map(len, closures)):
-        for n in range(1, depth + 1):
-            for m in range(n + 1, depth + 1):
-                if not closures[n - 1].intersect(closures[m - 1]).is_empty:
-                    flag(f"closures of level {n} and level {m} gap unions intersect")
+    violations += meeting
 
     # remnant decomposition and size bound
     rems = [(UNIT,)] + [lv.remnants for lv in c.levels[:depth]]  # rems[n][j-1] is K(n,j)
-    powers = [TWO_THIRDS ** n for n in range(0, depth + 1)]
-    gaps_through = EMPTY
     for n in range(1, depth + 1):
         checks += 1
-        gaps_through = gaps_through.union(gap_sets[n - 1])
-        if gaps_through.complement_within(UNIT) != union_of(rems[n]):
+        if not decomposed[n - 1]:  # decided by _set_claims
             flag(f"level {n}: [0,1] minus gaps does not equal the remnant union")
-        for j, r in enumerate(rems[n], 1):
+        for j, (r, lo, hi) in enumerate(zip(rems[n], rem_lo[n], rem_hi[n]), 1):
             checks += 1
             if not (r.lo_closed and r.hi_closed):
                 flag(f"level {n} remnant {j}: {r} is not closed")
-            if _signum((1, r.hi), (-1, r.lo), (-1, powers[n])) >= 0:
+            if threes[n] * (hi - lo) >= twos_D[n]:
                 flag(f"level {n} remnant {j}: length {r.length} >= (2/3)^{n}")
 
     # child indexing
     for n in range(0, depth):
-        kids = rems[n + 1]
-        for j, (parent, left, right) in enumerate(
-                zip(rems[n][:2 ** n], kids[0::2], kids[1::2]), 1):
+        kids_lo, kids_hi = rem_lo[n + 1], rem_hi[n + 1]
+        for j, (lo, hi, left_lo, left_hi, right_lo, right_hi) in enumerate(zip(
+                rem_lo[n][:2 ** n], rem_hi[n][:2 ** n], kids_lo[0::2], kids_hi[0::2],
+                kids_lo[1::2], kids_hi[1::2]), 1):
             checks += 1
-            if not (parent.lo == left.lo and left.hi < right.lo and right.hi == parent.hi):
+            if not (lo == left_lo and left_hi < right_lo and right_hi == hi):
+                left, right = rems[n + 1][2 * j - 2:2 * j]
                 flag(f"children of remnant ({n},{j}) misplaced: {left}, {right}")
 
     # monotone approach of descendant left edges to the parent's right edge
     for n in range(1, depth):
-        for j, parent in enumerate(rems[n][:2 ** n], 1):
-            top = parent.hi
+        for j, top in enumerate(rem_hi[n][:2 ** n], 1):
             prev_inf = None
             for k in range(1, min(k_max, depth - n) + 1):
-                if (2 ** k) * j > len(rems[n + k]):
+                if (2 ** k) * j > len(rem_lo[n + k]):
                     break  # a short level; the shape check flags its count
                 checks += 1
-                inf_k = rems[n + k][(2 ** k) * j - 1].lo
+                inf_k = rem_lo[n + k][(2 ** k) * j - 1]
                 if prev_inf is not None and inf_k < prev_inf:
                     flag(f"inf of rightmost descendant of ({n},{j}) decreased at k={k}")
                 prev_inf = inf_k
-                if _signum((1, top), (-1, inf_k), (-1, powers[n + k])) >= 0:
+                if threes[n + k] * (top - inf_k) >= twos_D[n + k]:
                     flag(f"remnant ({n},{j}): sup - inf of level-{n + k} rightmost "
                          f"descendant is not below (2/3)^{n + k}")
 
@@ -489,17 +527,17 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     # closed form 3a < lo + 2hi of the docstring
     for n in range(1, depth + 1):
         count = 2 ** (n - 1)
-        parents, gaps = rems[n - 1][:count], c.levels[n - 1].gaps[:count]
-        for j, (parent, gap) in enumerate(zip(parents, gaps), 1):
+        for j, (lo, hi, a, b) in enumerate(zip(rem_lo[n - 1][:count], rem_hi[n - 1][:count],
+                                               gap_lo[n][:count], gap_hi[n][:count]), 1):
             checks += 1
-            lo, hi = parent.lo, parent.hi
             if not lo < hi:
-                flag(f"level {n} gap {j}: parent {parent} is degenerate")
-            elif not lo < gap.hi:
-                flag(f"level {n} gap {j}: {gap} ends at or before inf parent {lo}")
-            elif _signum((3, gap.lo), (-1, lo), (-2, hi)) >= 0:
+                flag(f"level {n} gap {j}: parent {rems[n - 1][j - 1]} is degenerate")
+            elif not lo < b:
+                flag(f"level {n} gap {j}: {c.gap(n, j)} ends at or before inf parent "
+                     f"{rems[n - 1][j - 1].lo}")
+            elif 3 * a >= lo + 2 * hi:
                 flag(f"level {n} gap {j}: left 2/3|K|-neighborhood misses "
-                     f"[{lo},{gap.hi})")
+                     f"[{rems[n - 1][j - 1].lo},{c.gap(n, j).hi})")
 
     return InvariantReport(depth=c.depth, k_max=k_max, checks_run=checks,
                            violations=tuple(violations))

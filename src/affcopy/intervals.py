@@ -79,6 +79,10 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self) -> None:
+        lo, hi = self.lo, self.hi
+        if (lo.__class__ is Fraction is hi.__class__
+                and lo.numerator * hi.denominator < hi.numerator * lo.denominator):
+            return  # the usual case: exact Fractions in order, one int comparison
         if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
             object.__setattr__(self, "lo", as_fraction(self.lo))
             object.__setattr__(self, "hi", as_fraction(self.hi))
@@ -200,8 +204,12 @@ class IntervalSet:
         parts = tuple(parts)
         for prev, cur in zip(parts, parts[1:]):
             # canonical iff prev.end_cut < cur.start_cut: a shared endpoint
-            # must be missing from both parts
-            if not prev.hi < cur.lo and (prev.hi > cur.lo or prev.hi_closed or cur.lo_closed):
+            # must be missing from both parts. Two exact Fractions compare as
+            # their cross-multiplied numerators do, ints being cheaper
+            hi, lo = prev.hi, cur.lo
+            if hi.__class__ is Fraction is lo.__class__:
+                hi, lo = hi.numerator * lo.denominator, lo.numerator * hi.denominator
+            if not hi < lo and (hi > lo or prev.hi_closed or cur.lo_closed):
                 raise ValueError(
                     f"parts not canonical: {prev} followed by {cur}; use normalize()")
         _set_parts(self, parts)

@@ -8,9 +8,11 @@ from math import lcm
 
 import pytest
 
+import fraction_kernel as ref
 from affcopy import intervals
 from affcopy.cantor import (CantorConstruction, CantorLevel, FinitePointsOracle,
-                            MiddleThirdOracle, OracleViolationError, TernaryCantorOracle,
+                            InvariantReport, MiddleThirdOracle, OracleViolationError,
+                            TernaryCantorOracle,
                             build_cantor, in_ternary_cantor, largest_unit_fraction_at_most,
                             middle_third, ternary_gap_containing, truncated_union_cover,
                             verify_cantor)
@@ -458,6 +460,25 @@ class TestVerify:
             assert per_depth[9][name] > 0
             assert per_depth[10][name] - per_depth[9][name] <= 2 * 10, per_depth
 
+    def test_no_fraction_comparison_per_part(self, monkeypatch):
+        # the part count doubles from depth 9 to 10; the Fraction comparisons
+        # verify_cantor makes may grow with the number of levels only
+        ladders = {depth: build_cantor(MiddleThirdOracle(), depth) for depth in (9, 10)}
+        calls = Counter()
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            def counted(a, b, _op=getattr(F, name), _name=name):
+                calls[_name] += 1
+                return _op(a, b)
+            monkeypatch.setattr(F, name, counted)
+        per_depth = {}
+        for depth, ladder in ladders.items():
+            calls.clear()
+            report = verify_cantor(ladder, 4)
+            per_depth[depth] = sum(calls.values())
+            assert report.passed
+        assert F(1, 3) < F(1, 2) and calls["__lt__"]  # the hook counts
+        assert per_depth[10] - per_depth[9] <= 2 * 10, per_depth
+
     def test_adjacency_of_gap_and_right_child(self, default6):
         c = default6
         for n in range(1, c.depth + 1):
@@ -526,6 +547,217 @@ class TestNeighborhoodClosedForm:
             seen[offset, covers, moved.hi_closed] += 1
         assert {(0, False, True), (0, False, False), (-1, True, True), (1, False, False),
                 (None, True, False), (None, False, True)} <= set(seen), seen
+
+
+def reference_verify(c, k_max):
+    """verify_cantor by the plain-Fraction algorithm: each scalar claim
+    compares Fractions, and the set claims run on the reference kernel, so
+    it shares no arithmetic with verify_cantor."""
+    violations, checks = [], 0
+    flag = violations.append
+    depth = min(c.depth, len(c.levels))
+    if c.depth != len(c.levels):
+        flag(f"depth {c.depth} but {len(c.levels)} levels")
+    prev = None
+    for n, lv in enumerate(c.levels, 1):
+        checks += 1
+        if lv.n != n:
+            flag(f"level {n} is numbered {lv.n}")
+        if len(lv.gaps) != 2 ** (n - 1):
+            flag(f"level {n}: expected {2 ** (n - 1)} gaps, found {len(lv.gaps)}")
+        if len(lv.remnants) != 2 ** n:
+            flag(f"level {n}: expected {2 ** n} remnants, found {len(lv.remnants)}")
+        if lv.gap_length.numerator != 1 or lv.gap_length <= 0:
+            flag(f"level {n}: gap length {lv.gap_length} is not a unit fraction")
+        if prev is not None and lv.gap_length > prev.gap_length / 2:
+            flag(f"level {n}: gap length {lv.gap_length} exceeds half of {prev.gap_length}")
+        prev = lv
+        for j, g in enumerate(lv.gaps, 1):
+            checks += 1
+            if not g.is_open:
+                flag(f"level {n} gap {j}: {g} is not open")
+            if g.hi - g.lo != lv.gap_length:
+                flag(f"level {n} gap {j}: length {g.length} != {lv.gap_length}")
+        for j, (a, b) in enumerate(zip(lv.gaps, lv.gaps[1:]), 1):
+            checks += 1
+            if a.hi >= b.lo:
+                flag(f"level {n}: closures of gaps {j} and {j + 1} meet")
+    closures = [ref.normalize([g.closure() for g in lv.gaps]) for lv in c.levels[:depth]]
+    checks += depth * (depth - 1) // 2
+    if len(ref.normalize(p for s in closures for p in s)) != sum(map(len, closures)):
+        for n in range(1, depth + 1):
+            for m in range(n + 1, depth + 1):
+                if ref.intersect(closures[n - 1], closures[m - 1]).parts:
+                    flag(f"closures of level {n} and level {m} gap unions intersect")
+    unit = Interval.closed(0, 1)
+    rems = [(unit,)] + [lv.remnants for lv in c.levels[:depth]]
+    gaps = IntervalSet(())
+    for n in range(1, depth + 1):
+        checks += 1
+        gaps = ref.union(gaps, ref.normalize(c.levels[n - 1].gaps))
+        if ref.difference(IntervalSet((unit,)), gaps) != ref.normalize(rems[n]):
+            flag(f"level {n}: [0,1] minus gaps does not equal the remnant union")
+        for j, r in enumerate(rems[n], 1):
+            checks += 1
+            if not (r.lo_closed and r.hi_closed):
+                flag(f"level {n} remnant {j}: {r} is not closed")
+            if r.hi - r.lo >= TWO_THIRDS ** n:
+                flag(f"level {n} remnant {j}: length {r.length} >= (2/3)^{n}")
+    for n in range(0, depth):
+        kids = rems[n + 1]
+        for j, (parent, left, right) in enumerate(
+                zip(rems[n][:2 ** n], kids[0::2], kids[1::2]), 1):
+            checks += 1
+            if not (parent.lo == left.lo and left.hi < right.lo and right.hi == parent.hi):
+                flag(f"children of remnant ({n},{j}) misplaced: {left}, {right}")
+    for n in range(1, depth):
+        for j, parent in enumerate(rems[n][:2 ** n], 1):
+            prev_inf = None
+            for k in range(1, min(k_max, depth - n) + 1):
+                if (2 ** k) * j > len(rems[n + k]):
+                    break
+                checks += 1
+                inf_k = rems[n + k][(2 ** k) * j - 1].lo
+                if prev_inf is not None and inf_k < prev_inf:
+                    flag(f"inf of rightmost descendant of ({n},{j}) decreased at k={k}")
+                prev_inf = inf_k
+                if parent.hi - inf_k >= TWO_THIRDS ** (n + k):
+                    flag(f"remnant ({n},{j}): sup - inf of level-{n + k} rightmost "
+                         f"descendant is not below (2/3)^{n + k}")
+    for n in range(1, depth + 1):
+        count = 2 ** (n - 1)
+        for j, (parent, gap) in enumerate(
+                zip(rems[n - 1][:count], c.levels[n - 1].gaps[:count]), 1):
+            checks += 1
+            lo, hi = parent.lo, parent.hi
+            if not lo < hi:
+                flag(f"level {n} gap {j}: parent {parent} is degenerate")
+            elif not lo < gap.hi:
+                flag(f"level {n} gap {j}: {gap} ends at or before inf parent {lo}")
+            elif 3 * gap.lo >= lo + 2 * hi:
+                flag(f"level {n} gap {j}: left 2/3|K|-neighborhood misses [{lo},{gap.hi})")
+    return InvariantReport(depth=c.depth, k_max=k_max, checks_run=checks,
+                           violations=tuple(violations))
+
+
+#: Denominators unrelated to the ladders', up to the prime 2^61 - 1.
+ODD_DENOMINATORS = (7, 1009, 65537, 2 ** 31 - 1, 10 ** 9 + 7, 2 ** 61 - 1)
+
+
+def base_ladders(rng):
+    """Clean ladders: middle-third of depth 2-5, and finite-points of depth
+    2-4 on points with small unrelated or large denominators."""
+    out = [build_cantor(MiddleThirdOracle(), depth) for depth in range(2, 6)]
+    for i in range(12):
+        dens = [rng.choice(ODD_DENOMINATORS) if i % 2 else rng.randint(2, 500)
+                for _ in range(rng.randint(1, 4))]
+        points = tuple(F(rng.randint(1, q - 1), q) for q in dens)
+        out.append(build_cantor(FinitePointsOracle(points), rng.randint(2, 4)))
+    return out
+
+
+def moved(rng, x, near):
+    """x moved by a small step over an unrelated denominator, or onto one
+    of the values in ``near`` (where the exact claims flip)."""
+    if near and rng.random() < 0.5:
+        return rng.choice(near)
+    return x + F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice(ODD_DENOMINATORS))
+
+
+def tampered(rng, c):
+    """c with one seeded defect: a moved endpoint or gap, a flipped flag, a
+    dropped or swapped part, a rescaled gap length, or a renumbered level or
+    depth. None when the defect would make no Interval."""
+    n = rng.randint(1, len(c.levels))
+    lv = c.levels[n - 1]
+    l = lv.gap_length
+    kind = rng.choice(("end", "end", "gap", "flag", "drop", "swap", "length", "length",
+                       "number"))
+    side = rng.choice(("gaps", "remnants"))
+    parts = list(getattr(lv, side))
+    if not parts:
+        return None
+    j = rng.randrange(len(parts))
+    p = parts[j]
+    parents = c.levels[n - 2].remnants if n > 1 else (Interval.closed(0, 1),)
+    parent = parents[min(j // 2 if side == "remnants" else j, len(parents) - 1)]
+    near = [parent.lo, parent.hi, (parent.lo + 2 * parent.hi) / 3, p.lo + l, p.hi - l,
+            p.lo + TWO_THIRDS ** n, p.hi - TWO_THIRDS ** n]
+    if j + 1 < len(parts):
+        near.append(parts[j + 1].lo)
+    if j:
+        near.append(parts[j - 1].hi)
+    try:
+        if kind == "end":
+            if rng.random() < 0.5:
+                parts[j] = Interval(moved(rng, p.lo, near), p.hi, p.lo_closed, p.hi_closed)
+            else:
+                parts[j] = Interval(p.lo, moved(rng, p.hi, near), p.lo_closed, p.hi_closed)
+        elif kind == "gap":
+            shift = moved(rng, p.lo, near) - p.lo
+            parts[j] = Interval(p.lo + shift, p.hi + shift, p.lo_closed, p.hi_closed)
+        elif kind == "flag":
+            flags = [p.lo_closed, p.hi_closed]
+            flags[rng.randrange(2)] ^= True
+            parts[j] = Interval(p.lo, p.hi, *flags)
+        elif kind == "drop":
+            del parts[j]
+        elif kind == "swap":
+            k = rng.randrange(len(parts))
+            parts[j], parts[k] = parts[k], parts[j]
+        elif kind == "length":
+            l = rng.choice((2 * l, l / 2, F(3, 2) * l, F(-1) * l, F(0), F(1, l.denominator + 1),
+                            F(1, l.denominator - 1) if l.denominator > 1 else l,
+                            F(2, l.denominator)))
+            if rng.random() < 0.5:  # the gaps follow the claimed length
+                side, parts = "gaps", [Interval.open(g.midpoint() - l / 2, g.midpoint() + l / 2)
+                                       for g in lv.gaps]
+            else:
+                side, parts = "gaps", list(lv.gaps)
+        else:
+            if rng.random() < 0.5:
+                return dataclasses.replace(c, depth=c.depth + rng.choice((-1, 1)))
+            lv = dataclasses.replace(lv, n=lv.n + rng.choice((-1, 1)))
+    except ValueError:
+        return None
+    level = dataclasses.replace(lv, gap_length=l, **{side: tuple(parts)})
+    return dataclasses.replace(c, levels=c.levels[:n - 1] + (level,) + c.levels[n:])
+
+
+#: The message of each kind of violation, as a fragment no other kind holds.
+VIOLATION_KINDS = ("but", "is numbered", "gaps, found", "remnants, found", "unit fraction",
+                   "exceeds half", "is not open", "!=", "closures of gaps", "unions intersect",
+                   "remnant union", "is not closed", ">= (2/3)", "misplaced", "decreased at",
+                   "is not below", "is degenerate", "ends at or before", "neighborhood misses")
+
+
+class TestVerifyAgainstReference:
+    """verify_cantor decides its scalar claims on one integer lattice; the
+    plain-Fraction verifier is the reference, report byte for byte."""
+
+    def test_tampered_ladders(self):
+        rng = random.Random(131)
+        bases = base_ladders(rng)
+        seen, failed, runs = Counter(), 0, 0
+        while runs < 1000:
+            c = tampered(rng, rng.choice(bases))
+            if c is None:
+                continue
+            if rng.random() < 0.3:  # a second defect, maybe on another level
+                c = tampered(rng, c) or c
+            k_max = rng.randint(1, 5)
+            got = verify_cantor(c, k_max)
+            assert json.dumps(got.to_json_dict()) == \
+                json.dumps(reference_verify(c, k_max).to_json_dict()), got
+            runs += 1
+            failed += not got.passed
+            seen.update(kind for kind in VIOLATION_KINDS
+                        if any(kind in v for v in got.violations))
+        for c in bases:
+            assert verify_cantor(c, 4) == reference_verify(c, 4)
+            assert verify_cantor(c, 4).passed
+        assert failed > 900, failed
+        assert set(seen) == set(VIOLATION_KINDS), seen
 
 
 class TestCover:

@@ -588,6 +588,140 @@ class TestChecksOnCuts:
             assert part.contains(x) == (part.start_cut <= (x, 0) < part.end_cut), (part, x)
 
 
+class Sub(Fraction):
+    """A Fraction subclass that counts its comparisons: the constructors keep
+    it, and compare it by its own methods."""
+
+    compared = 0
+
+    def __lt__(self, other):
+        Sub.compared += 1
+        return super().__lt__(other)
+
+    def __gt__(self, other):
+        Sub.compared += 1
+        return super().__gt__(other)
+
+
+#: Large primes, so that denominators drawn from them are coprime.
+PRIMES = (2 ** 61 - 1, 10 ** 9 + 7, 2 ** 31 - 1, 65537)
+
+
+def rational_pool(rng):
+    """Zero, integers, negatives, and pairs of nearly equal values over
+    coprime large denominators."""
+    pool = [F(0), F(1), F(-2)]
+    for _ in range(4):
+        p, q = rng.sample(PRIMES, 2)
+        k = rng.randint(-p, p)
+        pool += [F(k, p), F(k * q // p, q), F(k * q // p + 1, q)]
+    return pool
+
+
+def as_input(rng, x):
+    """x as one of the inputs the constructors take: the Fraction itself, an
+    int, a 'p/q' string, a Fraction subclass, or (rarely) a float."""
+    kind = rng.choice(("fraction", "fraction", "int", "str", "sub", "float"))
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    if kind == "str":
+        return f"{x.numerator}/{x.denominator}"
+    if kind == "sub":
+        return Sub(x)
+    if kind == "float" and rng.random() < 0.3:
+        return float(x)
+    return x
+
+
+def outcome(build, *args):
+    """What build(*args) returns, or the type and message of its error."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+def reference_interval(lo, hi, lo_closed, hi_closed):
+    """The Interval rule by Fraction comparisons: its endpoints as stored,
+    or the type and message of its error."""
+    for x in (lo, hi):
+        if isinstance(x, float):
+            return TypeError, "floats are not allowed; pass a Fraction, int or 'p/q' string"
+    lo, hi = (x if isinstance(x, Fraction) else Fraction(x) for x in (lo, hi))
+    if lo > hi:
+        return ValueError, f"interval endpoints out of order: {lo} > {hi}"
+    if lo == hi and not (lo_closed and hi_closed):
+        return ValueError, "empty interval: equal endpoints need both ends closed"
+    return lo, hi
+
+
+def reference_set(parts):
+    """The IntervalSet rule by Fraction comparisons: the parts, or the type
+    and message of its error."""
+    for prev, cur in zip(parts, parts[1:]):
+        if prev.hi > cur.lo or (prev.hi == cur.lo and (prev.hi_closed or cur.lo_closed)):
+            return ValueError, f"parts not canonical: {prev} followed by {cur}; use normalize()"
+    return parts
+
+
+class TestValidationAgainstReference:
+    """Interval and IntervalSet compare two exact Fractions on their
+    cross-multiplied numerators; the rules written with Fraction comparisons
+    are the reference, error types and messages included."""
+
+    def test_interval(self):
+        rng = random.Random(137)
+        seen = set()
+        for _ in range(3000):
+            pool = rational_pool(rng)
+            lo, hi = (as_input(rng, x) for x in rng.choices(pool, k=2))
+            flags = (rng.random() < 0.5, rng.random() < 0.5)
+            want = reference_interval(lo, hi, *flags)
+            Sub.compared = 0
+            got = outcome(Interval, lo, hi, *flags)
+            if Sub in (type(lo), type(hi)) and want[0] is not TypeError:
+                assert Sub.compared, (lo, hi)
+            if isinstance(got, Interval):
+                assert (got.lo, got.hi, got.lo_closed, got.hi_closed) == (*want, *flags)
+                assert (type(got.lo), type(got.hi)) == tuple(map(type, want)), (lo, hi)
+                seen.add(("ok", got.is_point, Sub in (type(got.lo), type(got.hi))))
+            else:
+                assert got == want, (lo, hi, flags)
+                seen.add(got[1][:5])
+        assert {("ok", False, False), ("ok", False, True), ("ok", True, False),
+                ("ok", True, True), "inter", "empty", "float"} <= seen, seen
+
+    def test_interval_set(self):
+        rng = random.Random(139)
+        seen = set()
+        for _ in range(3000):
+            pool = sorted(rational_pool(rng))
+            parts = []
+            for _ in range(rng.randint(2, 4)):  # mostly sorted, so that both outcomes occur
+                i = rng.randrange(len(pool))
+                lo, hi = pool[i], pool[min(i + rng.randint(0, 2), len(pool) - 1)]
+                if rng.random() < 0.3:
+                    lo, hi = Sub(lo), Sub(hi)
+                parts.append(Interval(lo, hi, True, True) if lo == hi else
+                             Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+            parts.sort(key=lambda p: p.lo)
+            want = reference_set(tuple(parts))
+            Sub.compared = 0
+            got = outcome(IntervalSet, parts)
+            if isinstance(got, IntervalSet):
+                assert got.parts == want
+            else:
+                assert got == want, parts
+            for prev, cur in zip(parts, parts[1:]):
+                if Sub in (type(prev.hi), type(cur.lo)) and isinstance(got, IntervalSet):
+                    assert Sub.compared, parts
+                if prev.hi >= cur.lo:
+                    seen.add((prev.hi == cur.lo, prev.hi_closed, cur.lo_closed))
+        # overlaps, and shared endpoints with all four flag pairs, occurred
+        assert {(True, a, b) for a in (False, True) for b in (False, True)} <= seen, seen
+        assert any(not shared for shared, _, _ in seen), seen
+
+
 def test_kernel_property_suite_smoke():
     report = run_kernel_property_suite(seed=20250810, instances=120)
     assert report.passed, report.failures
