@@ -271,13 +271,6 @@ class CantorConstruction(Report):
         return union_all([self.open_set(i) for i in range(1, n + 1)])
 
 
-def largest_unit_fraction_at_most(x: Fraction) -> Fraction:
-    """The largest 1/m (m a positive integer) with 1/m <= x."""
-    if x <= 0:
-        raise ValueError("need a positive bound")
-    return Fraction(1, math.ceil(1 / x))
-
-
 def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
     """Run the ladder to the given depth.
 

@@ -33,8 +33,7 @@ difference bring their own lattices, a kernel result its stored cuts and a
 constructor-built set a fresh encoding, and each is carried to the lcm of
 the lattices (``2xD + f`` becomes ``2xDk + f``). While either side of ``==``
 is undecoded, equality compares the two cut lists on that common lattice. A
-chain of translates stays on one lattice: listed shifts size ``D`` once, up
-front, and an iterator of shifts refines it as each new denominator arrives.
+chain of translates stays on one lattice, sized once from all its shifts.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, Tuple, Union
 
@@ -196,9 +195,8 @@ class IntervalSet:
 
     #: ``_parts`` is the Interval tuple, or None until a kernel result is
     #: first read; ``_lattice`` is the kernel's ``(D, cuts)`` (None for a set
-    #: built by the constructor); ``_seen`` maps x*D to the input Fractions a
-    #: kernel result reuses, until its parts are decoded.
-    __slots__ = ("_parts", "_lattice", "_seen")
+    #: built by the constructor).
+    __slots__ = ("_parts", "_lattice")
 
     def __init__(self, parts: Iterable[Interval]) -> None:
         parts = tuple(parts)
@@ -214,7 +212,6 @@ class IntervalSet:
                     f"parts not canonical: {prev} followed by {cur}; use normalize()")
         _set_parts(self, parts)
         _set_lattice(self, None)
-        _set_seen(self, None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -230,8 +227,7 @@ class IntervalSet:
         """The parts in order; a kernel result decodes them on first read."""
         if self._parts is None:
             D, cuts = self._lattice
-            _set_parts(self, tuple(_decode_part(lo, hi, D, self._seen) for lo, hi in cuts))
-            _set_seen(self, None)
+            _set_parts(self, tuple(_decode_part(lo, hi, D) for lo, hi in cuts))
         return self._parts
 
     # -- basics ---------------------------------------------------------------
@@ -244,7 +240,7 @@ class IntervalSet:
         if len(self) != len(other):
             return False
         # canonical cut lists over one D are equal exactly when the sets are
-        (D1, a, _), (D2, b, _) = self._cuts(), other._cuts()
+        (D1, a), (D2, b) = self._cuts(), other._cuts()
         D = lcm(D1, D2)
         return _rescale(a, D // D1) == _rescale(b, D // D2)
 
@@ -281,31 +277,29 @@ class IntervalSet:
 
     # -- measure & geometry ----------------------------------------------------
 
-    def _cuts(self) -> Tuple[int, "_Cuts", dict]:
-        """``(D, cuts, seen)``: the stored lattice of a kernel result, or a
-        fresh encoding of a constructor-built set; ``seen`` maps x*D to the
-        endpoint Fractions the set already holds (none once a kernel result
-        is decoded)."""
+    def _cuts(self) -> Tuple[int, "_Cuts"]:
+        """``(D, cuts)``: the stored lattice of a kernel result, or a fresh
+        encoding of a constructor-built set."""
         if self._lattice is not None:
-            return (*self._lattice, self._seen or {})
-        D, seen = _denominator(self._parts), {}
-        return D, _encode(self._parts, D, seen), seen
+            return self._lattice
+        D = _denominator(self._parts)
+        return D, _encode(self._parts, D)
 
     def measure(self) -> Fraction:
         """Total length; endpoint flags do not affect the value."""
-        D, cuts, _ = self._cuts()
+        D, cuts = self._cuts()
         return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
 
     def longest(self) -> Interval:
         """The first part of greatest length; ValueError for the empty set.
         A kernel result not yet decoded decodes only that part."""
-        D, cuts, _ = self._cuts()
+        D, cuts = self._cuts()
         if not cuts:
             raise ValueError("the empty set has no longest part")
         lengths = [(hi >> 1) - (lo >> 1) for lo, hi in cuts]
         i = lengths.index(max(lengths))
         if self._parts is None:
-            return _decode_part(*cuts[i], D, self._seen)
+            return _decode_part(*cuts[i], D)
         return self._parts[i]
 
     def affine(self, scale: RationalLike, shift: RationalLike = 0) -> "IntervalSet":
@@ -378,8 +372,7 @@ class IntervalSet:
 
 
 #: Setters of the IntervalSet slots that bypass its frozen ``__setattr__``.
-_set_parts, _set_lattice, _set_seen = (vars(IntervalSet)[name].__set__
-                                       for name in IntervalSet.__slots__)
+_set_parts, _set_lattice = (vars(IntervalSet)[name].__set__ for name in IntervalSet.__slots__)
 
 
 def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Interval:
@@ -443,42 +436,28 @@ def _denominator(parts: Iterable[Interval]) -> int:
     return lcm(*{x.denominator for p in parts for x in (p.lo, p.hi)})
 
 
-def _encode(parts: Iterable[Interval], D: int, seen: dict) -> _Cuts:
-    """Cut ranges over D; ``seen`` maps x*D back to each endpoint x, so that
-    the result reuses the input's Fractions."""
-    out = []
-    for p in parts:
-        lo = p.lo.numerator * (D // p.lo.denominator)
-        hi = p.hi.numerator * (D // p.hi.denominator)
-        seen[lo], seen[hi] = p.lo, p.hi
-        out.append((2 * lo + (not p.lo_closed), 2 * hi + p.hi_closed))
-    return out
+def _encode(parts: Iterable[Interval], D: int) -> _Cuts:
+    """Cut ranges over D."""
+    return [(2 * p.lo.numerator * (D // p.lo.denominator) + (not p.lo_closed),
+             2 * p.hi.numerator * (D // p.hi.denominator) + p.hi_closed) for p in parts]
 
 
-def _decode(cuts: _Cuts, D: int, seen: dict) -> IntervalSet:
+def _decode(cuts: _Cuts, D: int) -> IntervalSet:
     """The set of canonical cut ranges, its parts left to decode on first
     read; ValueError unless the cuts strictly increase (an empty range, or
-    neighbours that overlap or should merge). A ``seen`` map of more
-    entries than the result has cuts is cut down to the endpoints it uses."""
+    neighbours that overlap or should merge)."""
     edges = [c for r in cuts for c in r]
     if not all(map(lt, edges, edges[1:])):
         raise ValueError("kernel result is not a canonical cut list")
-    if len(seen) > len(edges):  # a map no longer than the cut list is kept whole
-        get = seen.get
-        seen = {x: f for c in edges if (f := get(x := c >> 1)) is not None}
     out = object.__new__(IntervalSet)
     _set_parts(out, None)
     _set_lattice(out, (D, cuts))
-    _set_seen(out, seen)
     return out
 
 
-def _decode_part(lo: int, hi: int, D: int, seen: dict) -> Interval:
-    """The part of the cut range ``[lo, hi)`` over D, reusing the Fractions
-    in ``seen``."""
-    a, b = seen.get(lo >> 1), seen.get(hi >> 1)  # never `or`: the Fraction 0 is falsy
-    return _part(Fraction(lo >> 1, D) if a is None else a,
-                 Fraction(hi >> 1, D) if b is None else b, not lo & 1, bool(hi & 1))
+def _decode_part(lo: int, hi: int, D: int) -> Interval:
+    """The part of the cut range ``[lo, hi)`` over D."""
+    return _part(Fraction(lo >> 1, D), Fraction(hi >> 1, D), not lo & 1, bool(hi & 1))
 
 
 def _rescale(cuts: _Cuts, k: int) -> _Cuts:
@@ -491,14 +470,10 @@ def _rescale(cuts: _Cuts, k: int) -> _Cuts:
 
 def _sweep(sweep: Callable[..., _Cuts], *sets: IntervalSet) -> IntervalSet:
     """Run ``sweep`` on the sets' cut lists, each carried to the lcm D of
-    their lattices; check its result, which reuses the operands' Fractions."""
+    their lattices, and check its result."""
     lattices = [s._cuts() for s in sets]
-    D = lcm(*(d for d, _, _ in lattices))
-    seen: dict = {}
-    for d, _, known in lattices:
-        k = D // d
-        seen.update(known if k == 1 else {x * k: f for x, f in known.items()})
-    return _decode(sweep(*(_rescale(cuts, D // d) for d, cuts, _ in lattices)), D, seen)
+    D = lcm(*(d for d, _ in lattices))
+    return _decode(sweep(*(_rescale(cuts, D // d) for d, cuts in lattices)), D)
 
 
 def _merge(*groups: _Cuts) -> _Cuts:
@@ -543,8 +518,8 @@ def normalize(intervals: Iterable[Interval]) -> IntervalSet:
     fuse, order is restored, and nothing else changes.
     """
     parts = tuple(intervals)
-    D, seen = _denominator(parts), {}
-    return _decode(_merge(_encode(parts, D, seen)), D, seen)
+    D = _denominator(parts)
+    return _decode(_merge(_encode(parts, D)), D)
 
 
 def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
@@ -559,11 +534,11 @@ def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> Inter
     each part's translates arrive as one sorted run.
     """
     ts = [as_fraction(t) for t in shifts]
-    d, cuts, _ = s._cuts()
+    d, cuts = s._cuts()
     D = lcm(d, *{t.denominator for t in ts})
     moves = [2 * t.numerator * (D // t.denominator) for t in ts]
     return _decode(_merge([(lo + m, hi + m) for lo, hi in _rescale(cuts, D // d)
-                           for m in moves]), D, {})
+                           for m in moves]), D)
 
 
 def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
@@ -571,25 +546,16 @@ def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
     """``within`` intersected with every translate s + t, stopping at the
     first empty result.
 
-    The chain stays on one lattice. Listed shifts (a list or tuple) size D
-    once, from every shift's denominator. Any other iterable is read lazily,
-    so shifts after the first empty result are never evaluated: a shift whose
-    denominator does not divide D refines it by the missing factor k, and
-    each cut 2xD + f becomes 2xDk + f.
+    The chain stays on one lattice: D is the lcm of both operands' lattices
+    and every shift's denominator, sized once up front.
     """
-    (d1, base, _), (d2, out, _) = s._cuts(), within._cuts()
-    D = lcm(d1, d2)
-    if isinstance(shifts, (list, tuple)):
-        shifts = [as_fraction(t) for t in shifts]
-        D = lcm(D, *{t.denominator for t in shifts})
+    ts = [as_fraction(t) for t in shifts]
+    (d1, base), (d2, out) = s._cuts(), within._cuts()
+    D = lcm(d1, d2, *{t.denominator for t in ts})
     base, out = _rescale(base, D // d1), _rescale(out, D // d2)
-    for t in shifts:
-        t = as_fraction(t)
-        k = t.denominator // gcd(D, t.denominator)
-        if k > 1:
-            D, base, out = D * k, _rescale(base, k), _rescale(out, k)
+    for t in ts:
         move = 2 * t.numerator * (D // t.denominator)
         out = _intersect(out, [(lo + move, hi + move) for lo, hi in base])
         if not out:
             break
-    return _decode(out, D, {})
+    return _decode(out, D)

@@ -57,16 +57,19 @@ class MixedRadixSystem(Report):
 def check_h_condition(radices: Sequence[int], n: int,
                       exponent_budget: int = DEFAULT_EXPONENT_BUDGET) -> Optional[bool]:
     """Decide ln(P_n) >= P_(n-1), i.e. P_n >= e^(P_(n-1)), or None when the
-    prior product exceeds the exponent budget (never guessed)."""
+    prior product exceeds the exponent budget (never guessed). The product
+    stops as soon as it passes the budget, so a level past it costs a few
+    small multiplications, not the whole prefix."""
     if n < 1 or n > len(radices):
         raise ValueError(f"level {n} outside the schedule")
     p_prev = 1
-    for m in radices[:n - 1]:
-        p_prev *= m
-    p_n = p_prev * radices[n - 1]
+    for i in range(n - 1):
+        if p_prev > exponent_budget:
+            break
+        p_prev *= radices[i]
     if p_prev > exponent_budget:
         return None
-    return compare_with_exp(Fraction(p_n), p_prev)
+    return compare_with_exp(Fraction(p_prev * radices[n - 1]), p_prev)
 
 
 def make_system(radices: Sequence[int],
@@ -316,6 +319,8 @@ def premeasure_bound(system: MixedRadixSystem, j: int, k: int) -> PremeasureBoun
     """Evaluate the unit-window cover estimate at stage k of branch j."""
     if j < 1 or k < 1:
         raise ValueError("j and k must be positive")
+    if j - 1 >= system.depth.bit_length():  # then 2^(j-1) > depth: refuse before building it
+        raise ValueError(f"schedule too short: branch {j} needs a level of at least 2^{j - 1}")
     level = (2 * k - 1) * 2 ** (j - 1)
     if level > system.depth:
         raise ValueError(f"schedule too short: stage needs level {level}")

@@ -12,8 +12,7 @@ import fraction_kernel as ref
 from affcopy import intervals
 from affcopy.cantor import (CantorConstruction, CantorLevel, FinitePointsOracle,
                             InvariantReport, MiddleThirdOracle, OracleViolationError,
-                            TernaryCantorOracle,
-                            build_cantor, in_ternary_cantor, largest_unit_fraction_at_most,
+                            TernaryCantorOracle, build_cantor, in_ternary_cantor,
                             middle_third, ternary_gap_containing, truncated_union_cover,
                             verify_cantor)
 from affcopy.intervals import Interval, IntervalSet, union_all
@@ -40,11 +39,6 @@ class TestTernaryHelpers:
         assert ternary_gap_containing(F(1, 2)) == Interval.open(F(1, 3), F(2, 3))
         assert ternary_gap_containing(F(4, 27)) == Interval.open(F(1, 9), F(2, 9))
         assert ternary_gap_containing(F(1, 4)) is None
-
-    def test_largest_unit_fraction(self):
-        assert largest_unit_fraction_at_most(F(1, 9)) == F(1, 9)
-        assert largest_unit_fraction_at_most(F(4, 81)) == F(1, 21)
-        assert largest_unit_fraction_at_most(F(5, 3)) == 1
 
 
 class TestBuild:

@@ -320,6 +320,16 @@ class TestAppendixCommands:
         assert code == 0
         assert report["bound"] == "2" == report["target"]
 
+    def test_premeasure_branch_past_the_schedule_exits_two(self, tmp_path, capsys):
+        # the level 2^(j-1) once was built first and failed to print as an int
+        # of 30,103 digits; a larger j asked for gigabytes
+        code, report = run(tmp_path, "appendix-premeasure", "--schedule", "4,14",
+                           "--j", "100000", "--k", "1")
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == (
+            "error: schedule too short: branch 100000 needs a level of at least 2^99999\n")
+
 
 class TestHarness:
     def test_prop_suite(self, tmp_path):

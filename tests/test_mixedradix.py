@@ -79,6 +79,16 @@ class TestSchedules:
         sys4 = default_schedule(4)
         assert check_h_condition(sys4.radices, 4) is None
 
+    def test_h_condition_stops_at_the_budget(self):
+        # 4 * 14 * 38 passes the budget; multiplying out the rest of the
+        # prefix for every level made certifying a schedule quadratic
+        class Unread(int):
+            def __rmul__(self, other):
+                raise AssertionError("radix multiplied after the budget was passed")
+
+        radices = (4, 14, 38) + (Unread(76),) * 1000
+        assert check_h_condition(radices, 1001, exponent_budget=512) is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_system((2, 14))
@@ -224,3 +234,10 @@ class TestPremeasure:
     def test_schedule_too_short(self, sys2):
         with pytest.raises(ValueError):
             premeasure_bound(sys2, j=1, k=2)
+
+    def test_branch_refused_before_its_level_is_built(self):
+        sys4 = make_system(GEOMETRY_SCHEDULE[:4])
+        assert premeasure_bound(sys4, j=3, k=1).level == 4  # the last level still admits
+        with pytest.raises(ValueError, match="schedule too short: branch 4 needs a level "
+                                             "of at least 2\\^3"):
+            premeasure_bound(sys4, j=4, k=1)

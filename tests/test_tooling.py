@@ -53,7 +53,9 @@ def test_cut_encoding_stays_inside_the_kernel():
     private = {name for owner in (intervals, intervals.Interval, intervals.IntervalSet)
                for name in vars(owner) if _private(name)}
     assert {"_encode", "_decode", "_decode_part", "_sweep", "_rescale",
-            "_parts", "_lattice", "_seen"} <= private
+            "_parts", "_lattice"} <= private
+    # a kernel result carries only its parts and its (D, cuts)
+    assert intervals.IntervalSet.__slots__ == ("_parts", "_lattice")
     found = []
     for path in SOURCES:
         if path.name == "intervals.py":
