@@ -29,6 +29,16 @@ from affcopy.expbounds import compare_with_exp, even_upper_exp_quotient
 from affcopy.intervals import Interval, RationalLike, Report, as_fraction
 
 DEFAULT_EXPONENT_BUDGET = 512
+#: Largest exponent budget. Certifying a level brackets e^(P_(n-1)), and the
+#: cost grows steeply with the exponent: on a 2-core VM (Python 3.11) one
+#: bracket took 0.5 s at P_(n-1) = 1,024 (4.4 s at 2,048), and a schedule whose
+#: sixth product lies next to e^1024 took 5.5 s to certify at this cap.
+MAX_EXPONENT_BUDGET = 1024
+#: Most levels a schedule may have. A system keeps every product P_n, so memory
+#: grows with the square of the depth: ``appendix-schedule --depth 256`` takes
+#: 0.02 s and 18 MB, and 256 radices of 4,300 digits (the longest int a flag
+#: parses) 4.1 s and 78 MB.
+MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -72,12 +82,21 @@ def check_h_condition(radices: Sequence[int], n: int,
     return compare_with_exp(Fraction(p_prev * radices[n - 1]), p_prev)
 
 
+def _check_budget(exponent_budget: int) -> None:
+    if exponent_budget > MAX_EXPONENT_BUDGET:
+        raise ValueError(f"exponent budget {exponent_budget} exceeds "
+                         f"MAX_EXPONENT_BUDGET = {MAX_EXPONENT_BUDGET}")
+
+
 def make_system(radices: Sequence[int],
                 exponent_budget: int = DEFAULT_EXPONENT_BUDGET) -> MixedRadixSystem:
     """Validate a schedule and certify every level the budget allows."""
     radices = tuple(int(m) for m in radices)
     if not radices:
         raise ValueError("schedule is empty")
+    if len(radices) > MAX_DEPTH:
+        raise ValueError(f"{len(radices)} levels exceed MAX_DEPTH = {MAX_DEPTH}")
+    _check_budget(exponent_budget)
     if radices[0] < 4:
         raise ValueError("first radix must be at least 4")
     for i, m in enumerate(radices):
@@ -101,8 +120,9 @@ def default_schedule(depth: int,
     """M_1 = 4; each next radix is the smallest even integer at or above
     e^(P_(n-1)) / P_(n-1) while that bound fits the budget, then doubles as a
     documented fallback (those levels simply stay uncertified)."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
+    _check_budget(exponent_budget)
     radices = [4]
     p = 4
     for _ in range(2, depth + 1):

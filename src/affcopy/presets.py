@@ -1,10 +1,10 @@
 """Named decay-class generators and sequence-file loading.
 
-Preset grammar: ``harmonic``, ``geometric:<r>`` (0 < r < 1), ``polynomial:<s>``
-(integer s >= 1) and ``iterlog:<d>`` (d iterations of the integer floor-log,
-a rational stand-in for iterated-logarithmic decay; real logarithms have no
-place in an exact-arithmetic package). A sequence can also come from a JSON
-file holding an array of "p/q" strings.
+Preset grammar: ``harmonic`` (no argument), ``geometric:<r>`` (0 < r < 1),
+``polynomial:<s>`` (integer s >= 1) and ``iterlog:<d>`` (d iterations of the
+integer floor-log, a rational stand-in for iterated-logarithmic decay; real
+logarithms have no place in an exact-arithmetic package). A sequence can also
+come from a JSON file holding an array of "p/q" strings.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ def _iterated_floor_log(m: int, depth: int) -> int:
 def _parse_preset(spec: str) -> Optional[Tuple[Callable[[int], Fraction], bool]]:
     """Return (value function, convex) for a preset spec string, or None when
     the spec names no preset but an existing sequence file."""
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     if name == "harmonic":
+        if colon:
+            raise ValueError(f"harmonic takes no argument, got {spec!r}")
         return (lambda m: Fraction(1, m + 1)), True
     if name == "geometric":
         r = as_fraction(arg or "1/2")

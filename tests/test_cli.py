@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import affcopy
-from affcopy import avoider, cantor, presets, propcheck, slowseq
-from affcopy.cli import main
+from affcopy import avoider, cantor, mixedradix, presets, propcheck, slowseq
+from affcopy.cli import build_parser, main
 from affcopy.intervals import Interval
 
 F = Fraction
@@ -415,3 +416,157 @@ class TestHarness:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["meets_target"] is True
+
+
+def _parser_pin(parser):
+    """Each subcommand, in order: its help and, per flag, (required, default,
+    choices, help)."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return [(name, helps[name],
+             {" ".join(a.option_strings): (a.required, a.default, a.choices, a.help)
+              for a in p._actions})
+            for name, p in sub.choices.items()]
+
+
+HELP = (False, argparse.SUPPRESS, None, "show this help message and exit")
+OUT = (False, None, None, "write the JSON report here (atomic)")
+REQUIRED = (True, None, None, None)
+ORACLE = (False, "middle-third", ["middle-third", "ternary-cantor"], None)
+DELTA = (False, F(1), None, None)
+M0 = (False, 1, None, None)
+HORIZON = (False, None, None,
+           "length a sequence file is truncated to and an iterlog preset is materialized "
+           "over (default 60000); convex presets only range-check it")
+
+
+def test_parser_flags_are_pinned():
+    # every subcommand keeps its help and each flag its option strings,
+    # required setting, default, choices and help; only flag order may change
+    common = {"-h --help": HELP, "--out": OUT}
+    assert _parser_pin(build_parser()) == [
+        ("cantor-build", "build a gap ladder and dump it",
+         {**common, "--depth": REQUIRED, "--oracle": ORACLE}),
+        ("cantor-verify", "build a gap ladder and replay its invariants",
+         {**common, "--depth": REQUIRED, "--kmax": REQUIRED, "--oracle": ORACLE}),
+        ("cover", "truncated left-neighborhood cover of the remnant skeleton",
+         {**common, "--depth": REQUIRED, "--N": REQUIRED, "--kmax": REQUIRED,
+          "--oracle": ORACLE}),
+        ("seq-build", "envelope the ladder's gap lengths into the slow sequence",
+         {**common, "--depth": REQUIRED, "--horizon": REQUIRED, "--oracle": ORACLE}),
+        ("seq-decompose", "split translates of an interval at the overlap threshold",
+         {**common, "--depth": REQUIRED, "--horizon": REQUIRED, "--delta": DELTA,
+          "--m0": M0, "--lo": REQUIRED, "--length": REQUIRED, "--oracle": ORACLE}),
+        ("coverage01", "measure what the slow-sequence translates leave of [0,1)",
+         {**common, "--depth": REQUIRED, "--N": REQUIRED, "--M": REQUIRED, "--delta": DELTA,
+          "--m0": M0, "--horizon": (False, None, None, None), "--oracle": ORACLE}),
+        ("avoider-build", "budget and punch the avoider holes",
+         {**common, "--beta": (True, None, None, "decay preset or sequence file"),
+          "--depth": REQUIRED, "--horizon": HORIZON}),
+        ("avoider-measure", "translate-union measure identity for one hole",
+         {**common, "--beta": REQUIRED, "--M": REQUIRED, "--lo": REQUIRED,
+          "--length": REQUIRED, "--horizon": HORIZON}),
+        ("avoider-embed", "search for an exact affine embedding certificate",
+         {**common, "--beta": REQUIRED,
+          "--alpha": (True, None, None, "target preset or sequence file"),
+          "--M": REQUIRED, "--depth": REQUIRED, "--imax": (False, 40, None, None),
+          "--horizon": HORIZON}),
+        ("appendix-schedule", "build or certify a radix schedule",
+         {**common, "--depth": (False, None, None, None),
+          "--schedule": (False, None, None, None), "--budget": (False, 512, None, None)}),
+        ("appendix-intersect", "nested-interval walk through the digit constraints",
+         {**common, "--schedule": REQUIRED,
+          "--alphas": (True, None, None, "comma-separated rationals"), "--U": REQUIRED}),
+        ("appendix-premeasure", "cover-count bound for one branch and stage",
+         {**common, "--schedule": REQUIRED, "--j": REQUIRED, "--k": REQUIRED}),
+        ("prop-suite", "randomized exact checks of the kernel algebra",
+         {**common, "--seed": (False, 0, None, None),
+          "--instances": (False, 1000, None, None)}),
+    ]
+
+
+class TestScheduleCaps:
+    """appendix-* work caps: checked while parsing, and by mixedradix before
+    any product or exponential bracket is computed."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started past a cap")
+
+        for name in ("make_system", "default_schedule"):
+            monkeypatch.setattr(mixedradix, name, never)
+
+    @pytest.mark.parametrize("argv, flag, cap", [
+        (["appendix-schedule", "--schedule", "4,14"], "--budget", mixedradix.MAX_EXPONENT_BUDGET),
+        (["appendix-schedule", "--depth", "2"], "--budget", mixedradix.MAX_EXPONENT_BUDGET),
+        (["appendix-schedule"], "--depth", mixedradix.MAX_DEPTH),
+    ])
+    def test_past_the_cap_exits_two(self, tmp_path, capsys, nothing_built, argv, flag, cap):
+        with pytest.raises(SystemExit) as err:
+            run(tmp_path, *argv, flag, str(cap + 1))
+        assert err.value.code == 2
+        assert f"{cap + 1} is above the cap {cap}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(AssertionError, match="work started"):
+            run(tmp_path, *argv, flag, str(cap))
+
+    @pytest.mark.parametrize("argv", [
+        ["appendix-schedule"],
+        ["appendix-intersect", "--alphas", "0,0", "--U", "2"],
+        ["appendix-premeasure", "--j", "1", "--k", "1"],
+    ])
+    def test_schedule_longer_than_the_cap_exits_two(self, tmp_path, capsys, nothing_built,
+                                                     argv):
+        cap = mixedradix.MAX_DEPTH
+        with pytest.raises(SystemExit) as err:
+            run(tmp_path, *argv, "--schedule", ",".join(["4"] * (cap + 1)))
+        assert err.value.code == 2
+        assert f"{cap + 1} radices are above the cap {cap}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(AssertionError, match="work started"):
+            run(tmp_path, *argv, "--schedule", ",".join(["4"] * cap))
+
+    def test_library_refuses_past_the_caps(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("exponential bracketed past a cap")
+
+        # without the caps each call below brackets e^p at least once
+        monkeypatch.setattr(mixedradix, "compare_with_exp", never)
+        monkeypatch.setattr(mixedradix, "even_upper_exp_quotient", never)
+        budget = mixedradix.MAX_EXPONENT_BUDGET + 1
+        with pytest.raises(ValueError, match="levels exceed MAX_DEPTH"):
+            mixedradix.make_system([4] * (mixedradix.MAX_DEPTH + 1))
+        with pytest.raises(ValueError, match="depth must be in"):
+            mixedradix.default_schedule(mixedradix.MAX_DEPTH + 1)
+        with pytest.raises(ValueError, match="exceeds MAX_EXPONENT_BUDGET"):
+            mixedradix.make_system((4, 14), budget)
+        with pytest.raises(ValueError, match="exceeds MAX_EXPONENT_BUDGET"):
+            mixedradix.default_schedule(2, budget)
+
+    def test_caps_admit_the_documented_examples(self):
+        # the acceptance suite certifies a six-level schedule at the default budget
+        assert mixedradix.MAX_DEPTH >= 6
+        assert mixedradix.MAX_EXPONENT_BUDGET >= mixedradix.DEFAULT_EXPONENT_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["--depth", "9", "--schedule", "4,14"],
+    [],
+])
+def test_schedule_takes_exactly_one_of_depth_and_schedule(tmp_path, capsys, argv):
+    # --schedule once silently won over --depth
+    code, report = run(tmp_path, "appendix-schedule", *argv)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert "--depth" in err and "--schedule" in err
+
+
+@pytest.mark.parametrize("beta", ["harmonic:junk", "harmonic:"])
+def test_harmonic_takes_no_argument(tmp_path, capsys, beta):
+    # once read as plain harmonic
+    code, report = run(tmp_path, "avoider-build", "--beta", beta, "--depth", "2")
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err == f"error: harmonic takes no argument, got {beta!r}\n"

@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import affcopy
-from affcopy import intervals
+from affcopy import cli, intervals
 
 SOURCES = sorted(Path(affcopy.__file__).parent.glob("*.py"))
 COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.SetComp)
@@ -168,3 +168,14 @@ def test_every_dataclass_is_frozen():
                      and any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
                              and k.value.value is True for k in deco.keywords))]
     assert found == []
+
+
+def test_readme_shows_one_example_per_subcommand():
+    # the README's CLI block runs each cli.COMMANDS entry once, in table order,
+    # and every example parses
+    readme = Path(affcopy.__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    examples = [line.split()[1:] for line in block.split("```", 1)[0].splitlines()]
+    assert [argv[0] for argv in examples] == list(cli.COMMANDS)
+    for argv in examples:
+        cli.build_parser().parse_args(argv)
