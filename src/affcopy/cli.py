@@ -7,8 +7,11 @@ subcommand writing a deterministic JSON report.
 Exit codes: 0 when the subcommand's assertions all pass, 1 when a computed
 check fails (a violation list is nonempty, an identity breaks, a search
 exhausts its ladder), 2 on input errors (unknown subcommand, malformed
-rationals, horizon or depth violations, a flag above its work cap, running
-out of memory), 3 on internal errors (library bugs).
+rationals, horizon or depth violations, a flag above its work cap, a value
+past its bit cap, running out of memory), 3 on internal errors (library bugs). A subcommand whose report
+has no verdict (the ``*-build`` ones and ``appendix-schedule``) exits 0 on
+every input it accepts: a refuted or past-budget schedule level is a fact
+about the input, not a failed check.
 """
 
 from __future__ import annotations

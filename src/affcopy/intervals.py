@@ -17,23 +17,23 @@ canonical adjacency rule -- ``(a,b) | [b,c)`` merges to ``(a,c)`` while
 ``(a,b) | (b,c)`` keeps two parts separated by the missing point ``b`` --
 falls out of cut equality with no special cases.
 
-The sweeps compare Python ints, never Fractions: each operation takes the lcm
-``D`` of its inputs' denominators and encodes the cut ``(x, flag)`` as the int
-``2*x*D + flag``, which orders exactly as the tuple does. A result is checked
-on the cuts themselves: they must strictly increase, which is exactly the
-:class:`Interval` shape rule within each range and the :class:`IntervalSet`
-canonical rule between neighbours, so the result skips both constructors.
-It keeps its ``(D, cuts)`` and decodes its parts to Fraction endpoints
-(``c >> 1`` over ``D``, flag ``c & 1``) only when ``parts`` is first read.
-``len``, truth, ``is_empty``, :meth:`IntervalSet.measure` and
+Every set is held as its cuts over one lattice ``D``, the cut ``(x, flag)``
+encoded as the int ``2*x*D + flag``, which orders exactly as the tuple does.
+The constructor encodes its parts once, over the lcm of their endpoint
+denominators, and checks canonical form on those ints; a kernel result keeps
+its operands' common lattice and is checked on its cuts the same way.
+Canonical means the cuts strictly increase, which is exactly the
+:class:`Interval` shape rule within each range and the canonical rule between
+neighbours, so a kernel result skips both constructors and decodes its parts
+to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``) only when
+``parts`` is first read.
+Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
+``len``, truth, ``is_empty``, ``==``, :meth:`IntervalSet.measure` and
 :meth:`IntervalSet.longest` read the cuts, lengths ``(hi >> 1) - (lo >> 1)``
-as ints, and ``longest`` decodes only the part it returns; a set built by the
-constructor is encoded when asked. The operands of union, intersection and
-difference bring their own lattices, a kernel result its stored cuts and a
-constructor-built set a fresh encoding, and each is carried to the lcm of
-the lattices (``2xD + f`` becomes ``2xDk + f``). While either side of ``==``
-is undecoded, equality compares the two cut lists on that common lattice. A
-chain of translates stays on one lattice, sized once from all its shifts.
+as ints, and ``longest`` decodes only the part it returns. Union,
+intersection, difference and ``==`` carry their operands to the lcm of the
+two lattices (``2xD + f`` becomes ``2xDk + f``) and compare or sweep there.
+A chain of translates stays on one lattice, sized once from all its shifts.
 """
 
 from __future__ import annotations
@@ -193,25 +193,22 @@ class IntervalSet:
     the point sets they denote. Instances are immutable.
     """
 
-    #: ``_parts`` is the Interval tuple, or None until a kernel result is
-    #: first read; ``_lattice`` is the kernel's ``(D, cuts)`` (None for a set
-    #: built by the constructor).
+    #: ``_lattice`` is the set's ``(D, cuts)``; ``_parts`` caches the
+    #: Interval tuple, None until a kernel result is first read.
     __slots__ = ("_parts", "_lattice")
 
     def __init__(self, parts: Iterable[Interval]) -> None:
         parts = tuple(parts)
-        for prev, cur in zip(parts, parts[1:]):
-            # canonical iff prev.end_cut < cur.start_cut: a shared endpoint
-            # must be missing from both parts. Two exact Fractions compare as
-            # their cross-multiplied numerators do, ints being cheaper
-            hi, lo = prev.hi, cur.lo
-            if hi.__class__ is Fraction is lo.__class__:
-                hi, lo = hi.numerator * lo.denominator, lo.numerator * hi.denominator
-            if not hi < lo and (hi > lo or prev.hi_closed or cur.lo_closed):
-                raise ValueError(
-                    f"parts not canonical: {prev} followed by {cur}; use normalize()")
+        D = _denominator(parts)
+        cuts = _encode(parts, D)
+        # canonical iff each end cut is below the next start cut: a shared
+        # endpoint must be missing from both parts
+        for i, ((_, end), (start, _)) in enumerate(zip(cuts, cuts[1:])):
+            if end >= start:
+                raise ValueError(f"parts not canonical: {parts[i]} followed by "
+                                 f"{parts[i + 1]}; use normalize()")
         _set_parts(self, parts)
-        _set_lattice(self, None)
+        _set_lattice(self, (D, cuts))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -235,12 +232,10 @@ class IntervalSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._parts is not None and other._parts is not None:
-            return self._parts == other._parts
-        if len(self) != len(other):
+        (D1, a), (D2, b) = self._lattice, other._lattice
+        if len(a) != len(b):
             return False
         # canonical cut lists over one D are equal exactly when the sets are
-        (D1, a), (D2, b) = self._cuts(), other._cuts()
         D = lcm(D1, D2)
         return _rescale(a, D // D1) == _rescale(b, D // D2)
 
@@ -254,7 +249,7 @@ class IntervalSet:
         return iter(self.parts)
 
     def __len__(self) -> int:  # also truth: an empty set is falsy
-        return len(self._parts) if self._lattice is None else len(self._lattice[1])
+        return len(self._lattice[1])
 
     @property
     def is_empty(self) -> bool:
@@ -277,30 +272,19 @@ class IntervalSet:
 
     # -- measure & geometry ----------------------------------------------------
 
-    def _cuts(self) -> Tuple[int, "_Cuts"]:
-        """``(D, cuts)``: the stored lattice of a kernel result, or a fresh
-        encoding of a constructor-built set."""
-        if self._lattice is not None:
-            return self._lattice
-        D = _denominator(self._parts)
-        return D, _encode(self._parts, D)
-
     def measure(self) -> Fraction:
         """Total length; endpoint flags do not affect the value."""
-        D, cuts = self._cuts()
+        D, cuts = self._lattice
         return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
 
     def longest(self) -> Interval:
-        """The first part of greatest length; ValueError for the empty set.
-        A kernel result not yet decoded decodes only that part."""
-        D, cuts = self._cuts()
+        """The first part of greatest length, the only part it decodes;
+        ValueError for the empty set."""
+        D, cuts = self._lattice
         if not cuts:
             raise ValueError("the empty set has no longest part")
         lengths = [(hi >> 1) - (lo >> 1) for lo, hi in cuts]
-        i = lengths.index(max(lengths))
-        if self._parts is None:
-            return _decode_part(*cuts[i], D)
-        return self._parts[i]
+        return _decode_part(*cuts[lengths.index(max(lengths))], D)
 
     def affine(self, scale: RationalLike, shift: RationalLike = 0) -> "IntervalSet":
         """Image set {scale*x + shift : x in self}; scale must be nonzero."""
@@ -383,9 +367,6 @@ def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Inter
     object.__setattr__(part, "lo_closed", lo_closed)
     object.__setattr__(part, "hi_closed", hi_closed)
     return part
-
-
-EMPTY = IntervalSet(())
 
 
 # -- the JSON report format -----------------------------------------------------
@@ -471,7 +452,7 @@ def _rescale(cuts: _Cuts, k: int) -> _Cuts:
 def _sweep(sweep: Callable[..., _Cuts], *sets: IntervalSet) -> IntervalSet:
     """Run ``sweep`` on the sets' cut lists, each carried to the lcm D of
     their lattices, and check its result."""
-    lattices = [s._cuts() for s in sets]
+    lattices = [s._lattice for s in sets]
     D = lcm(*(d for d, _ in lattices))
     return _decode(sweep(*(_rescale(cuts, D // d) for d, cuts in lattices)), D)
 
@@ -511,6 +492,9 @@ def _difference(a: _Cuts, b: _Cuts) -> _Cuts:
     return _intersect(a, [(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi])
 
 
+EMPTY = IntervalSet(())
+
+
 def normalize(intervals: Iterable[Interval]) -> IntervalSet:
     """Canonicalize any finite collection of intervals.
 
@@ -534,7 +518,7 @@ def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> Inter
     each part's translates arrive as one sorted run.
     """
     ts = [as_fraction(t) for t in shifts]
-    d, cuts = s._cuts()
+    d, cuts = s._lattice
     D = lcm(d, *{t.denominator for t in ts})
     moves = [2 * t.numerator * (D // t.denominator) for t in ts]
     return _decode(_merge([(lo + m, hi + m) for lo, hi in _rescale(cuts, D // d)
@@ -550,7 +534,7 @@ def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
     and every shift's denominator, sized once up front.
     """
     ts = [as_fraction(t) for t in shifts]
-    (d1, base), (d2, out) = s._cuts(), within._cuts()
+    (d1, base), (d2, out) = s._lattice, within._lattice
     D = lcm(d1, d2, *{t.denominator for t in ts})
     base, out = _rescale(base, D // d1), _rescale(out, D // d2)
     for t in ts:

@@ -39,6 +39,13 @@ MAX_EXPONENT_BUDGET = 1024
 #: 0.02 s and 18 MB, and 256 radices of 4,300 digits (the longest int a flag
 #: parses) 4.1 s and 78 MB.
 MAX_DEPTH = 256
+#: Longest product P_n, in bits, that a walk or a cover bound may reach. Their
+#: reports print rationals over P_n, and ``str()`` writes at most 4,300 decimal
+#: digits (about 14,284 bits): on a 2-core VM (Python 3.11) and the default
+#: schedule, ``appendix-intersect`` printed its walk to P_110 (13,883 bits)
+#: and failed to print P_118 (15,374 bits) after 0.43 s, or P_256 after 5.4 s.
+#: The default schedule's P_99 has 11,936 bits, and the walk to it takes 0.22 s.
+MAX_PRODUCT_BITS = 12_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,13 @@ def _check_budget(exponent_budget: int) -> None:
     if exponent_budget > MAX_EXPONENT_BUDGET:
         raise ValueError(f"exponent budget {exponent_budget} exceeds "
                          f"MAX_EXPONENT_BUDGET = {MAX_EXPONENT_BUDGET}")
+
+
+def _check_product_bits(system: MixedRadixSystem, level: int) -> None:
+    bits = system.product(level).bit_length()
+    if bits > MAX_PRODUCT_BITS:
+        raise ValueError(f"level {level}: P_{level} has {bits} bits, above "
+                         f"MAX_PRODUCT_BITS = {MAX_PRODUCT_BITS}")
 
 
 def make_system(radices: Sequence[int],
@@ -264,6 +278,7 @@ def nested_intersect(alpha: Sequence[RationalLike], system: MixedRadixSystem,
     """
     if not 1 <= depth <= system.depth:
         raise ValueError(f"depth must be in 1..{system.depth}")
+    _check_product_bits(system, depth)
     offsets = [as_fraction(a) for a in alpha]
     need = max(branch_index(u) for u in range(1, depth + 1))
     if len(offsets) < need:
@@ -344,6 +359,7 @@ def premeasure_bound(system: MixedRadixSystem, j: int, k: int) -> PremeasureBoun
     level = (2 * k - 1) * 2 ** (j - 1)
     if level > system.depth:
         raise ValueError(f"schedule too short: stage needs level {level}")
+    _check_product_bits(system, level)
     selected = [(2 * l - 1) * 2 ** (j - 1) for l in range(1, k + 1)]
     denom = 1
     for idx in selected:

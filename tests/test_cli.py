@@ -5,12 +5,14 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 import affcopy
-from affcopy import avoider, cantor, mixedradix, presets, propcheck, slowseq
+from affcopy import avoider, cantor, cli, intervals, mixedradix, presets, propcheck, slowseq
 from affcopy.cli import build_parser, main
 from affcopy.intervals import Interval
 
@@ -315,6 +317,13 @@ class TestAppendixCommands:
         assert report["branch"] == [1, 2]
         assert report["sampled_membership_ok"] is True
 
+    def test_refuted_levels_exit_zero(self, tmp_path):
+        # the report has no verdict field: a refuted or past-budget level is
+        # a fact about the schedule, as it is for the *-build subcommands
+        code, report = run(tmp_path, "appendix-schedule", "--schedule", "4,4,4,4")
+        assert code == 0
+        assert report == {"radices": [4, 4, 4, 4], "h_verified": [True, False, False, False]}
+
     def test_premeasure(self, tmp_path):
         code, report = run(tmp_path, "appendix-premeasure", "--schedule", "4,14",
                            "--j", "1", "--k", "1")
@@ -544,6 +553,51 @@ class TestScheduleCaps:
         with pytest.raises(ValueError, match="exceeds MAX_EXPONENT_BUDGET"):
             mixedradix.default_schedule(2, budget)
 
+    @pytest.mark.parametrize("argv, level, bits", [
+        (["appendix-intersect", "--alphas", ",".join(["1/3"] * 9), "--U", "256"], 256, 51183),
+        (["appendix-intersect", "--alphas", ",".join(["1/3"] * 9), "--U", "128"], 128, 17329),
+        (["appendix-intersect", "--alphas", "0", "--U", "100"], 100, 12108),
+        (["appendix-premeasure", "--j", "1", "--k", "64"], 127, 17129),
+        (["appendix-premeasure", "--j", "1", "--k", "51"], 101, 12281),
+    ])
+    def test_products_past_the_bit_cap_exit_two(self, tmp_path, capsys, monkeypatch, argv,
+                                                 level, bits):
+        # the reports print rationals over P_n, which str() refuses past 4,300
+        # digits; the walk and the bound are refused before either starts
+        schedule = ",".join(map(str, mixedradix.default_schedule(256).radices))
+
+        def never(*args, **kwargs):
+            raise AssertionError("walk or bound started past the bit cap")
+
+        monkeypatch.setattr(mixedradix, "branch_index", never)
+        monkeypatch.setattr(mixedradix.MixedRadixSystem, "radix", never)
+        code, report = run(tmp_path, *argv, "--schedule", schedule)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == (
+            f"error: level {level}: P_{level} has {bits} bits, above MAX_PRODUCT_BITS = 12000\n")
+
+    def test_long_radices_are_refused_by_their_product(self, tmp_path, capsys):
+        # 30 radices of 4,300 digits, the longest int a flag parses
+        schedule = ",".join(["2" + "0" * 4299] * 30)
+        code, report = run(tmp_path, "appendix-intersect", "--schedule", schedule,
+                           "--alphas", "0,0,0,0,0", "--U", "30")
+        assert code == 2
+        assert report is None
+        assert "error: level 30: P_30 has 428460 bits, above MAX_PRODUCT_BITS" in \
+            capsys.readouterr().err
+
+    def test_product_cap_admits_printable_reports(self, tmp_path):
+        assert len(str(2 ** mixedradix.MAX_PRODUCT_BITS)) < sys.int_info.default_max_str_digits
+        schedule = ",".join(map(str, mixedradix.default_schedule(99).radices))
+        assert mixedradix.default_schedule(99).product(99).bit_length() == 11936
+        code, report = run(tmp_path, "appendix-intersect", "--schedule", schedule,
+                           "--alphas", ",".join(["1/3"] * 7), "--U", "99")
+        assert code == 0 and report["sampled_membership_ok"] is True
+        code, report = run(tmp_path, "appendix-premeasure", "--schedule", schedule,
+                           "--j", "1", "--k", "50")
+        assert code == 0 and report["level"] == 99
+
     def test_caps_admit_the_documented_examples(self):
         # the acceptance suite certifies a six-level schedule at the default budget
         assert mixedradix.MAX_DEPTH >= 6
@@ -570,3 +624,76 @@ def test_harmonic_takes_no_argument(tmp_path, capsys, beta):
     assert code == 2
     assert report is None
     assert capsys.readouterr().err == f"error: harmonic takes no argument, got {beta!r}\n"
+
+
+def _drop_last(kernel):
+    """The kernel op with the last range of every result dropped."""
+    return lambda *groups: kernel(*groups)[:-1]
+
+
+def _no_twin(f_membership):
+    """The digit constraint read on the greedy expansion only, never its borrow twin."""
+    def greedy_only(x, n, system):
+        return mixedradix.digits_of(x, system, n).digits[n - 1] in (0, system.radix(n) // 2)
+    return greedy_only
+
+
+def _any_first_radix(make_system):
+    """make_system without its first-radix rule (M_1 >= 4) or certification."""
+    def build(radices, exponent_budget=mixedradix.DEFAULT_EXPONENT_BUDGET):
+        radices = tuple(radices)
+        return mixedradix.MixedRadixSystem(radices=radices,
+                                           products=tuple(accumulate(radices, mul)),
+                                           h_verified=(False,) * len(radices))
+    return build
+
+
+#: One row per verdict the CLI turns into an exit code: the argv, the report
+#: key and its failed value, and the fault (owner, name, faulty version of the
+#: original) injected, or None where the input fails by itself.
+VERDICTS = {
+    "cantor-verify": (["--depth", "5", "--kmax", "2"], "pass", False,
+                      (intervals, "_intersect", _drop_last)),
+    "cover": (["--depth", "10", "--N", "2", "--kmax", "4"], "pass", False,
+              (intervals, "_merge", _drop_last)),
+    "seq-decompose": (["--depth", "6", "--horizon", "300", "--delta", "2", "--lo", "0",
+                       "--length", "1/50"], "brute_force_ok", False,
+                      (slowseq, "threshold_index", lambda index: lambda *a: index(*a) - 1)),
+    # M below the overlap thresholds: no bound can be proved
+    "coverage01": (["--depth", "6", "--N", "3", "--M", "5"], "pass", False, None),
+    "avoider-measure": (["--beta", "harmonic", "--M", "40", "--lo", "0", "--length", "1/10"],
+                        "identity_ok", False, (intervals, "_merge", _drop_last)),
+    "avoider-embed": (["--beta", "harmonic", "--alpha", "geometric:1/2", "--M", "20",
+                       "--depth", "16", "--imax", "4"], "error", "ladder exhausted",
+                      (intervals, "_intersect", lambda _: lambda a, b: [])),
+    "appendix-intersect": (["--schedule", "4,14", "--alphas", "0,0", "--U", "2"],
+                           "sampled_membership_ok", False,
+                           (mixedradix, "f_membership", _no_twin)),
+    "appendix-premeasure": (["--schedule", "2,2,2", "--j", "1", "--k", "2"], "meets_target",
+                            False, (mixedradix, "make_system", _any_first_radix)),
+    "prop-suite": (["--seed", "7", "--instances", "40"], "pass", False,
+                   (intervals, "_intersect", _drop_last)),
+}
+VERDICT_LESS = {"cantor-build", "seq-build", "avoider-build", "appendix-schedule"}
+
+
+@pytest.mark.parametrize("command", VERDICTS)
+def test_every_verdict_can_fail_with_exit_one(tmp_path, monkeypatch, command):
+    argv, key, failed, fault = VERDICTS[command]
+    if fault is not None:
+        # no check fails before the fault is injected; make_system refuses
+        # the radix-2 schedule outright
+        code, report = run(tmp_path, command, *argv)
+        assert code == (2 if command == "appendix-premeasure" else 0)
+        assert report is None or report.get(key) != failed
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        owner, name, inject = fault
+        monkeypatch.setattr(owner, name, inject(getattr(owner, name)))
+    code, report = run(tmp_path, command, *argv)
+    assert report[key] == failed
+    assert code == 1
+
+
+def test_verdict_table_covers_every_command():
+    assert set(VERDICTS) | VERDICT_LESS == set(cli.COMMANDS)
+    assert not set(VERDICTS) & VERDICT_LESS

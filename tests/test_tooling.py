@@ -85,6 +85,39 @@ def test_set_operations_read_the_operands_cuts():
     assert found == []
 
 
+def _enclosing_functions(tree):
+    """(name of the innermost enclosing function, node) for every node in ``tree``."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            yield owner, child
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            yield from visit(child, inner)
+    yield from visit(tree, None)
+
+
+def test_an_interval_set_has_one_representation():
+    # every set carries its (D, cuts) from construction: only the parts
+    # property reads the decoded cache, and only the constructor and the
+    # kernel's _decode set the lattice, never to None
+    tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "IntervalSet"]
+    methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+    assert "parts" in methods and "_cuts" not in methods
+    found = []
+    for owner, node in _enclosing_functions(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_parts" and owner != "parts":
+            found.append(f"{owner}:{node.lineno}: reads ._parts")
+        if isinstance(node, ast.Attribute) and node.attr == "_lattice" and not isinstance(
+                node.ctx, ast.Load):
+            found.append(f"{owner}:{node.lineno}: assigns ._lattice")
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_set_lattice"
+                and (owner not in ("__init__", "_decode")
+                     or any(isinstance(a, ast.Constant) and a.value is None for a in node.args))):
+            found.append(f"{owner}:{node.lineno}: sets the lattice")
+    assert found == []
+
+
 def test_report_format_lives_in_one_encoder():
     # intervals.Report writes every report; only the three reports whose keys
     # are derived values, not fields, keep their own to_json_dict
