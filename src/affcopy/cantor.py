@@ -6,9 +6,13 @@ integer, l_n at most half the previous length), leaving 2^n closed remnants.
 The oracle supplies, for any closed interval K, an open subinterval of the
 closed middle third of K that misses the oracle's target set; three concrete
 oracles are provided (empty target, the classical ternary middle-thirds set,
-and finite point sets). Verification replays every structural claim of the
-construction exactly, and the truncated cover report measures how much of the
-level-N remnant skeleton the left neighborhoods of deeper gaps fail to reach.
+and finite point sets). Oracles answer on ints: K's ends and the gap's ends
+pass as numerator and denominator pairs, so the construction turns only the
+shrunk gaps into Fractions. Verification replays every structural claim of
+the construction exactly, on the ends of every level read once as ints over
+one lattice D; its set-valued claims hand the interval kernel sets built from
+those ints. The truncated cover report measures how much of the level-N
+remnant skeleton the left neighborhoods of deeper gaps fail to reach.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ TWO_THIRDS = Fraction(2, 3)
 
 #: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so
 #: time and memory double per level: on a 2-core VM (Python 3.11) a depth-16
-#: middle-third ladder builds in 2.2-2.4 s at 55 MB peak RSS and verifies
-#: (k_max 4, a 135-bit lattice D) in 2.1-2.3 s more at 130 MB;
-#: ``cantor-build --depth 16`` takes 3.0-3.5 s and 125 MB, and
-#: ``cantor-verify --depth 16 --kmax 4`` 4.4-4.8 s and 130 MB. Deeper requests
+#: middle-third ladder builds in 1.1-1.4 s at 57 MB peak RSS and verifies
+#: (k_max 4, a 135-bit lattice D) in 0.65-0.85 s more at 105 MB;
+#: ``cantor-build --depth 16`` takes 1.8-2.6 s and 125 MB, and
+#: ``cantor-verify --depth 16 --kmax 4`` 1.9-2.6 s and 106 MB. Deeper requests
 #: are refused before anything is built.
 MAX_DEPTH = 16
 
@@ -46,17 +50,11 @@ class OracleViolationError(Exception):
 
 
 def middle_third(k: Interval) -> Interval:
-    """Closed middle third of a closed interval."""
-    lo, hi = k.lo, k.hi
-    return Interval(*_thirds(lo.numerator, lo.denominator, hi.numerator, hi.denominator),
-                    True, True)
-
-
-def _thirds(a: int, b: int, c: int, d: int) -> Tuple[Fraction, Fraction]:
-    """The points (2lo + hi)/3 and (lo + 2hi)/3 for lo = a/b and hi = c/d
-    (b, d > 0), each normalized once."""
+    """Closed middle third [(2lo + hi)/3, (lo + 2hi)/3] of a closed interval."""
+    a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
     den = 3 * b * d
-    return Fraction(2 * a * d + c * b, den), Fraction(a * d + 2 * c * b, den)
+    return Interval(Fraction(2 * a * d + c * b, den), Fraction(a * d + 2 * c * b, den),
+                    True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +110,36 @@ def ternary_gap_containing(x: RationalLike) -> Optional[Interval]:
 class GapOracle:
     """Contract: given a closed interval K, return an open rational interval
     inside the closed middle third of K and disjoint from the target set.
-    The same K must always yield the same interval."""
+    The same K must always yield the same interval.
+
+    An oracle answers on ints. :meth:`gap_ends` takes K = [a/b, c/d] as
+    ``(a, b, c, d)`` with b, d > 0 and returns the open gap (p/q, r/s) as
+    ``(p, q, r, s)`` with q, s > 0, not necessarily reduced; :meth:`avoids`
+    takes an interval from p/q to r/s (q, s > 0) as ``(p, q, r, s)`` and its
+    end flags. Each oracle implements both once; ``oracle(k)`` and
+    :meth:`interval_avoids_target` wrap them for ``Interval``s.
+    """
 
     name = "oracle"
 
-    def __call__(self, k: Interval) -> Interval:
+    def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
         raise NotImplementedError
 
-    def interval_avoids_target(self, iv: Interval) -> Optional[bool]:
-        """Whether iv is disjoint from the target set, or None if not checkable."""
+    def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
+               hi_closed: bool) -> Optional[bool]:
+        """Whether the interval is disjoint from the target set, or None if
+        not checkable."""
         return None
+
+    def __call__(self, k: Interval) -> Interval:
+        lo, hi = k.lo, k.hi
+        p, q, r, s = self.gap_ends(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        return Interval(Fraction(p, q), Fraction(r, s), False, False)
+
+    def interval_avoids_target(self, iv: Interval) -> Optional[bool]:
+        lo, hi = iv.lo, iv.hi
+        return self.avoids(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                           iv.lo_closed, iv.hi_closed)
 
 
 class MiddleThirdOracle(GapOracle):
@@ -130,14 +148,13 @@ class MiddleThirdOracle(GapOracle):
 
     name = "middle-third"
 
-    def __call__(self, k: Interval) -> Interval:
+    def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
         # the middle third of [(2lo + hi)/3, (lo + 2hi)/3] is ((5lo + 4hi)/9, (4lo + 5hi)/9)
-        a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
         den = 9 * b * d
-        return Interval(Fraction(5 * a * d + 4 * c * b, den),
-                        Fraction(4 * a * d + 5 * c * b, den), False, False)
+        return 5 * a * d + 4 * c * b, den, 4 * a * d + 5 * c * b, den
 
-    def interval_avoids_target(self, iv: Interval) -> bool:
+    def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
+               hi_closed: bool) -> bool:
         return True
 
 
@@ -152,28 +169,30 @@ class TernaryCantorOracle(GapOracle):
 
     name = "ternary-cantor"
 
-    def __call__(self, k: Interval) -> Interval:
-        inner = middle_third(k)
-        g = 0
-        width = Fraction(1)
-        while 2 * width > inner.length:
-            g += 1
-            width /= 3
-        i = math.ceil(inner.lo / width)
-        block_lo = i * width
-        gap = Interval.open(block_lo + width / 3, block_lo + 2 * width / 3)
-        if not (inner.lo <= block_lo and block_lo + width <= inner.hi):
-            raise RuntimeError(f"ternary block at {block_lo} leaves middle third {inner}")
-        return gap
+    def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
+        den = 3 * b * d  # the middle third is [u/den, v/den]
+        u, v = 2 * a * d + c * b, a * d + 2 * c * b
+        if v <= u:  # no block fits, however small
+            raise ValueError(f"K = [{Fraction(a, b)},{Fraction(c, d)}] is degenerate")
+        width = 1  # 3^g: blocks of length 1/3^g fit twice when 2 den <= (v - u) 3^g
+        while 2 * den > (v - u) * width:
+            width *= 3
+        i = -(-u * width // den)  # the first block starting in the middle third
+        if (i + 1) * den > v * width:
+            raise RuntimeError(f"ternary block at {Fraction(i, width)} leaves middle third "
+                               f"{Interval(Fraction(u, den), Fraction(v, den), True, True)}")
+        return 3 * i + 1, 3 * width, 3 * i + 2, 3 * width
 
-    def interval_avoids_target(self, iv: Interval) -> bool:
-        if iv.hi <= 0 or iv.lo >= 1:
+    def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
+               hi_closed: bool) -> bool:
+        lo, hi = Fraction(p, q), Fraction(r, s)
+        if hi < 0 or lo > 1 or (hi == 0 and not hi_closed) or (lo == 1 and not lo_closed):
             return True
-        mid = iv.midpoint()
-        gap = ternary_gap_containing(mid)
-        if gap is None:
-            return False
-        return gap.lo <= iv.lo and iv.hi <= gap.hi
+        # an interval meeting [0,1] misses the target only inside one deleted
+        # middle third, the one holding its midpoint
+        gap = ternary_gap_containing((lo + hi) / 2)
+        return (gap is not None and (gap.lo < lo or (gap.lo == lo and not lo_closed))
+                and (hi < gap.hi or (hi == gap.hi and not hi_closed)))
 
 
 class FinitePointsOracle(GapOracle):
@@ -191,8 +210,7 @@ class FinitePointsOracle(GapOracle):
         self.points = tuple(sorted(as_fraction(p) for p in points))
         self._pairs = tuple((p.numerator, p.denominator) for p in self.points)
 
-    def __call__(self, k: Interval) -> Interval:
-        a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
+    def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
         den = 3 * b * d  # the middle third is [u/den, v/den]
         u, v = 2 * a * d + c * b, a * d + 2 * c * b
         pairs = self._pairs  # sorted: the stops inside the middle third are one slice
@@ -204,15 +222,16 @@ class FinitePointsOracle(GapOracle):
             if (r * q - p * s) * dnm > num * q * s:
                 best, num, dnm = i, r * q - p * s, q * s
         (p, q), (r, s) = stops[best:best + 2]
-        return Interval(*_thirds(p, q, r, s), False, False)
+        qs = 3 * q * s  # its middle third is ((2p/q + r/s)/3, (p/q + 2r/s)/3)
+        return 2 * p * s + r * q, qs, p * s + 2 * r * q, qs
 
-    def interval_avoids_target(self, iv: Interval) -> bool:
-        pairs = self._pairs  # only the points in [lo, hi] can lie in iv
-        past_lo = _minus(iv.lo.numerator, iv.lo.denominator)
-        past_hi = _minus(iv.hi.numerator, iv.hi.denominator)
+    def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
+               hi_closed: bool) -> bool:
+        pairs = self._pairs  # only the points in [lo, hi] can lie in the interval
+        past_lo, past_hi = _minus(p, q), _minus(r, s)
         i = bisect_left(pairs, 0, key=past_lo)
-        # a point in [lo, hi] misses iv only on an open end
-        return all((not iv.lo_closed and not past_lo(pq)) or (not iv.hi_closed and not past_hi(pq))
+        # a point in [lo, hi] misses the interval only on an open end
+        return all((not lo_closed and not past_lo(pq)) or (not hi_closed and not past_hi(pq))
                    for pq in pairs[i:bisect_right(pairs, 0, i, key=past_hi)])
 
 
@@ -279,13 +298,16 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
     length nor any oracle gap, and shrinks every oracle gap to its centered
     subinterval of that length.
 
-    The per-remnant work runs on the endpoints' numerators and denominators.
-    For an oracle gap (p/q, r/s) in K = [lo, hi], the containment in the
-    closed middle third is 3p/q >= 2lo + hi and 3r/s <= lo + 2hi,
-    cross-multiplied; the level length is 1/M with M the larger of twice the
-    previous level's M and every ceil(qs / (rq - ps)); and the shrunk gap's
-    ends are ((ps + rq)M - qs) / (2qsM) and ((ps + rq)M + qs) / (2qsM), one
-    Fraction each.
+    The per-remnant work runs on the endpoints' numerators and denominators,
+    and the oracle answers on ints (:meth:`GapOracle.gap_ends` and
+    :meth:`GapOracle.avoids`), so an oracle gap becomes neither Fractions nor
+    an Interval unless it breaks the contract. For an oracle gap (p/q, r/s)
+    in K = [lo, hi], the containment in the closed middle third is
+    3p/q >= 2lo + hi and 3r/s <= lo + 2hi, cross-multiplied; the level length
+    is 1/M with M the larger of twice the previous level's M and every
+    ceil(qs / (rq - ps)); and the shrunk gap's ends are
+    ((ps + rq)M - qs) / (2qsM) and ((ps + rq)M + qs) / (2qsM), one Fraction
+    each.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
@@ -296,18 +318,20 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
         raw = []
         m *= 2
         for j, k in enumerate(remnants, 1):
-            gap = oracle(k)
-            p, q, r, s = gap.lo.numerator, gap.lo.denominator, gap.hi.numerator, gap.hi.denominator
-            width = r * q - p * s  # |gap| = width / (qs)
-            if not gap.is_open or width <= 0:
-                raise OracleViolationError(n, j, f"gap {gap} is not a nondegenerate open interval")
             a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
-            if 3 * p * b * d < (2 * a * d + c * b) * q or 3 * r * b * d > (a * d + 2 * c * b) * s:
+            p, q, r, s = oracle.gap_ends(a, b, c, d)
+            if q <= 0 or s <= 0:
                 raise OracleViolationError(
-                    n, j, f"gap {gap} leaves the closed middle third {middle_third(k)} of {k}")
-            avoids = oracle.interval_avoids_target(gap)
-            if avoids is False:
-                raise OracleViolationError(n, j, f"gap {gap} meets the target set")
+                    n, j, f"gap ends {(p, q, r, s)} need positive denominators")
+            width = r * q - p * s  # |gap| = width / (qs)
+            if width <= 0:
+                raise OracleViolationError(n, j, f"gap {_gap(p, q, r, s)} is not a "
+                                                 "nondegenerate open interval")
+            if 3 * p * b * d < (2 * a * d + c * b) * q or 3 * r * b * d > (a * d + 2 * c * b) * s:
+                raise OracleViolationError(n, j, f"gap {_gap(p, q, r, s)} leaves the closed "
+                                                 f"middle third {middle_third(k)} of {k}")
+            if oracle.avoids(p, q, r, s, False, False) is False:
+                raise OracleViolationError(n, j, f"gap {_gap(p, q, r, s)} meets the target set")
             m = max(m, -(-q * s // width))
             raw.append((p * s + r * q, q * s))  # the midpoint is the first over twice the second
         gaps = []
@@ -323,6 +347,12 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
         levels.append(CantorLevel(n=n, gap_length=Fraction(1, m), gaps=tuple(gaps),
                                   remnants=remnants))
     return CantorConstruction(depth=depth, levels=tuple(levels))
+
+
+def _gap(p: int, q: int, r: int, s: int) -> str:
+    """The open gap (p/q, r/s) as ``str`` writes an open Interval, for a
+    violation message (a reversed gap makes no Interval)."""
+    return f"({Fraction(p, q)},{Fraction(r, s)})"
 
 
 # ---------------------------------------------------------------------------
@@ -351,39 +381,55 @@ def _on_lattice(groups: list) -> Tuple[int, list]:
     return D, [[x.numerator * scale[x.denominator] for x in group] for group in groups]
 
 
-def _set_claims(levels: Tuple[CantorLevel, ...]) -> Tuple[list, list]:
+def _set_claims(levels: Tuple[CantorLevel, ...], D: int, ends: list) -> Tuple[list, list]:
     """The set-valued claims of :func:`verify_cantor`, through the interval
     kernel: the violation naming each pair of levels whose gap closures
     meet, and for each level n whether [0,1] minus the gaps of levels 1..n is
-    the union of the level-n remnants. The kernel's sets are freed on return,
-    before the verifier reads its lattice."""
+    the union of the level-n remnants.
 
-    def union_of(parts: Tuple[Interval, ...]) -> IntervalSet:
-        """A level's parts as one set: the tuple itself when it is canonical,
-        else the kernel's union of its parts. A gap tuple out of order or
+    Every set is built by :meth:`IntervalSet.from_cuts` on the verifier's
+    lattice D: ``ends`` holds, level after level, the lists of its gaps'
+    inf, gaps' sup, remnants' inf and remnants' sup as ints x*D, so a part
+    with ends lo, hi is the cut range ``(2lo + (not lo_closed), 2hi +
+    hi_closed)`` and its closure ``(2lo, 2hi + 1)``."""
+
+    def union_of(cuts: list) -> IntervalSet:
+        """Cut ranges as one set: the list itself when it is canonical, else
+        the kernel's union of its one-range sets. A gap tuple out of order or
         overlapping fails the shape check, and a remnant tuple the child
         indexing, closedness or count checks, so the fallback hides nothing."""
         try:
-            return IntervalSet(parts)
+            return IntervalSet.from_cuts(D, cuts)
         except ValueError:
-            return union_all([IntervalSet((part,)) for part in parts])
+            return union_all([IntervalSet.from_cuts(D, [r]) for r in cuts])
 
-    # closures of different levels are disjoint. Within a level they are
-    # (each closure set is canonical), so the union of all of them has as
-    # many parts as they have together exactly when no two levels' closures
-    # meet; the pairwise pass runs only to name the pairs that do
-    gap_sets = [union_of(lv.gaps) for lv in levels]
-    closures = [gaps.closure() for gaps in gap_sets]
-    meeting = []
-    if len(union_all(closures)) != sum(map(len, closures)):
-        meeting = [f"closures of level {n} and level {m} gap unions intersect"
-                   for n in range(1, len(levels) + 1) for m in range(n + 1, len(levels) + 1)
-                   if not closures[n - 1].intersect(closures[m - 1]).is_empty]
+    def cuts_of(parts: Tuple[Interval, ...], los: list, his: list) -> list:
+        return [(2 * lo + (not p.lo_closed), 2 * hi + p.hi_closed)
+                for p, lo, hi in zip(parts, los, his)]
+
+    def meeting() -> list:
+        # closures of different levels are disjoint. Within a level they are
+        # (each closure set is canonical), so the union of all of them has as
+        # many parts as they have together exactly when no two levels'
+        # closures meet; the pairwise pass runs only to name the pairs that
+        # do. The closures are freed before the decomposition runs
+        closures = [union_of([(2 * lo, 2 * hi + 1) for lo, hi in zip(los, his)])
+                    for _, los, his in zip(levels, ends[0::4], ends[1::4])]
+        if len(union_all(closures)) == sum(map(len, closures)):
+            return []
+        return [f"closures of level {n} and level {m} gap unions intersect"
+                for n in range(1, len(levels) + 1) for m in range(n + 1, len(levels) + 1)
+                if not closures[n - 1].intersect(closures[m - 1]).is_empty]
+
+    meeting_pairs = meeting()
+    unit = IntervalSet.from_cuts(D, [(0, 2 * D + 1)])
     decomposed, gaps_through = [], EMPTY
-    for lv, gaps in zip(levels, gap_sets):
-        gaps_through = gaps_through.union(gaps)
-        decomposed.append(gaps_through.complement_within(UNIT) == union_of(lv.remnants))
-    return meeting, decomposed
+    for lv, gap_lo, gap_hi, rem_lo, rem_hi in zip(levels, ends[0::4], ends[1::4], ends[2::4],
+                                                  ends[3::4]):
+        gaps_through = gaps_through.union(union_of(cuts_of(lv.gaps, gap_lo, gap_hi)))
+        remnants = union_of(cuts_of(lv.remnants, rem_lo, rem_hi))
+        decomposed.append(unit.difference(gaps_through) == remnants)
+    return meeting_pairs, decomposed
 
 
 def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantReport:
@@ -396,10 +442,10 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     sup K(n,j) - inf K(n+k, 2^k j) < (2/3)^(n+k) for k up to k_max, and the
     per-gap left-neighborhood coverage of [inf parent, sup gap).
 
-    The set-valued claims (cross-level disjointness, the decomposition) run
-    through the interval kernel. Every other claim is decided on ints: every
-    endpoint and gap length x is read once as x*D, with D the lcm of all
-    their denominators. Each x*D is then an integer, and x -> x*D is
+    Every claim is decided on ints: every endpoint and gap length x is read
+    once as x*D, with D the lcm of all their denominators. The set-valued
+    claims (cross-level disjointness, the decomposition) run through the
+    interval kernel, on sets built from those ints on the lattice D. Each x*D is then an integer, and x -> x*D is
     strictly increasing and linear, so the ints order, differ and sum exactly
     as the Fractions do: equal lengths compare differences of ints, and the
     remnant bound len < (2/3)^n reads 3^n (hi - lo) < 2^n D. Messages print
@@ -429,8 +475,6 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
     if c.depth != len(c.levels):
         flag(f"depth {c.depth} but {len(c.levels)} levels")
 
-    meeting, decomposed = _set_claims(c.levels[:depth])
-
     # the gap lengths, then each level's gap and remnant ends, as ints over
     # one lattice D: gap_lo[n][j-1] is inf of gap (n,j) times D, and
     # rem_lo[n][j-1] inf K(n,j) times D
@@ -439,6 +483,7 @@ def verify_cantor(construction: CantorConstruction, k_max: int) -> InvariantRepo
         groups += ([g.lo for g in lv.gaps], [g.hi for g in lv.gaps],
                    [r.lo for r in lv.remnants], [r.hi for r in lv.remnants])
     D, (lengths, *ends) = _on_lattice(groups)
+    meeting, decomposed = _set_claims(c.levels[:depth], D, ends)
     gap_lo, gap_hi = [None] + ends[0::4], [None] + ends[1::4]
     rem_lo, rem_hi = [[0]] + ends[2::4], [[D]] + ends[3::4]
     # the bound (2/3)^n over D is 2^n D / 3^n

@@ -21,7 +21,9 @@ Every set is held as its cuts over one lattice ``D``, the cut ``(x, flag)``
 encoded as the int ``2*x*D + flag``, which orders exactly as the tuple does.
 The constructor encodes its parts once, over the lcm of their endpoint
 denominators, and checks canonical form on those ints; a kernel result keeps
-its operands' common lattice and is checked on its cuts the same way.
+its operands' common lattice and is checked on its cuts the same way, and so
+is a set that :meth:`IntervalSet.from_cuts` builds from given cuts over a
+given D.
 Canonical means the cuts strictly increase, which is exactly the
 :class:`Interval` shape rule within each range and the canonical rule between
 neighbours, so a kernel result skips both constructors and decodes its parts
@@ -32,7 +34,9 @@ Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
 :meth:`IntervalSet.longest` read the cuts, lengths ``(hi >> 1) - (lo >> 1)``
 as ints, and ``longest`` decodes only the part it returns. Union,
 intersection, difference and ``==`` carry their operands to the lcm of the
-two lattices (``2xD + f`` becomes ``2xDk + f``) and compare or sweep there.
+two lattices (``2xD + f`` becomes ``2xDk + f``) and compare or sweep there;
+:meth:`IntervalSet.left_neighborhood` moves the start cuts on the lcm of the
+lattice and the radius's denominator and merges.
 A chain of translates stays on one lattice, sized once from all its shifts.
 """
 
@@ -210,6 +214,16 @@ class IntervalSet:
         _set_parts(self, parts)
         _set_lattice(self, (D, cuts))
 
+    @staticmethod
+    def from_cuts(D: int, cuts: Iterable[Tuple[int, int]]) -> "IntervalSet":
+        """The set of the half-open int cut ranges ``cuts`` over the lattice
+        ``D >= 1``, each cut ``2*x*D + flag``; ValueError unless the cuts
+        strictly increase (an empty range, or neighbours that overlap or
+        should merge). Its parts are decoded on first read."""
+        if D < 1:
+            raise ValueError(f"lattice D must be positive, got {D}")
+        return _decode([(lo, hi) for lo, hi in cuts], D)
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -304,13 +318,18 @@ class IntervalSet:
 
         Pointwise, each part gains an open left margin of width r while its
         right endpoint flag survives; for a union of open parts this is the
-        per-part map (a,b) -> (a-r, b) followed by canonicalization.
+        per-part map (a,b) -> (a-r, b) followed by canonicalization. On the
+        cuts over D' = lcm(D, den r), every start cut ``2*lo*D' + f`` moves
+        to the open ``2*(lo - r)*D' + 1``, that is ``(start | 1) - 2*r*D'``,
+        and the ranges merge.
         """
         rr = as_fraction(r)
         if rr <= 0:
             raise ValueError("left_neighborhood needs r > 0")
-        widened = [Interval(p.lo - rr, p.hi, False, p.hi_closed) for p in self.parts]
-        return normalize(widened)
+        d, cuts = self._lattice
+        D = lcm(d, rr.denominator)
+        move = 2 * rr.numerator * (D // rr.denominator)
+        return _decode(_merge([((lo | 1) - move, hi) for lo, hi in _rescale(cuts, D // d)]), D)
 
     def star(self) -> "IntervalSet":
         """Replace every part (a,b) or [a,b] by [a,b).

@@ -39,8 +39,9 @@ MAX_EXPONENT_BUDGET = 1024
 #: 0.02 s and 18 MB, and 256 radices of 4,300 digits (the longest int a flag
 #: parses) 4.1 s and 78 MB.
 MAX_DEPTH = 256
-#: Longest product P_n, in bits, that a walk or a cover bound may reach. Their
-#: reports print rationals over P_n, and ``str()`` writes at most 4,300 decimal
+#: Longest product P_n, in bits, that a walk or a cover bound may reach (a
+#: walk's offsets count too: P_n's bits plus each offset's). Their reports
+#: print rationals over P_n, and ``str()`` writes at most 4,300 decimal
 #: digits (about 14,284 bits): on a 2-core VM (Python 3.11) and the default
 #: schedule, ``appendix-intersect`` printed its walk to P_110 (13,883 bits)
 #: and failed to print P_118 (15,374 bits) after 0.43 s, or P_256 after 5.4 s.
@@ -280,6 +281,14 @@ def nested_intersect(alpha: Sequence[RationalLike], system: MixedRadixSystem,
         raise ValueError(f"depth must be in 1..{system.depth}")
     _check_product_bits(system, depth)
     offsets = [as_fraction(a) for a in alpha]
+    # every window end is a multiple of 1/P_depth plus an offset, so its
+    # numerator and denominator have about the offset's bits plus P_depth's
+    product_bits = system.product(depth).bit_length()
+    for j, a in enumerate(offsets, 1):
+        bits = max(a.numerator.bit_length(), a.denominator.bit_length())
+        if bits + product_bits > MAX_PRODUCT_BITS:
+            raise ValueError(f"offset {j}: {bits} bits, with the {product_bits} bits of "
+                             f"P_{depth}, above MAX_PRODUCT_BITS = {MAX_PRODUCT_BITS}")
     need = max(branch_index(u) for u in range(1, depth + 1))
     if len(offsets) < need:
         raise ValueError(f"need offsets for branches 1..{need}, got {len(offsets)}")

@@ -86,3 +86,8 @@ def difference(x: IntervalSet, y: IntervalSet) -> IntervalSet:
 
 def translate(s: IntervalSet, t) -> IntervalSet:
     return IntervalSet(tuple(p.translate(t) for p in s.parts))
+
+
+def left_neighborhood(s: IntervalSet, r) -> IntervalSet:
+    """Each range [start, end) widened to start just after lo - r, then fused."""
+    return union_of_ranges(((start[0] - r, 1), end) for start, end in ranges(s))

@@ -82,11 +82,31 @@ class TestBuild:
     def test_build_deterministic(self):
         assert build_cantor(TernaryCantorOracle(), 4) == build_cantor(TernaryCantorOracle(), 4)
 
+    def test_two_fractions_per_new_gap(self, monkeypatch):
+        # the oracle answers on ints: from depth 9 to 10 the build makes the
+        # new gaps' two ends and the level length, and no other Fraction
+        oracle = FinitePointsOracle((F(1, 2), F(2, 7), F(5, 11), F(13, 17)))
+        made = Counter()
+
+        def counted(cls, *args, _new=F.__new__, **kwargs):
+            made["Fraction"] += 1
+            return _new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        per_depth = {}
+        for depth in (9, 10):
+            made.clear()
+            build_cantor(oracle, depth)
+            per_depth[depth] = made["Fraction"]
+        F(1, 3)
+        assert made["Fraction"] == per_depth[10] + 1  # the hook counts
+        assert per_depth[10] - per_depth[9] <= 2 * 2 ** 9 + 1, per_depth
+
     def test_bad_oracle_rejected(self):
         class Offside(MiddleThirdOracle):
-            def __call__(self, k):
-                inner = middle_third(k)
-                return Interval.open(inner.hi, k.hi)  # outside the middle third
+            def gap_ends(self, a, b, c, d):
+                # from the right end of the middle third to k.hi: outside it
+                return a * d + 2 * c * b, 3 * b * d, c, d
 
         with pytest.raises(OracleViolationError) as err:
             build_cantor(Offside(), depth=1)
@@ -107,6 +127,21 @@ def scanned_avoids(points, iv):
     """Whether iv holds none of the points, by a linear scan of every point."""
     return not any((iv.lo < p or (iv.lo_closed and p == iv.lo))
                    and (p < iv.hi or (iv.hi_closed and p == iv.hi)) for p in points)
+
+
+def ends(iv):
+    """An interval's ends as the ints an oracle's int forms take."""
+    return iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+
+
+def open_gap(p, q, r, s):
+    """The gap an oracle's gap_ends names, checking its positive denominators."""
+    assert q > 0 and s > 0
+    return Interval.open(F(p, q), F(r, s))
+
+
+def int_avoids(oracle, iv):
+    return oracle.avoids(*ends(iv), iv.lo_closed, iv.hi_closed)
 
 
 def reference_middle_third(k):
@@ -217,15 +252,15 @@ class Nudged(MiddleThirdOracle):
     def __init__(self, target, side, offset):
         self.target, self.side, self.offset = target, side, offset
 
-    def __call__(self, k):
+    def gap_ends(self, a, b, c, d):
+        k = Interval.closed(F(a, b), F(c, d))
         if k != self.target:
-            return super().__call__(k)
+            return super().gap_ends(a, b, c, d)
         inner = reference_middle_third(k)
         step = self.offset * F(1, 3 * lcm(k.lo.denominator, k.hi.denominator))
         mid = (inner.lo + inner.hi) / 2
-        if self.side == "lo":
-            return Interval.open(inner.lo - step, mid)
-        return Interval.open(mid, inner.hi + step)
+        lo, hi = (inner.lo - step, mid) if self.side == "lo" else (mid, inner.hi + step)
+        return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
 class TestOracleGapOnTheMiddleThirdEnds:
@@ -256,6 +291,75 @@ class TestOracleGapOnTheMiddleThirdEnds:
             assert "leaves the closed middle third" in got.value.reason
 
 
+def reference_ternary_gap(k):
+    """The ternary oracle's gap by plain Fractions: the open middle third of
+    the first ternary block of the smallest size fitting twice in the middle
+    third of k."""
+    inner = reference_middle_third(k)
+    width = F(1)
+    while 2 * width > inner.length:
+        width /= 3
+    block_lo = math.ceil(inner.lo / width) * width
+    return Interval.open(block_lo + width / 3, block_lo + 2 * width / 3)
+
+
+def reference_ternary_avoids(iv):
+    """Whether iv misses the middle-thirds set: its closed ends are not
+    members, and its interior lies in one deleted middle third or off [0,1]."""
+    if (iv.lo_closed and in_ternary_cantor(iv.lo)) or (iv.hi_closed and in_ternary_cantor(iv.hi)):
+        return False
+    if iv.is_point or iv.hi <= 0 or iv.lo >= 1:
+        return True
+    gap = ternary_gap_containing(iv.midpoint())
+    return gap is not None and gap.lo <= iv.lo and iv.hi <= gap.hi
+
+
+class TestIntForms:
+    """Each oracle answers on ints; the Interval wrappers and plain-Fraction
+    references must agree with them, on reduced and unreduced ints."""
+
+    def test_gap_ends(self):
+        rng = random.Random(113)
+        oracles = [(MiddleThirdOracle(), reference_middle_ninth),
+                   (TernaryCantorOracle(), reference_ternary_gap)]
+        for _ in range(600):
+            lo = F(rng.randint(0, 80), rng.randint(1, 81))
+            if lo >= 1:
+                continue
+            k = Interval.closed(lo, lo + (1 - lo) * F(rng.randint(1, 27), 27))
+            a, b, c, d = ends(k)
+            t, u = rng.randint(1, 9), rng.randint(1, 9)
+            for oracle, reference in oracles:
+                want = reference(k)
+                assert open_gap(*oracle.gap_ends(a, b, c, d)) == want == oracle(k), k
+                assert open_gap(*oracle.gap_ends(a * t, b * t, c * u, d * u)) == want, k
+
+    @pytest.mark.parametrize("k", [Interval.point(0), Interval.point(F(1, 2))])
+    def test_ternary_refuses_a_degenerate_k(self, k):
+        # no ternary block fits in a point; the search used to run forever
+        with pytest.raises(ValueError, match="is degenerate"):
+            TernaryCantorOracle()(k)
+
+    def test_avoids(self):
+        rng = random.Random(127)
+        ternary = TernaryCantorOracle()
+        seen = Counter()
+        for _ in range(3000):
+            # ends on small ternary grids, so members and gap ends occur often
+            lo = F(rng.randint(-3, 30), 3 ** rng.randint(1, 3))
+            hi = lo + F(rng.randint(0, 9), 3 ** rng.randint(1, 3))
+            iv = (Interval.point(lo) if lo == hi else
+                  Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+            want = reference_ternary_avoids(iv)
+            assert ternary.interval_avoids_target(iv) == int_avoids(ternary, iv) == want, iv
+            p, q, r, s = ends(iv)
+            t = rng.randint(2, 5)
+            assert ternary.avoids(p * t, q * t, r * t, s * t, iv.lo_closed, iv.hi_closed) == want
+            assert int_avoids(MiddleThirdOracle(), iv) is True
+            seen[want, iv.lo_closed or iv.hi_closed] += 1
+        assert min(seen.values()) > 100, seen
+
+
 class TestFinitePointsOracle:
     """The oracle bisects its sorted points; a linear scan is the reference."""
 
@@ -275,7 +379,9 @@ class TestFinitePointsOracle:
             points += rng.choices(points, k=rng.randint(0, 3)) if points else []  # duplicates
             rng.shuffle(points)
             on_edges += any(p in inner for p in points)
-            assert FinitePointsOracle(tuple(points))(k) == scanned_gap(points, k), (k, points)
+            oracle = FinitePointsOracle(tuple(points))
+            want = scanned_gap(points, k)
+            assert oracle(k) == want == open_gap(*oracle.gap_ends(*ends(k))), (k, points)
         assert on_edges > 1000
 
     def test_avoids_target_matches_a_linear_scan(self):
@@ -287,8 +393,9 @@ class TestFinitePointsOracle:
             for hi_closed in (False, True):
                 iv = Interval(a, b, lo_closed, hi_closed)
                 for name, points in points_on.items():
-                    got = FinitePointsOracle(points + (F(7, 8), -1)).interval_avoids_target(iv)
-                    assert got == scanned_avoids(points, iv), (iv, name)
+                    oracle = FinitePointsOracle(points + (F(7, 8), -1))
+                    got = oracle.interval_avoids_target(iv)
+                    assert got == scanned_avoids(points, iv) == int_avoids(oracle, iv), (iv, name)
                     answers.add((name, got))
         assert {("lo", True), ("lo", False), ("hi", True), ("hi", False),
                 ("both", False), ("inside", False), ("none", True), ("outside", True)} <= answers
@@ -310,8 +417,9 @@ class TestFinitePointsOracle:
                       for _ in range(rng.randint(0, 5))]
             points += rng.sample((lo, hi, (lo + hi) / 2), rng.randint(0, 2))
             points += rng.choices(points, k=rng.randint(0, 2)) if points else []
-            got = FinitePointsOracle(tuple(points)).interval_avoids_target(iv)
-            assert got == scanned_avoids(points, iv), (iv, points)
+            oracle = FinitePointsOracle(tuple(points))
+            got = oracle.interval_avoids_target(iv)
+            assert got == scanned_avoids(points, iv) == int_avoids(oracle, iv), (iv, points)
             for end, closed in ((lo, iv.lo_closed), (hi, iv.hi_closed)):
                 if end in points:
                     seen[closed, got] += 1
@@ -325,8 +433,28 @@ class TestFinitePointsOracle:
             hi = lo + F(rng.randint(0, 6), 6)
             iv = (Interval.point(lo) if lo == hi else
                   Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
-            assert FinitePointsOracle(tuple(points)).interval_avoids_target(iv) == \
-                scanned_avoids(points, iv), (iv, points)
+            oracle = FinitePointsOracle(tuple(points))
+            assert oracle.interval_avoids_target(iv) == scanned_avoids(points, iv) == \
+                int_avoids(oracle, iv), (iv, points)
+
+    def test_int_forms_on_the_seeded_ladders(self):
+        # every remnant of the seeded ladders, points on middle-third ends
+        # included, asked as reduced and as unreduced ints
+        rng = random.Random(109)
+        for points in seeded_point_sets(61, 4):
+            oracle = FinitePointsOracle(points)
+            ladder = build_cantor(oracle, 5)
+            for n in range(0, 5):
+                for j in range(1, 2 ** n + 1):
+                    k = ladder.remnant(n, j)
+                    t, u = rng.randint(1, 5), rng.randint(1, 5)
+                    a, b, c, d = ends(k)
+                    want = scanned_gap(points, k)
+                    assert open_gap(*oracle.gap_ends(a, b, c, d)) == want == oracle(k)
+                    assert open_gap(*oracle.gap_ends(a * t, b * t, c * u, d * u)) == want
+                    assert int_avoids(oracle, want) is scanned_avoids(points, want) is True
+                    closed = want.closure()
+                    assert int_avoids(oracle, closed) == scanned_avoids(points, closed)
 
 
 def tamper(c, n, gaps=None, remnants=None):
@@ -439,7 +567,7 @@ class TestVerify:
         # the gap count doubles from depth 9 to 10; the kernel calls may grow
         # with the number of levels only
         calls = Counter()
-        for name in ("normalize", "_sweep"):
+        for name in ("_decode", "_sweep"):
             def counted(*args, _op=getattr(intervals, name), _name=name):
                 calls[_name] += 1
                 return _op(*args)
@@ -450,9 +578,22 @@ class TestVerify:
             calls.clear()
             assert verify_cantor(ladder, 4).passed
             per_depth[depth] = dict(calls)
-        for name in ("normalize", "_sweep"):
+        for name in ("_decode", "_sweep"):
             assert per_depth[9][name] > 0
             assert per_depth[10][name] - per_depth[9][name] <= 2 * 10, per_depth
+
+    def test_set_claims_never_encode_parts(self, monkeypatch):
+        # the set claims build every set from the verifier's lattice, the
+        # fallback for a non-canonical level included
+        def never(*args):
+            raise AssertionError("verify_cantor encoded a set")
+
+        ladder = build_cantor(FinitePointsOracle((F(1, 3), F(5, 8))), 6)
+        reversed_gaps = tamper(ladder, 4, gaps=ladder.levels[3].gaps[::-1])
+        monkeypatch.setattr(intervals, "_encode", never)
+        assert verify_cantor(ladder, 4).passed
+        assert "level 4: closures of gaps 1 and 2 meet" in \
+            verify_cantor(reversed_gaps, 4).violations
 
     def test_no_fraction_comparison_per_part(self, monkeypatch):
         # the part count doubles from depth 9 to 10; the Fraction comparisons

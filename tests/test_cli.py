@@ -587,6 +587,24 @@ class TestScheduleCaps:
         assert "error: level 30: P_30 has 428460 bits, above MAX_PRODUCT_BITS" in \
             capsys.readouterr().err
 
+    def test_offsets_past_the_bit_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a 4,001-digit offset prints, but the walk's ends over P_40 times its
+        # denominator would not; it is refused, by position, before the walk
+        schedule = ",".join(map(str, mixedradix.default_schedule(40).radices))
+        offsets = ",".join(["0"] + [f"1/{10 ** 4000 + 1}"] * 5)
+
+        def never(*args, **kwargs):
+            raise AssertionError("walk started past the bit cap")
+
+        monkeypatch.setattr(mixedradix, "branch_index", never)
+        code, report = run(tmp_path, "appendix-intersect", "--schedule", schedule,
+                           "--alphas", offsets, "--U", "40")
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == (
+            "error: offset 2: 13288 bits, with the 3559 bits of P_40, above "
+            "MAX_PRODUCT_BITS = 12000\n")
+
     def test_product_cap_admits_printable_reports(self, tmp_path):
         assert len(str(2 ** mixedradix.MAX_PRODUCT_BITS)) < sys.int_info.default_max_str_digits
         schedule = ",".join(map(str, mixedradix.default_schedule(99).radices))
@@ -697,3 +715,29 @@ def test_every_verdict_can_fail_with_exit_one(tmp_path, monkeypatch, command):
 def test_verdict_table_covers_every_command():
     assert set(VERDICTS) | VERDICT_LESS == set(cli.COMMANDS)
     assert not set(VERDICTS) & VERDICT_LESS
+
+
+# the two library-only verdicts: each fails on a real input or under one fault
+
+def test_slow_decay_fails_on_a_ladder_with_shorter_gaps():
+    # the slow sequence of the middle-third ladder holds against that ladder
+    # and fails against a finite-points ladder whose gaps are shorter
+    ladder = cantor.build_cantor(cantor.MiddleThirdOracle(), 6)
+    seq = slowseq.build_mu({0: [ladder.gap_length(n) for n in range(1, 7)]}, 500)
+    assert slowseq.verify_slow_decay(ladder, seq, 1, 1, range(1, 7)).passed
+    points = tuple(F(i, 37) for i in range(1, 37))
+    shorter = cantor.build_cantor(cantor.FinitePointsOracle(points), 6)
+    report = slowseq.verify_slow_decay(shorter, seq, 1, 1, range(1, 7))
+    assert not report.passed
+    assert report.violations[:2] == ("n=2: delta*step at N_n is not below l_n",
+                                     "n=2: threshold 31 exceeds breakpoint 30")
+
+
+def test_summability_fails_on_a_threshold_one_step_late(monkeypatch):
+    t = avoider.ThresholdSequence.from_convex(lambda m: F(1, m + 1))
+    assert avoider.summability_report(t, 12).passed
+    index = avoider.threshold_index
+    monkeypatch.setattr(avoider, "threshold_index", lambda *args: index(*args) + 1)
+    report = avoider.summability_report(t, 12)
+    assert not report.passed
+    assert report.violations == ("n=1: T*lambda exceeds the telescoped eta drop",)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
@@ -169,6 +170,24 @@ class TestLeftNeighborhood:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             iset("(0,1)").left_neighborhood(0)
+
+    def test_cuts_against_the_reference(self):
+        # mixed flags and degenerate points, radii on the set's lattice and
+        # off it, and radii wide enough to merge neighbouring parts
+        rng = random.Random(101)
+        seen = Counter()
+        for _ in range(1500):
+            s = mixed_set(rng)
+            if rng.random() < 0.5:
+                r = random_fraction(rng, span=8, max_den=6, positive=True)
+            else:
+                r = F(rng.randint(1, 40), rng.choice((7, 11, 13, 101, 2 ** 61 - 1)))
+            got, want = s.left_neighborhood(r), ref.left_neighborhood(s, r)
+            same(got, want)
+            seen["point"] += any(p.is_point for p in s.parts)
+            seen["merged"] += len(got) < len(s)
+            seen["new denominator"] += s._lattice[0] % r.denominator != 0
+        assert min(seen.values()) > 200, seen
 
 
 class TestStar:
@@ -552,6 +571,37 @@ class TestChecksOnCuts:
             assert got == want, cuts
             outcomes.add(got_error)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("cuts", [
+        [(5, 5)], [(6, 5)],          # an empty range
+        [(0, 6), (4, 8)],            # overlapping neighbours
+        [(0, 4), (4, 6)],            # [0,2) then [2,3): mergeable
+        [(1, 4), (3, 6)],            # (0,2) then (1,3)
+    ])
+    def test_from_cuts_rejects_what_is_not_canonical(self, cuts):
+        with pytest.raises(ValueError):
+            IntervalSet.from_cuts(1, cuts)
+
+    def test_from_cuts_equals_the_constructor_on_the_same_cuts(self):
+        # random cut lists: from_cuts raises exactly when the constructor
+        # does, and otherwise builds the same set, on the given lattice
+        rng = random.Random(107)
+        outcomes = Counter()
+        for _ in range(3000):
+            D = rng.randint(1, 6)
+            flat = sorted(rng.randint(-9, 9) for _ in range(2 * rng.randint(0, 4)))
+            cuts = list(zip(flat[::2], flat[1::2]))
+            want, want_error = raises_value_error(checked_build, cuts, D)
+            got, got_error = raises_value_error(IntervalSet.from_cuts, D, iter(cuts))
+            assert got_error == want_error, (cuts, D)
+            if not got_error:
+                assert got._lattice == (D, cuts) and got._parts is None
+                same(got, want)
+                assert got == IntervalSet(want.parts)
+            outcomes[got_error] += 1
+        assert min(outcomes[True], outcomes[False]) > 500, outcomes
+        with pytest.raises(ValueError):
+            IntervalSet.from_cuts(0, [])
 
     def test_interval_set_matches_the_cut_rule(self):
         rng = random.Random(59)

@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import affcopy
-from affcopy import cli, intervals
+from affcopy import cantor, cli, intervals
 
 SOURCES = sorted(Path(affcopy.__file__).parent.glob("*.py"))
 COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.SetComp)
@@ -116,6 +116,31 @@ def test_an_interval_set_has_one_representation():
                      or any(isinstance(a, ast.Constant) and a.value is None for a in node.args))):
             found.append(f"{owner}:{node.lineno}: sets the lattice")
     assert found == []
+
+
+def test_the_ladder_asks_its_oracle_on_ints():
+    # build_cantor reaches its oracle only by calling gap_ends and avoids, so
+    # an oracle gap has no second path through Fractions or an Interval; each
+    # oracle implements the two int forms, and only the base class wraps them
+    tree = ast.parse(Path(cantor.__file__).read_text(encoding="utf-8"))
+    (build,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_cantor"]
+    parent = {child: node for node in ast.walk(build) for child in ast.iter_child_nodes(node)}
+    uses = [node for node in ast.walk(build)
+            if isinstance(node, ast.Name) and node.id == "oracle"]
+    found = [f"build_cantor:{node.lineno}: {ast.unparse(parent[node])}" for node in uses
+             if not (isinstance(parent[node], ast.Attribute)
+                     and parent[node].attr in ("gap_ends", "avoids")
+                     and isinstance(parent[parent[node]], ast.Call)
+                     and parent[parent[node]].func is parent[node])]
+    assert len(uses) == 2 and found == []
+    oracles = [cls for cls in vars(cantor).values()
+               if isinstance(cls, type) and issubclass(cls, cantor.GapOracle)
+               and cls is not cantor.GapOracle]
+    assert len(oracles) == 3
+    for cls in oracles:
+        assert {"gap_ends", "avoids"} <= set(vars(cls)), cls
+        assert not {"__call__", "interval_avoids_target"} & set(vars(cls)), cls
 
 
 def test_report_format_lives_in_one_encoder():
