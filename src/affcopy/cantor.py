@@ -58,52 +58,6 @@ def middle_third(k: Interval) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# ternary middle-thirds set helpers
-# ---------------------------------------------------------------------------
-
-def in_ternary_cantor(x: RationalLike) -> bool:
-    """Exact membership of a rational in the classical middle-thirds set.
-
-    Follows the orbit x -> 3x (low branch) / 3x-2 (high branch); a rational
-    orbit either revisits a state (never leaving the two outer thirds, so x
-    is a member) or falls strictly inside a deleted middle third.
-    """
-    x = as_fraction(x)
-    if x < 0 or x > 1:
-        return False
-    third = Fraction(1, 3)
-    seen = set()
-    while x not in seen:
-        seen.add(x)
-        if x <= third:
-            x = 3 * x
-        elif x >= TWO_THIRDS:
-            x = 3 * x - 2
-        else:
-            return False
-    return True
-
-
-def ternary_gap_containing(x: RationalLike) -> Optional[Interval]:
-    """The deleted middle third (a component of [0,1] minus the ternary set)
-    containing x, or None when x is a member or outside (0,1)."""
-    x = as_fraction(x)
-    if x <= 0 or x >= 1 or in_ternary_cantor(x):
-        return None
-    lo = Fraction(0)
-    scale = Fraction(1)
-    while True:
-        y = (x - lo) / scale
-        if y < Fraction(1, 3):
-            scale /= 3
-        elif y > TWO_THIRDS:
-            lo += 2 * scale / 3
-            scale /= 3
-        else:
-            return Interval.open(lo + scale / 3, lo + 2 * scale / 3)
-
-
-# ---------------------------------------------------------------------------
 # gap oracles
 # ---------------------------------------------------------------------------
 
@@ -116,8 +70,7 @@ class GapOracle:
     ``(a, b, c, d)`` with b, d > 0 and returns the open gap (p/q, r/s) as
     ``(p, q, r, s)`` with q, s > 0, not necessarily reduced; :meth:`avoids`
     takes an interval from p/q to r/s (q, s > 0) as ``(p, q, r, s)`` and its
-    end flags. Each oracle implements both once; ``oracle(k)`` and
-    :meth:`interval_avoids_target` wrap them for ``Interval``s.
+    end flags. Each oracle implements both once.
     """
 
     name = "oracle"
@@ -130,16 +83,6 @@ class GapOracle:
         """Whether the interval is disjoint from the target set, or None if
         not checkable."""
         return None
-
-    def __call__(self, k: Interval) -> Interval:
-        lo, hi = k.lo, k.hi
-        p, q, r, s = self.gap_ends(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-        return Interval(Fraction(p, q), Fraction(r, s), False, False)
-
-    def interval_avoids_target(self, iv: Interval) -> Optional[bool]:
-        lo, hi = iv.lo, iv.hi
-        return self.avoids(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
-                           iv.lo_closed, iv.hi_closed)
 
 
 class MiddleThirdOracle(GapOracle):
@@ -185,14 +128,28 @@ class TernaryCantorOracle(GapOracle):
 
     def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
                hi_closed: bool) -> bool:
-        lo, hi = Fraction(p, q), Fraction(r, s)
-        if hi < 0 or lo > 1 or (hi == 0 and not hi_closed) or (lo == 1 and not lo_closed):
-            return True
+        if r < 0 or p > q or (r == 0 and not hi_closed) or (p == q and not lo_closed):
+            return True  # off [0,1], or meeting it only at an open end
         # an interval meeting [0,1] misses the target only inside one deleted
-        # middle third, the one holding its midpoint
-        gap = ternary_gap_containing((lo + hi) / 2)
-        return (gap is not None and (gap.lo < lo or (gap.lo == lo and not lo_closed))
-                and (hi < gap.hi or (hi == gap.hi and not hi_closed)))
+        # middle third, the one holding its midpoint. Follow the ternary block
+        # [i/w, (i+1)/w] holding the midpoint, as y/den rescaled to the block,
+        # until y falls strictly inside the block's middle third; a member's
+        # orbit stays in the outer thirds and repeats
+        y, den = p * s + r * q, 2 * q * s
+        i, w, seen = 0, 1, set()
+        while 0 < y < den and y not in seen:
+            seen.add(y)
+            if 3 * y <= den:
+                y, i = 3 * y, 3 * i
+            elif 3 * y >= 2 * den:
+                y, i = 3 * y - 2 * den, 3 * i + 2
+            else:  # the gap ((3i + 1)/3w, (3i + 2)/3w): compare its ends with p/q and r/s
+                past_lo = 3 * w * p - (3 * i + 1) * q
+                short_of_hi = (3 * i + 2) * s - 3 * w * r
+                return ((past_lo > 0 or (past_lo == 0 and not lo_closed))
+                        and (short_of_hi > 0 or (short_of_hi == 0 and not hi_closed)))
+            w *= 3
+        return False
 
 
 class FinitePointsOracle(GapOracle):
@@ -374,11 +331,12 @@ class InvariantReport(Report):
 def _on_lattice(groups: list) -> Tuple[int, list]:
     """The lcm D of the denominators of the rationals in ``groups`` (lists of
     Fractions), and each group as the ints x*D, with one quotient D // d per
-    distinct denominator d."""
-    dens = {x.denominator for group in groups for x in group}
+    distinct denominator d; each Fraction's ratio is read once."""
+    pairs = [[x.as_integer_ratio() for x in group] for group in groups]
+    dens = {d for group in pairs for _, d in group}
     D = math.lcm(*dens)
     scale = {d: D // d for d in dens}
-    return D, [[x.numerator * scale[x.denominator] for x in group] for group in groups]
+    return D, [[n * scale[d] for n, d in group] for group in pairs]
 
 
 def _set_claims(levels: Tuple[CantorLevel, ...], D: int, ends: list) -> Tuple[list, list]:

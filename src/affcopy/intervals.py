@@ -30,14 +30,16 @@ neighbours, so a kernel result skips both constructors and decodes its parts
 to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``) only when
 ``parts`` is first read.
 Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
-``len``, truth, ``is_empty``, ``==``, :meth:`IntervalSet.measure` and
-:meth:`IntervalSet.longest` read the cuts, lengths ``(hi >> 1) - (lo >> 1)``
-as ints, and ``longest`` decodes only the part it returns. Union,
-intersection, difference and ``==`` carry their operands to the lcm of the
-two lattices (``2xD + f`` becomes ``2xDk + f``) and compare or sweep there;
-:meth:`IntervalSet.left_neighborhood` moves the start cuts on the lcm of the
-lattice and the radius's denominator and merges.
-A chain of translates stays on one lattice, sized once from all its shifts.
+Every set operation, transform and query reads the cuts: ``len``, truth,
+``is_empty``, ``==``, union, intersection, difference, ``measure``,
+``longest`` (which decodes only the part it returns), ``affine``,
+``translate``, ``left_neighborhood``, ``star``, ``closure``,
+``contains_point`` and pickling. Only ``parts``, ``hash``, ``repr``, ``str``,
+iteration and ``to_strings`` decode the parts.
+One helper, ``_aligned``, sizes the common lattice: it carries several sets
+to the lcm D of their lattices and of any shifts' denominators (``2xD + f``
+becomes ``2xDk + f``) and turns each shift t into the cut move ``2tD``, so a
+chain of translates stays on one lattice, sized once from all its shifts.
 """
 
 from __future__ import annotations
@@ -159,16 +161,6 @@ class Interval:
                      Fraction(hi.numerator * d + n * hi.denominator, hi.denominator * d),
                      self.lo_closed, self.hi_closed)
 
-    def scaled(self, scale: RationalLike, shift: RationalLike = 0) -> "Interval":
-        """Image under x -> scale*x + shift; scale < 0 swaps the endpoints."""
-        a = as_fraction(scale)
-        t = as_fraction(shift)
-        if a == 0:
-            raise ValueError("scale must be nonzero")
-        if a > 0:
-            return Interval(a * self.lo + t, a * self.hi + t, self.lo_closed, self.hi_closed)
-        return Interval(a * self.hi + t, a * self.lo + t, self.hi_closed, self.lo_closed)
-
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -231,7 +223,7 @@ class IntervalSet:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return IntervalSet, (self.parts,)
+        return IntervalSet.from_cuts, self._lattice
 
     @property
     def parts(self) -> Tuple[Interval, ...]:
@@ -246,12 +238,11 @@ class IntervalSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        (D1, a), (D2, b) = self._lattice, other._lattice
-        if len(a) != len(b):
+        if len(self) != len(other):
             return False
         # canonical cut lists over one D are equal exactly when the sets are
-        D = lcm(D1, D2)
-        return _rescale(a, D // D1) == _rescale(b, D // D2)
+        _, (a, b), _ = _aligned((self, other))
+        return a == b
 
     def __hash__(self) -> int:
         return hash((self.parts,))
@@ -301,14 +292,24 @@ class IntervalSet:
         return _decode_part(*cuts[lengths.index(max(lengths))], D)
 
     def affine(self, scale: RationalLike, shift: RationalLike = 0) -> "IntervalSet":
-        """Image set {scale*x + shift : x in self}; scale must be nonzero."""
-        a = as_fraction(scale)
+        """Image set {scale*x + shift : x in self}; scale must be nonzero.
+
+        On D' = lcm(D * den scale, den shift) a cut ``2xD + f`` maps to
+        ``2(scale*x + shift)D' + f``. A negative scale reverses the ranges and
+        flips every flag, since each start cut comes from an end cut.
+        """
+        a, t = as_fraction(scale), as_fraction(shift)
         if a == 0:
             raise ValueError("scale must be nonzero")
-        mapped = [p.scaled(a, shift) for p in self.parts]
-        if a < 0:
-            mapped.reverse()
-        return IntervalSet(tuple(mapped))
+        d, cuts = self._lattice
+        D = lcm(d * a.denominator, t.denominator)
+        k = a.numerator * (D // (d * a.denominator))
+        move = 2 * t.numerator * (D // t.denominator)
+        if k > 0:
+            mapped = [(lo + move, hi + move) for lo, hi in _rescale(cuts, k)]
+        else:
+            mapped = [(move + 1 - hi, move + 1 - lo) for lo, hi in _rescale(cuts[::-1], -k)]
+        return _decode(mapped, D)
 
     def translate(self, shift: RationalLike) -> "IntervalSet":
         return self.affine(1, shift)
@@ -326,34 +327,36 @@ class IntervalSet:
         rr = as_fraction(r)
         if rr <= 0:
             raise ValueError("left_neighborhood needs r > 0")
-        d, cuts = self._lattice
-        D = lcm(d, rr.denominator)
-        move = 2 * rr.numerator * (D // rr.denominator)
-        return _decode(_merge([((lo | 1) - move, hi) for lo, hi in _rescale(cuts, D // d)]), D)
+        D, (cuts,), (move,) = _aligned((self,), (rr,))
+        return _decode(_merge([((lo | 1) - move, hi) for lo, hi in cuts]), D)
 
     def star(self) -> "IntervalSet":
         """Replace every part (a,b) or [a,b] by [a,b).
 
         Requires nondegenerate parts with pairwise disjoint closures, so the
-        half-open images are still separated.
+        half-open images are still separated: on the cuts each range becomes
+        ``(lo & ~1, hi & ~1)``, which strictly increase exactly then.
         """
-        for p in self.parts:
-            if p.is_point:
-                raise ValueError(f"star undefined for degenerate part {p}")
-        for prev, cur in zip(self.parts, self.parts[1:]):
-            if prev.hi >= cur.lo:
-                raise ValueError(f"star undefined: closures of {prev} and {cur} touch")
-        return IntervalSet(tuple(Interval.half_open(p.lo, p.hi) for p in self.parts))
+        D, cuts = self._lattice
+        try:
+            return _decode([(lo & ~1, hi & ~1) for lo, hi in cuts], D)
+        except ValueError:
+            raise ValueError("star undefined: a degenerate part or touching closures") from None
 
     def closure(self) -> "IntervalSet":
-        return normalize([p.closure() for p in self.parts])
+        D, cuts = self._lattice
+        return _decode(_merge([(lo & ~1, hi | 1) for lo, hi in cuts]), D)
 
     # -- queries ----------------------------------------------------------------
 
     def contains_point(self, x: RationalLike) -> bool:
-        cut = (as_fraction(x), 0)
-        i = bisect_right(self.parts, cut, key=lambda p: p.start_cut)
-        return i > 0 and cut < self.parts[i - 1].end_cut
+        """Bisect the cuts, carried to the lattice D*q of x = p/q, for x's
+        cut ``2pD``."""
+        x = as_fraction(x)
+        D, cuts = self._lattice
+        cut, q2 = 2 * x.numerator * D, 2 * x.denominator
+        i = bisect_right(cuts, cut, key=lambda r: (r[0] >> 1) * q2 | r[0] & 1)
+        return i > 0 and cut < ((cuts[i - 1][1] >> 1) * q2 | cuts[i - 1][1] & 1)
 
     def issuperset(self, other: "IntervalSet") -> bool:
         return other.difference(self).is_empty
@@ -468,12 +471,22 @@ def _rescale(cuts: _Cuts, k: int) -> _Cuts:
     return [((lo >> 1) * k2 | lo & 1, (hi >> 1) * k2 | hi & 1) for lo, hi in cuts]
 
 
+def _aligned(sets: Iterable[IntervalSet],
+             shifts: Iterable[RationalLike] = ()) -> Tuple[int, list, list]:
+    """The lcm D of the sets' lattices and the shifts' denominators, each
+    set's cuts carried to D, and each shift t as the cut move ``2tD``."""
+    lattices = [s._lattice for s in sets]
+    ts = [as_fraction(t) for t in shifts]
+    D = lcm(*(d for d, _ in lattices), *{t.denominator for t in ts})
+    return (D, [_rescale(cuts, D // d) for d, cuts in lattices],
+            [2 * t.numerator * (D // t.denominator) for t in ts])
+
+
 def _sweep(sweep: Callable[..., _Cuts], *sets: IntervalSet) -> IntervalSet:
     """Run ``sweep`` on the sets' cut lists, each carried to the lcm D of
     their lattices, and check its result."""
-    lattices = [s._lattice for s in sets]
-    D = lcm(*(d for d, _ in lattices))
-    return _decode(sweep(*(_rescale(cuts, D // d) for d, cuts in lattices)), D)
+    D, cuts, _ = _aligned(sets)
+    return _decode(sweep(*cuts), D)
 
 
 def _merge(*groups: _Cuts) -> _Cuts:
@@ -536,12 +549,8 @@ def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> Inter
     Cuts are shifted directly, parts in the outer loop, so for sorted shifts
     each part's translates arrive as one sorted run.
     """
-    ts = [as_fraction(t) for t in shifts]
-    d, cuts = s._lattice
-    D = lcm(d, *{t.denominator for t in ts})
-    moves = [2 * t.numerator * (D // t.denominator) for t in ts]
-    return _decode(_merge([(lo + m, hi + m) for lo, hi in _rescale(cuts, D // d)
-                           for m in moves]), D)
+    D, (cuts,), moves = _aligned((s,), shifts)
+    return _decode(_merge([(lo + m, hi + m) for lo, hi in cuts for m in moves]), D)
 
 
 def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
@@ -552,12 +561,8 @@ def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
     The chain stays on one lattice: D is the lcm of both operands' lattices
     and every shift's denominator, sized once up front.
     """
-    ts = [as_fraction(t) for t in shifts]
-    (d1, base), (d2, out) = s._lattice, within._lattice
-    D = lcm(d1, d2, *{t.denominator for t in ts})
-    base, out = _rescale(base, D // d1), _rescale(out, D // d2)
-    for t in ts:
-        move = 2 * t.numerator * (D // t.denominator)
+    D, (base, out), moves = _aligned((s, within), shifts)
+    for move in moves:
         out = _intersect(out, [(lo + move, hi + move) for lo, hi in base])
         if not out:
             break

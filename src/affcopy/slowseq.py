@@ -19,7 +19,8 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from affcopy.cantor import CantorConstruction, TWO_THIRDS
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
-                               intersection_of_translates, normalize,
+                               intersection_of_translates,
+                               normalize,  # kept: slowseq.normalize is a public name
                                union_of_translates)
 
 
@@ -199,7 +200,7 @@ class TranslateDecomposition(Report):
     truncated_overlap: Interval
 
     def truncated_union(self) -> IntervalSet:
-        return normalize(self.disjoint_part.parts + (self.truncated_overlap,))
+        return self.disjoint_part.union(IntervalSet((self.truncated_overlap,)))
 
 
 def decompose_translates(interval: Interval, seq: Callable[[int], Fraction],

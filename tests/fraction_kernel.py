@@ -1,5 +1,7 @@
 """Reference kernel for the tests: the sort-and-sweep over ``(Fraction, flag)``
-cut tuples that ``affcopy.intervals`` ran before it encoded cuts as ints.
+cut tuples that ``affcopy.intervals`` ran before it encoded cuts as ints, and
+the parts-based ``affine``, ``star``, ``closure`` and ``contains_point`` it
+ran before those read the int cuts.
 
 A cut ``(x, 0)`` sits at the point ``x`` and ``(x, 1)`` immediately after it;
 an interval covers the half-open cut range ``[start_cut, end_cut)``. The sweeps
@@ -8,9 +10,10 @@ the differential tests and the brute-force oracles check the library against
 an independent implementation.
 """
 
+from bisect import bisect_right
 from typing import Iterable, Tuple
 
-from affcopy.intervals import Cut, Interval, IntervalSet
+from affcopy.intervals import Cut, Interval, IntervalSet, as_fraction
 
 Range = Tuple[Cut, Cut]
 
@@ -91,3 +94,39 @@ def translate(s: IntervalSet, t) -> IntervalSet:
 def left_neighborhood(s: IntervalSet, r) -> IntervalSet:
     """Each range [start, end) widened to start just after lo - r, then fused."""
     return union_of_ranges(((start[0] - r, 1), end) for start, end in ranges(s))
+
+
+def affine(s: IntervalSet, scale, shift=0) -> IntervalSet:
+    """Each part's image under x -> scale*x + shift; a negative scale swaps
+    each part's ends and flags and reverses the parts."""
+    a, t = as_fraction(scale), as_fraction(shift)
+    if a == 0:
+        raise ValueError("scale must be nonzero")
+    if a > 0:
+        return IntervalSet(tuple(Interval(a * p.lo + t, a * p.hi + t, p.lo_closed, p.hi_closed)
+                                 for p in s.parts))
+    return IntervalSet(tuple(Interval(a * p.hi + t, a * p.lo + t, p.hi_closed, p.lo_closed)
+                             for p in reversed(s.parts)))
+
+
+def star(s: IntervalSet) -> IntervalSet:
+    """Every part (a,b) or [a,b] as [a,b); ValueError for a degenerate part
+    or two parts whose closures touch."""
+    for p in s.parts:
+        if p.is_point:
+            raise ValueError(f"star undefined for degenerate part {p}")
+    for prev, cur in zip(s.parts, s.parts[1:]):
+        if prev.hi >= cur.lo:
+            raise ValueError(f"star undefined: closures of {prev} and {cur} touch")
+    return IntervalSet(tuple(Interval.half_open(p.lo, p.hi) for p in s.parts))
+
+
+def closure(s: IntervalSet) -> IntervalSet:
+    return normalize([p.closure() for p in s.parts])
+
+
+def contains_point(s: IntervalSet, x) -> bool:
+    """Bisect the parts' start cuts for the cut (x, 0)."""
+    cut = (as_fraction(x), 0)
+    i = bisect_right(s.parts, cut, key=lambda p: p.start_cut)
+    return i > 0 and cut < s.parts[i - 1].end_cut

@@ -755,6 +755,124 @@ class TestValidationAgainstReference:
         assert any(not shared for shared, _, _ in seen), seen
 
 
+#: Denominators new to every seeded lattice, up to the prime 2^61 - 1.
+NEW_DENOMINATORS = (3, 7, 11, 101, 2 ** 61 - 1)
+
+
+def touching_set(rng):
+    """Parts with ends on the grid k/6 and random flags, each starting at or
+    just past the last one's end, normalized: degenerate points and
+    neighbours whose closures touch occur often."""
+    parts, edge = [], F(rng.randint(-6, 6), 6)
+    for _ in range(rng.randint(1, 5)):
+        lo = edge + F(rng.choice((0, 0, 1)), 6)
+        edge = lo + F(rng.randint(0, 3), 6)
+        parts.append(Interval.point(lo) if lo == edge else
+                     Interval(lo, edge, rng.random() < 0.5, rng.random() < 0.5))
+    return normalize(parts)
+
+
+def cut_member_inputs(seed, count):
+    """Seeded sets of every kind: random sets, sets with degenerate points or
+    touching closures, constructor-built sets, and kernel results on lattices
+    finer than their parts need (intersections of translates and left
+    neighborhoods over new denominators)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.randrange(6)
+        if kind == 0:
+            yield random_interval_set(rng, max_parts=6)
+        elif kind == 1:
+            yield mixed_set(rng)
+        elif kind == 2:
+            yield touching_set(rng)
+        elif kind == 3:
+            yield IntervalSet(rng.choice((mixed_set, touching_set))(rng).parts)
+        elif kind == 4:
+            shifts = [F(rng.randint(-9, 9), rng.choice(NEW_DENOMINATORS))
+                      for _ in range(rng.randint(1, 3))]
+            yield intersection_of_translates(mixed_set(rng), shifts, iset("[-30,30]"))
+        else:
+            r = F(rng.randint(1, 9), rng.choice(NEW_DENOMINATORS))
+            yield random_interval_set(rng, max_parts=6).left_neighborhood(r)
+
+
+def new_rational(rng):
+    """A small rational over a denominator new to the seeded lattices."""
+    return F(rng.randint(-40, 40), rng.choice(NEW_DENOMINATORS))
+
+
+class TestCutMembersAgainstReference:
+    """affine, translate, star, closure and contains_point run on the cuts;
+    the parts-based versions in fraction_kernel are the reference."""
+
+    def test_affine_and_translate(self):
+        rng = random.Random(151)
+        scales = (1, -1, 2, -3, F(1, 3), F(-5, 2), F(7, 4), F(-1, 2 ** 61 - 1))
+        seen = Counter()
+        for s in cut_member_inputs(151, 1500):
+            scale = rng.choice(scales) if rng.random() < 0.5 else new_rational(rng) or 1
+            shift = rng.choice((0, random_fraction(rng), new_rational(rng)))
+            same(s.affine(scale, shift), ref.affine(s, scale, shift))
+            same(s.translate(shift), ref.affine(s, 1, shift))
+            seen["negative" if scale < 0 else "unit" if scale == 1 else "positive"] += 1
+            seen["new denominator"] += s._lattice[0] % F(shift).denominator != 0
+        assert min(seen.values()) > 50, seen  # and translate runs the unit scale on every set
+        for zero in (0, F(0), "0/5"):
+            for affine in (IntervalSet.affine, ref.affine):
+                with pytest.raises(ValueError, match="scale must be nonzero"):
+                    affine(iset("(0,1)"), zero, 1)
+
+    def test_star(self):
+        seen = Counter()
+        for s in cut_member_inputs(157, 1500):
+            want, want_error = raises_value_error(ref.star, s)
+            got, got_error = raises_value_error(IntervalSet.star, s)
+            assert got_error == want_error, s
+            if not got_error:
+                same(got, want)
+            seen[got_error, any(p.is_point for p in s.parts)] += 1
+        assert min(seen.values()) > 30, seen  # (True, False): touching closures alone
+        for bad in (iset("[1,1]"), iset("(0,1/2)", "(1/2,1)"), iset("[0,1)", "(1,2]", "[3,3]")):
+            for star in (IntervalSet.star, ref.star):
+                with pytest.raises(ValueError, match="^star undefined"):
+                    star(bad)
+
+    def test_closure(self):
+        merged = 0
+        for s in cut_member_inputs(163, 1500):
+            got = s.closure()
+            same(got, ref.closure(s))
+            merged += len(got) < len(s)
+        assert merged > 50, merged
+
+    def test_contains_point(self):
+        # every endpoint with every flag, points one step over a new
+        # denominator off each end, midpoints, and points over new denominators
+        rng = random.Random(167)
+        seen = Counter()
+        for s in cut_member_inputs(167, 1500):
+            D = s._lattice[0]
+            points = [new_rational(rng), random_fraction(rng)]
+            for p in s.parts:
+                step = F(1, D * rng.choice(NEW_DENOMINATORS))
+                points += [p.lo, p.hi, p.lo - step, p.lo + step, p.hi - step, p.hi + step,
+                           (p.lo + p.hi) / 2]
+            for x in points:
+                got = s.contains_point(x)
+                assert got is ref.contains_point(s, x), (s, x)
+                for p in s.parts:
+                    for end, closed in ((p.lo, p.lo_closed), (p.hi, p.hi_closed)):
+                        if x == end:
+                            seen["end", closed, got] += 1
+                        elif abs(x - end) * D < 1:
+                            seen["off an end", closed, got] += 1
+        # a canonical set holds an end exactly when it is closed
+        assert set(seen) == {("end", True, True), ("end", False, False)} | {
+            ("off an end", closed, got) for closed in (False, True) for got in (False, True)}
+        assert min(seen.values()) > 100, seen
+
+
 def test_kernel_property_suite_smoke():
     report = run_kernel_property_suite(seed=20250810, instances=120)
     assert report.passed, report.failures

@@ -71,16 +71,24 @@ def test_cut_encoding_stays_inside_the_kernel():
     assert found == []
 
 
+#: The IntervalSet members that read ``.parts``: the property itself, and
+#: what hashes, prints or iterates the decoded parts.
+READS_PARTS = {"parts", "__hash__", "__repr__", "__iter__", "__str__", "to_strings"}
+
+
 def test_set_operations_read_the_operands_cuts():
-    # union, intersect and difference take each operand's (D, cuts): reading
-    # .parts would decode a kernel result only to encode it again
+    # every set operation, transform and query takes each operand's (D, cuts):
+    # reading .parts would decode a kernel result only to encode it again
     tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
     (cls,) = [node for node in tree.body
               if isinstance(node, ast.ClassDef) and node.name == "IntervalSet"]
     methods = {item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)}
+    assert READS_PARTS < set(methods)
+    assert {"union", "intersect", "difference", "affine", "translate", "star", "closure",
+            "contains_point", "left_neighborhood", "__reduce__", "__eq__"} < set(methods)
     found = [f"IntervalSet.{name}:{node.lineno}: reads .parts"
-             for name in ("union", "intersect", "difference")
-             for node in ast.walk(methods[name])
+             for name, method in methods.items() if name not in READS_PARTS
+             for node in ast.walk(method)
              if isinstance(node, ast.Attribute) and node.attr == "parts"]
     assert found == []
 
@@ -118,10 +126,20 @@ def test_an_interval_set_has_one_representation():
     assert found == []
 
 
+def test_one_helper_sizes_the_common_lattice():
+    # _aligned is the one lcm over several sets' lattices and shifts; besides
+    # it only the constructor's _denominator (a lattice for parts) and affine
+    # (one set's lattice times the scale's denominator) take an lcm
+    tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
+    found = {owner for owner, node in _enclosing_functions(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lcm"}
+    assert found == {"_aligned", "_denominator", "affine"}
+
+
 def test_the_ladder_asks_its_oracle_on_ints():
     # build_cantor reaches its oracle only by calling gap_ends and avoids, so
     # an oracle gap has no second path through Fractions or an Interval; each
-    # oracle implements the two int forms, and only the base class wraps them
+    # oracle implements the two int forms, and no class wraps them
     tree = ast.parse(Path(cantor.__file__).read_text(encoding="utf-8"))
     (build,) = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "build_cantor"]
@@ -138,9 +156,16 @@ def test_the_ladder_asks_its_oracle_on_ints():
                if isinstance(cls, type) and issubclass(cls, cantor.GapOracle)
                and cls is not cantor.GapOracle]
     assert len(oracles) == 3
-    for cls in oracles:
+    for cls in oracles + [cantor.GapOracle]:
         assert {"gap_ends", "avoids"} <= set(vars(cls)), cls
         assert not {"__call__", "interval_avoids_target"} & set(vars(cls)), cls
+    # the ternary oracle follows its midpoint's orbit on ints as well
+    (ternary,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "TernaryCantorOracle"]
+    (avoids,) = [item for item in ternary.body
+                 if isinstance(item, ast.FunctionDef) and item.name == "avoids"]
+    assert [node.lineno for node in ast.walk(avoids)
+            if isinstance(node, ast.Name) and node.id == "Fraction"] == []
 
 
 def test_report_format_lives_in_one_encoder():
