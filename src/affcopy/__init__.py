@@ -2,72 +2,45 @@
 
 Everything in this package computes with ``fractions.Fraction``; there is no
 floating point and every reported measure, endpoint and certificate is exact.
+
+Importing the package loads no layer: each layer module is imported the first
+time it, or one of the names below, is read from the package.
 """
 
-from affcopy.avoider import (AvoiderConstruction, EmbeddingCertificate,
-                             EmbeddingSearchError, ThresholdSequence, build_avoider,
-                             delta0_of, enumerate_base, find_embedding,
-                             measure_union_translates, plan_budget,
-                             summability_report, thresholdize)
-from affcopy.cantor import (CantorConstruction, FinitePointsOracle, GapOracle,
-                            MiddleThirdOracle, OracleViolationError,
-                            TernaryCantorOracle, build_cantor, truncated_union_cover,
-                            verify_cantor)
-from affcopy.intervals import (EMPTY, Interval, IntervalSet, as_fraction, normalize,
-                               union_all)
-from affcopy.mixedradix import (DigitVector, MixedRadixSystem, NestedChain,
-                                branch_index, check_h_condition, default_schedule,
-                                digits_of, f_membership, make_system,
-                                nested_intersect, premeasure_bound)
-from affcopy.slowseq import (HorizonError, SlowSequence, TranslateDecomposition,
-                             build_mu, coverage01, decompose_translates,
-                             threshold_index, verify_slow_decay)
+from importlib import import_module
 
-__all__ = [
-    "AvoiderConstruction",
-    "CantorConstruction",
-    "DigitVector",
-    "EMPTY",
-    "EmbeddingCertificate",
-    "EmbeddingSearchError",
-    "FinitePointsOracle",
-    "GapOracle",
-    "HorizonError",
-    "Interval",
-    "IntervalSet",
-    "MiddleThirdOracle",
-    "MixedRadixSystem",
-    "NestedChain",
-    "OracleViolationError",
-    "SlowSequence",
-    "TernaryCantorOracle",
-    "ThresholdSequence",
-    "TranslateDecomposition",
-    "as_fraction",
-    "branch_index",
-    "build_avoider",
-    "build_cantor",
-    "build_mu",
-    "check_h_condition",
-    "coverage01",
-    "decompose_translates",
-    "default_schedule",
-    "delta0_of",
-    "digits_of",
-    "enumerate_base",
-    "f_membership",
-    "find_embedding",
-    "make_system",
-    "measure_union_translates",
-    "nested_intersect",
-    "normalize",
-    "plan_budget",
-    "premeasure_bound",
-    "summability_report",
-    "threshold_index",
-    "thresholdize",
-    "truncated_union_cover",
-    "union_all",
-    "verify_cantor",
-    "verify_slow_decay",
-]
+#: Every layer module, with the names the package exports from it.
+_EXPORTS = {
+    "avoider": ("AvoiderConstruction", "EmbeddingCertificate", "EmbeddingSearchError",
+                "ThresholdSequence", "build_avoider", "delta0_of", "enumerate_base",
+                "find_embedding", "measure_union_translates", "plan_budget",
+                "summability_report", "thresholdize"),
+    "cantor": ("CantorConstruction", "FinitePointsOracle", "GapOracle", "MiddleThirdOracle",
+               "OracleViolationError", "TernaryCantorOracle", "build_cantor",
+               "truncated_union_cover", "verify_cantor"),
+    "cli": (),
+    "expbounds": (),
+    "intervals": ("EMPTY", "Interval", "IntervalSet", "as_fraction", "normalize", "union_all"),
+    "mixedradix": ("DigitVector", "MixedRadixSystem", "NestedChain", "branch_index",
+                   "check_h_condition", "default_schedule", "digits_of", "f_membership",
+                   "make_system", "nested_intersect", "premeasure_bound"),
+    "presets": (),
+    "propcheck": (),
+    "slowseq": ("HorizonError", "SlowSequence", "TranslateDecomposition", "build_mu",
+                "coverage01", "decompose_translates", "threshold_index", "verify_slow_decay"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _LAYER_OF:
+        return getattr(import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

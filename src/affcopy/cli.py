@@ -4,6 +4,12 @@ subcommand writing a deterministic JSON report.
 ``COMMANDS`` declares each subcommand once: its help, its flags (option ->
 ``add_argument`` keywords) and its handler, which returns (report, passed).
 
+A process loads only the layers its subcommand runs. Each handler imports its
+layers where it runs; a flag whose keywords hold a layer's value (a cap, a
+default, the oracle names) gives them as a function, and ``main`` builds the
+chosen subcommand's flags alone, so those values are read from their layer
+only when that subcommand is parsed. Every subcommand loads ``intervals``.
+
 Exit codes: 0 when the subcommand's assertions all pass, 1 when a computed
 check fails (a violation list is nonempty, an identity breaks, a search
 exhausts its ladder), 2 on input errors (unknown subcommand, malformed
@@ -22,13 +28,12 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
-from affcopy import avoider, cantor, mixedradix, presets, propcheck, slowseq
 from affcopy.intervals import Interval, IntervalSet, as_fraction, union_of_translates
 
-ORACLES: Dict[str, Callable[[], cantor.GapOracle]] = {
-    oracle.name: oracle for oracle in (cantor.MiddleThirdOracle, cantor.TernaryCantorOracle)}
+if TYPE_CHECKING:
+    from affcopy import cantor, slowseq
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -67,6 +72,7 @@ def _capped(cap: int) -> Callable[[str], int]:
 
 
 def _schedule(text: str) -> tuple:
+    from affcopy import mixedradix
     parts = text.split(",")
     if len(parts) > mixedradix.MAX_DEPTH:
         raise argparse.ArgumentTypeError(
@@ -77,12 +83,21 @@ def _schedule(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"malformed schedule {text!r}: {err}")
 
 
+def _oracles() -> Dict[str, Callable[[], cantor.GapOracle]]:
+    """The ladder oracles by their classes' own names."""
+    from affcopy import cantor
+    return {oracle.name: oracle for oracle in (cantor.MiddleThirdOracle,
+                                               cantor.TernaryCantorOracle)}
+
+
 def _ladder(args: argparse.Namespace) -> cantor.CantorConstruction:
     """The gap ladder the LADDER flags ask for."""
-    return cantor.build_cantor(ORACLES[args.oracle](), args.depth)
+    from affcopy import cantor
+    return cantor.build_cantor(_oracles()[args.oracle](), args.depth)
 
 
 def _sequence_for(construction: cantor.CantorConstruction, horizon: int) -> slowseq.SlowSequence:
+    from affcopy import slowseq
     table = [construction.gap_length(n) for n in range(1, construction.depth + 1)]
     return slowseq.build_mu({0: table}, horizon)
 
@@ -97,10 +112,12 @@ def _cantor_build(args: argparse.Namespace) -> tuple:
 
 
 def _cantor_verify(args: argparse.Namespace) -> tuple:
+    from affcopy import cantor
     return _checked(cantor.verify_cantor(_ladder(args), args.kmax))
 
 
 def _cover(args: argparse.Namespace) -> tuple:
+    from affcopy import cantor
     return _checked(cantor.truncated_union_cover(_ladder(args), args.N, args.kmax))
 
 
@@ -116,6 +133,7 @@ def _seq_build(args: argparse.Namespace) -> tuple:
 
 
 def _seq_decompose(args: argparse.Namespace) -> tuple:
+    from affcopy import slowseq
     seq = _sequence_for(_ladder(args), args.horizon)
     interval = Interval.open(args.lo, args.lo + args.length)
     decomposition = slowseq.decompose_translates(interval, seq.alpha_at, args.delta,
@@ -128,6 +146,7 @@ def _seq_decompose(args: argparse.Namespace) -> tuple:
 
 
 def _coverage01(args: argparse.Namespace) -> tuple:
+    from affcopy import slowseq
     construction = _ladder(args)
     seq = _sequence_for(construction, max(args.M, 1) if args.horizon is None
                         else args.horizon)
@@ -136,11 +155,13 @@ def _coverage01(args: argparse.Namespace) -> tuple:
 
 
 def _avoider_build(args: argparse.Namespace) -> tuple:
+    from affcopy import avoider, presets
     t = presets.threshold_sequence_from(args.beta, args.horizon)
     return avoider.build_avoider(t, args.depth).to_json_dict(), True
 
 
 def _avoider_measure(args: argparse.Namespace) -> tuple:
+    from affcopy import avoider, presets
     t = presets.threshold_sequence_from(args.beta, args.horizon)
     hole = Interval.open(args.lo, args.lo + args.length)
     result = avoider.measure_union_translates(hole, t, args.M)
@@ -148,6 +169,7 @@ def _avoider_measure(args: argparse.Namespace) -> tuple:
 
 
 def _avoider_embed(args: argparse.Namespace) -> tuple:
+    from affcopy import avoider, presets
     t = presets.threshold_sequence_from(args.beta, args.horizon)
     construction = avoider.build_avoider(t, args.depth)
     alpha = presets.alpha_vector(args.alpha, args.M)
@@ -160,6 +182,7 @@ def _avoider_embed(args: argparse.Namespace) -> tuple:
 
 
 def _appendix_schedule(args: argparse.Namespace) -> tuple:
+    from affcopy import mixedradix
     if (args.depth is None) == (args.schedule is None):
         raise ValueError("give exactly one of --depth and --schedule")
     if args.schedule is None:
@@ -168,6 +191,7 @@ def _appendix_schedule(args: argparse.Namespace) -> tuple:
 
 
 def _appendix_intersect(args: argparse.Namespace) -> tuple:
+    from affcopy import mixedradix
     system = mixedradix.make_system(args.schedule)
     alphas = [as_fraction(part) for part in args.alphas.split(",")]
     chain = mixedradix.nested_intersect(alphas, system, args.U)
@@ -177,32 +201,71 @@ def _appendix_intersect(args: argparse.Namespace) -> tuple:
 
 
 def _appendix_premeasure(args: argparse.Namespace) -> tuple:
+    from affcopy import mixedradix
     result = mixedradix.premeasure_bound(mixedradix.make_system(args.schedule),
                                          args.j, args.k)
     return result.to_json_dict(), result.meets_target
 
 
 def _prop_suite(args: argparse.Namespace) -> tuple:
+    from affcopy import propcheck
     return _checked(propcheck.run_kernel_property_suite(args.seed, args.instances))
 
 
+def _oracle_flag() -> dict:
+    """--oracle: the ladder oracles' names, middle-third by default."""
+    from affcopy import cantor
+    return {"choices": sorted(_oracles()), "default": cantor.MiddleThirdOracle.name}
+
+
+def _horizon_flag() -> dict:
+    """--horizon of the avoider subcommands, naming presets' default."""
+    from affcopy import presets
+    return {"type": int, "help": (
+        "length a sequence file is truncated to and an iterlog preset is "
+        f"materialized over (default {presets.MATERIALIZED_HORIZON}); "
+        "convex presets only range-check it")}
+
+
+def _avoider_depth_flag() -> dict:
+    from affcopy import avoider
+    return {"type": _capped(avoider.MAX_DEPTH), "required": True}
+
+
+def _avoider_m_flag() -> dict:
+    from affcopy import avoider
+    return {"type": _capped(avoider.MAX_M), "required": True}
+
+
+def _schedule_depth_flag() -> dict:
+    from affcopy import mixedradix
+    return {"type": _capped(mixedradix.MAX_DEPTH)}
+
+
+def _budget_flag() -> dict:
+    from affcopy import mixedradix
+    return {"type": _capped(mixedradix.MAX_EXPONENT_BUDGET),
+            "default": mixedradix.DEFAULT_EXPONENT_BUDGET}
+
+
+def _instances_flag() -> dict:
+    from affcopy import propcheck
+    return {"type": _capped(propcheck.MAX_INSTANCES), "default": 1000}
+
+
+#: ``add_argument`` keywords, or a function returning them read from a layer
+Keywords = Union[dict, Callable[[], dict]]
+
 INT = {"type": int, "required": True}
-LADDER = {"--depth": INT,
-          "--oracle": {"choices": sorted(ORACLES), "default": cantor.MiddleThirdOracle.name}}
+LADDER = {"--depth": INT, "--oracle": _oracle_flag}
 SPAN = {"--lo": {"type": _fraction, "required": True},
         "--length": {"type": _fraction, "required": True}}
 OVERLAP = {"--delta": {"type": _fraction, "default": Fraction(1)},
            "--m0": {"type": int, "default": 1}}
-THRESHOLD = {"--beta": {"required": True},
-             "--horizon": {"type": int, "help": (
-                 "length a sequence file is truncated to and an iterlog preset is "
-                 f"materialized over (default {presets.MATERIALIZED_HORIZON}); "
-                 "convex presets only range-check it")}}
-AVOIDER_DEPTH = {"type": _capped(avoider.MAX_DEPTH), "required": True}
-AVOIDER_M = {"type": _capped(avoider.MAX_M), "required": True}
+THRESHOLD = {"--beta": {"required": True}, "--horizon": _horizon_flag}
 SCHEDULE = {"type": _schedule, "required": True}
 
-COMMANDS: Dict[str, Tuple[str, dict, Callable[[argparse.Namespace], tuple]]] = {
+COMMANDS: Dict[str, Tuple[str, Dict[str, Keywords], Callable[[argparse.Namespace], tuple]]] = {
     "cantor-build": ("build a gap ladder and dump it", LADDER, _cantor_build),
     "cantor-verify": ("build a gap ladder and replay its invariants",
                       {**LADDER, "--kmax": INT}, _cantor_verify),
@@ -218,19 +281,17 @@ COMMANDS: Dict[str, Tuple[str, dict, Callable[[argparse.Namespace], tuple]]] = {
     "avoider-build": ("budget and punch the avoider holes",
                       {**THRESHOLD, "--beta": {"required": True,
                                                "help": "decay preset or sequence file"},
-                       "--depth": AVOIDER_DEPTH}, _avoider_build),
+                       "--depth": _avoider_depth_flag}, _avoider_build),
     "avoider-measure": ("translate-union measure identity for one hole",
-                        {**THRESHOLD, "--M": AVOIDER_M, **SPAN}, _avoider_measure),
+                        {**THRESHOLD, "--M": _avoider_m_flag, **SPAN}, _avoider_measure),
     "avoider-embed": ("search for an exact affine embedding certificate",
                       {**THRESHOLD, "--alpha": {"required": True,
                                                 "help": "target preset or sequence file"},
-                       "--M": AVOIDER_M, "--depth": AVOIDER_DEPTH,
+                       "--M": _avoider_m_flag, "--depth": _avoider_depth_flag,
                        "--imax": {"type": int, "default": 40}}, _avoider_embed),
     "appendix-schedule": ("build or certify a radix schedule",
-                          {"--depth": {"type": _capped(mixedradix.MAX_DEPTH)},
-                           "--schedule": {"type": _schedule},
-                           "--budget": {"type": _capped(mixedradix.MAX_EXPONENT_BUDGET),
-                                        "default": mixedradix.DEFAULT_EXPONENT_BUDGET}},
+                          {"--depth": _schedule_depth_flag, "--schedule": {"type": _schedule},
+                           "--budget": _budget_flag},
                           _appendix_schedule),
     "appendix-intersect": ("nested-interval walk through the digit constraints",
                            {"--schedule": SCHEDULE,
@@ -241,12 +302,13 @@ COMMANDS: Dict[str, Tuple[str, dict, Callable[[argparse.Namespace], tuple]]] = {
                             _appendix_premeasure),
     "prop-suite": ("randomized exact checks of the kernel algebra",
                    {"--seed": {"type": int, "default": 0},
-                    "--instances": {"type": _capped(propcheck.MAX_INSTANCES), "default": 1000}},
+                    "--instances": _instances_flag},
                    _prop_suite),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="affcopy",
         description="exact-arithmetic constructions and verifications for "
@@ -254,25 +316,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "mixed-radix digit sets")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="write the JSON report here (atomic)")
         for option, keywords in flags.items():
-            p.add_argument(option, **keywords)
+            p.add_argument(option, **(keywords() if callable(keywords) else keywords))
     return parser
 
 
+def _input_errors() -> tuple:
+    """What exits 2: bad input, and the layers' own refusals."""
+    from affcopy.cantor import OracleViolationError
+    from affcopy.slowseq import HorizonError
+    return (ValueError, HorizonError, OracleViolationError, ZeroDivisionError, OSError,
+            ArithmeticError)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes the first word as the subcommand; build that one alone
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     _, _, handler = COMMANDS[args.command]
     try:
         report, passed = handler(args)
         _emit(report, args.out)
-    except (ValueError, slowseq.HorizonError, cantor.OracleViolationError,
-            ZeroDivisionError, OSError, ArithmeticError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
     except MemoryError:
         sys.stderr.write("error: out of memory; the input asks for more work than fits\n")
+        return 2
+    except _input_errors() as err:  # evaluated only on an error
+        sys.stderr.write(f"error: {err}\n")
         return 2
     except RuntimeError as err:
         sys.stderr.write(f"internal error: {err}\n")

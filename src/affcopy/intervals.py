@@ -491,12 +491,18 @@ def _sweep(sweep: Callable[..., _Cuts], *sets: IntervalSet) -> IntervalSet:
 
 def _merge(*groups: _Cuts) -> _Cuts:
     """The one sort-and-sweep: fuse overlapping or adjacent cut ranges."""
+    ranges = sorted(chain(*groups))
+    if not ranges:
+        return []
     merged: _Cuts = []
-    for lo, hi in sorted(chain(*groups)):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
+    lo, hi = ranges[0]  # the open range
+    for start, end in ranges:
+        if start > hi:
             merged.append((lo, hi))
+            lo, hi = start, end
+        elif end > hi:
+            hi = end
+    merged.append((lo, hi))
     return merged
 
 

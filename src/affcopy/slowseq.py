@@ -76,10 +76,11 @@ class SlowSequence:
         return bisect_left(self.breakpoints, m)
 
     def alpha_at(self, m: int) -> Fraction:
+        """1/n - (m - N_(n-1) - 1) / (n (n+1) w) on block n of width w, as one Fraction."""
         n = self.block_of(m)
-        lo, hi = self.breakpoints[n - 1], self.breakpoints[n]
-        step = (Fraction(1, n) - Fraction(1, n + 1)) * Fraction(m - lo - 1, hi - lo)
-        return Fraction(1, n) - step
+        lo = self.breakpoints[n - 1]
+        width = self.breakpoints[n] - lo
+        return Fraction((n + 1) * width - (m - lo - 1), n * (n + 1) * width)
 
     def alpha_gap(self, m: int) -> Fraction:
         """alpha_m - alpha_(m+1), in closed form per block."""

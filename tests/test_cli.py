@@ -494,6 +494,24 @@ def test_parser_flags_are_pinned():
     ]
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_main_builds_the_pinned_flags_of_its_subcommand_alone(monkeypatch, capsys, command):
+    built = []
+
+    def recorded(*args):
+        built.append(build_parser(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    (full,) = [entry for entry in _parser_pin(build_parser()) if entry[0] == command]
+    assert _parser_pin(built[0]) == [full]
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert capsys.readouterr().out == sub.choices[command].format_help()
+
+
 class TestScheduleCaps:
     """appendix-* work caps: checked while parsing, and by mixedradix before
     any product or exponential bracket is computed."""

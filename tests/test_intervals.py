@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -377,6 +378,26 @@ class TestIntegerKernelAgainstReference:
             same(a.difference(b), ref.difference(a, b))
             for window in (Interval.closed(-2, 2), Interval.point(0), Interval.open(0, 1)):
                 same(a.complement_within(window), ref.difference(IntervalSet((window,)), a))
+
+    def test_merge_matches_the_sweep_over_its_last_range(self):
+        # the reference sweep keeps the open range as the last list entry
+        def swept(*groups):
+            merged = []
+            for lo, hi in sorted(chain(*groups)):
+                if merged and lo <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+                else:
+                    merged.append((lo, hi))
+            return merged
+
+        assert intervals._merge() == intervals._merge([], []) == []
+        rng = random.Random(47)
+        for _ in range(2000):
+            # touching, nested and repeated ranges, in one to three groups
+            groups = [[(lo, lo + rng.randint(1, 6))
+                       for lo in rng.choices(range(-20, 20), k=rng.randint(0, 6))]
+                      for _ in range(rng.randint(1, 3))]
+            assert intervals._merge(*groups) == swept(*groups)
 
     def test_zero_negative_and_degenerate_endpoints(self):
         a = iset("[-1,0)", "[0,0]", "(0,1/2]", "[3/4,3/4]", "(1,2)")

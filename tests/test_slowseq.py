@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from affcopy.cantor import MiddleThirdOracle, build_cantor
+from affcopy.cantor import MiddleThirdOracle, TernaryCantorOracle, build_cantor
 from affcopy.intervals import Interval, IntervalSet, normalize
 from affcopy.slowseq import (HorizonError, SlowSequence, build_mu, coverage01,
                              decompose_translates, slow_decay_start, threshold_index,
@@ -122,6 +122,24 @@ class TestAlpha:
     def test_out_of_horizon(self, seq6):
         with pytest.raises(HorizonError):
             seq6.alpha_at(seq6.breakpoints[-1] + 1)
+
+    def test_one_fraction_matches_the_interpolation(self, seq6, seq12):
+        # the reference is the interpolation formula as first written:
+        # 1/n less a (m - N_(n-1) - 1)/w share of the block's drop 1/n - 1/(n+1)
+        def interpolated(seq, m):
+            n = seq.block_of(m)
+            lo, hi = seq.breakpoints[n - 1], seq.breakpoints[n]
+            return F(1, n) - (F(1, n) - F(1, n + 1)) * F(m - lo - 1, hi - lo)
+
+        ternary = build_cantor(TernaryCantorOracle(), 8)
+        sequences = [seq6, seq12,
+                     build_mu({0: [F(1, 2), F(1, 4)]}, horizon=5),
+                     build_mu({0: [F(1, 2), F(1, 4), F(1, 8)], 1: [F(1, 3), F(1, 9), F(1, 27)],
+                               -1: [F(1, 3), F(1, 9), F(1, 27)]}, horizon=10),
+                     build_mu({0: [ternary.gap_length(n) for n in range(1, 9)]}, horizon=3000)]
+        for seq in sequences:
+            for m in range(1, seq.breakpoints[-1] + 1):
+                assert seq.alpha_at(m) == interpolated(seq, m)
 
 
 class TestThreshold:

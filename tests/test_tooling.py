@@ -1,5 +1,11 @@
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import affcopy
 from affcopy import cantor, cli, intervals
@@ -253,12 +259,99 @@ def test_every_dataclass_is_frozen():
     assert found == []
 
 
+def _readme_examples():
+    """The argv of each example in the README's CLI block."""
+    readme = Path(affcopy.__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    return [line.split()[1:] for line in block.split("```", 1)[0].splitlines()]
+
+
 def test_readme_shows_one_example_per_subcommand():
     # the README's CLI block runs each cli.COMMANDS entry once, in table order,
     # and every example parses
-    readme = Path(affcopy.__file__).resolve().parents[2] / "README.md"
-    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh\n", 1)[1]
-    examples = [line.split()[1:] for line in block.split("```", 1)[0].splitlines()]
+    examples = _readme_examples()
     assert [argv[0] for argv in examples] == list(cli.COMMANDS)
     for argv in examples:
         cli.build_parser().parse_args(argv)
+
+
+#: The nine layer modules of the package.
+LAYERS = ("avoider", "cantor", "cli", "expbounds", "intervals", "mixedradix", "presets",
+          "propcheck", "slowseq")
+
+#: The layers each subcommand's process loads, besides the package itself.
+LOADED = {
+    **dict.fromkeys(("cantor-build", "cantor-verify", "cover"), {"intervals", "cantor"}),
+    **dict.fromkeys(("seq-build", "seq-decompose", "coverage01"),
+                    {"intervals", "cantor", "slowseq"}),
+    **dict.fromkeys(("avoider-build", "avoider-measure", "avoider-embed"),
+                    {"intervals", "cantor", "slowseq", "avoider", "presets"}),
+    **dict.fromkeys(("appendix-schedule", "appendix-intersect", "appendix-premeasure"),
+                    {"intervals", "mixedradix", "expbounds"}),
+    "prop-suite": {"intervals", "propcheck"},
+}
+
+#: Run ``affcopy.cli`` as ``python -m`` does, then print its exit code and the
+#: affcopy modules loaded. The cli module itself runs as __main__.
+RUN_AND_LIST = """
+import runpy, sys
+sys.argv[0] = "affcopy"
+try:
+    runpy.run_module("affcopy.cli", run_name="__main__")
+except SystemExit as stop:
+    print(stop.code, *sorted(m for m in sys.modules if m.startswith("affcopy")))
+"""
+
+
+def _fresh_python(*argv):
+    src = str(Path(affcopy.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, *argv], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_layers_are_the_package_modules():
+    assert {path.stem for path in SOURCES} == {"__init__", *LAYERS}
+    assert set(LOADED) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_each_subcommand_loads_only_its_layers(tmp_path, argv):
+    code, *modules = _fresh_python("-c", RUN_AND_LIST, *argv, "--out",
+                                   str(tmp_path / "report.json"))
+    assert code == "0"
+    assert modules == sorted(["affcopy", *(f"affcopy.{layer}" for layer in LOADED[argv[0]])])
+
+
+class TestLazyExports:
+    def test_import_loads_no_layer(self):
+        assert _fresh_python("-c", "import sys, affcopy; print(*sorted("
+                             "m for m in sys.modules if m.startswith('affcopy')))") == ["affcopy"]
+
+    def test_every_export_is_its_layers_object(self):
+        names = [name for layer in LAYERS for name in affcopy._EXPORTS[layer]]
+        assert sorted(names) == affcopy.__all__
+        assert {*names, *LAYERS} <= set(dir(affcopy))
+        for layer in LAYERS:
+            module = importlib.import_module(f"affcopy.{layer}")
+            for name in affcopy._EXPORTS[layer]:
+                assert getattr(affcopy, name) is getattr(module, name)
+
+    def test_every_layer_is_an_attribute(self):
+        for layer in LAYERS:
+            assert getattr(affcopy, layer) is sys.modules[f"affcopy.{layer}"]
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from affcopy import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == affcopy.__all__
+        assert len(namespace) == 46
+        assert namespace["IntervalSet"] is intervals.IntervalSet
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            affcopy.no_such_name
+        with pytest.raises(ImportError):
+            from affcopy import no_such_name  # noqa: F401
