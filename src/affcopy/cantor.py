@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from affcopy.intervals import (EMPTY, Interval, IntervalSet, RationalLike, Report,
                                as_fraction, union_all)
@@ -39,7 +39,7 @@ TWO_THIRDS = Fraction(2, 3)
 MAX_DEPTH = 16
 
 
-class OracleViolationError(Exception):
+class OracleViolationError(ValueError):
     """An oracle broke its contract while building level n, gap j."""
 
     def __init__(self, n: int, j: int, reason: str):
@@ -79,10 +79,9 @@ class GapOracle:
         raise NotImplementedError
 
     def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
-               hi_closed: bool) -> Optional[bool]:
-        """Whether the interval is disjoint from the target set, or None if
-        not checkable."""
-        return None
+               hi_closed: bool) -> bool:
+        """Whether the interval is disjoint from the target set."""
+        raise NotImplementedError
 
 
 class MiddleThirdOracle(GapOracle):
@@ -287,7 +286,7 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
             if 3 * p * b * d < (2 * a * d + c * b) * q or 3 * r * b * d > (a * d + 2 * c * b) * s:
                 raise OracleViolationError(n, j, f"gap {_gap(p, q, r, s)} leaves the closed "
                                                  f"middle third {middle_third(k)} of {k}")
-            if oracle.avoids(p, q, r, s, False, False) is False:
+            if not oracle.avoids(p, q, r, s, False, False):
                 raise OracleViolationError(n, j, f"gap {_gap(p, q, r, s)} meets the target set")
             m = max(m, -(-q * s // width))
             raw.append((p * s + r * q, q * s))  # the midpoint is the first over twice the second

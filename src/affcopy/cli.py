@@ -5,8 +5,9 @@ subcommand writing a deterministic JSON report.
 ``add_argument`` keywords) and its handler, which returns (report, passed).
 
 A process loads only the layers its subcommand runs. Each handler imports its
-layers where it runs; a flag whose keywords hold a layer's value (a cap, a
-default, the oracle names) gives them as a function, and ``main`` builds the
+layers where it runs, and a capped flag reads its cap from its layer when a
+value is parsed. A flag whose keywords hold a layer's value (a default, the
+oracle names, help text) gives them as a function, and ``main`` builds the
 chosen subcommand's flags alone, so those values are read from their layer
 only when that subcommand is parsed. Every subcommand loads ``intervals``.
 
@@ -28,6 +29,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from affcopy.intervals import Interval, IntervalSet, as_fraction, union_of_translates
@@ -61,10 +63,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}: {err}")
 
 
-def _capped(cap: int) -> Callable[[str], int]:
-    """An int flag refused above ``cap`` while parsing, before any work."""
+def _capped(layer: str, name: str) -> Callable[[str], int]:
+    """An int flag refused above the cap ``name`` of ``layer`` while parsing,
+    before any work; the layer loads only when a value is parsed."""
     def integer(text: str) -> int:  # argparse names the type in its messages
         value = int(text)
+        cap = getattr(import_module(f"affcopy.{layer}"), name)
         if value > cap:
             raise argparse.ArgumentTypeError(f"{value} is above the cap {cap}")
         return value
@@ -227,30 +231,10 @@ def _horizon_flag() -> dict:
         "convex presets only range-check it")}
 
 
-def _avoider_depth_flag() -> dict:
-    from affcopy import avoider
-    return {"type": _capped(avoider.MAX_DEPTH), "required": True}
-
-
-def _avoider_m_flag() -> dict:
-    from affcopy import avoider
-    return {"type": _capped(avoider.MAX_M), "required": True}
-
-
-def _schedule_depth_flag() -> dict:
-    from affcopy import mixedradix
-    return {"type": _capped(mixedradix.MAX_DEPTH)}
-
-
 def _budget_flag() -> dict:
     from affcopy import mixedradix
-    return {"type": _capped(mixedradix.MAX_EXPONENT_BUDGET),
+    return {"type": _capped("mixedradix", "MAX_EXPONENT_BUDGET"),
             "default": mixedradix.DEFAULT_EXPONENT_BUDGET}
-
-
-def _instances_flag() -> dict:
-    from affcopy import propcheck
-    return {"type": _capped(propcheck.MAX_INSTANCES), "default": 1000}
 
 
 #: ``add_argument`` keywords, or a function returning them read from a layer
@@ -264,6 +248,8 @@ OVERLAP = {"--delta": {"type": _fraction, "default": Fraction(1)},
            "--m0": {"type": int, "default": 1}}
 THRESHOLD = {"--beta": {"required": True}, "--horizon": _horizon_flag}
 SCHEDULE = {"type": _schedule, "required": True}
+AVOIDER_DEPTH = {"type": _capped("avoider", "MAX_DEPTH"), "required": True}
+AVOIDER_M = {"type": _capped("avoider", "MAX_M"), "required": True}
 
 COMMANDS: Dict[str, Tuple[str, Dict[str, Keywords], Callable[[argparse.Namespace], tuple]]] = {
     "cantor-build": ("build a gap ladder and dump it", LADDER, _cantor_build),
@@ -281,16 +267,17 @@ COMMANDS: Dict[str, Tuple[str, Dict[str, Keywords], Callable[[argparse.Namespace
     "avoider-build": ("budget and punch the avoider holes",
                       {**THRESHOLD, "--beta": {"required": True,
                                                "help": "decay preset or sequence file"},
-                       "--depth": _avoider_depth_flag}, _avoider_build),
+                       "--depth": AVOIDER_DEPTH}, _avoider_build),
     "avoider-measure": ("translate-union measure identity for one hole",
-                        {**THRESHOLD, "--M": _avoider_m_flag, **SPAN}, _avoider_measure),
+                        {**THRESHOLD, "--M": AVOIDER_M, **SPAN}, _avoider_measure),
     "avoider-embed": ("search for an exact affine embedding certificate",
                       {**THRESHOLD, "--alpha": {"required": True,
                                                 "help": "target preset or sequence file"},
-                       "--M": _avoider_m_flag, "--depth": _avoider_depth_flag,
+                       "--M": AVOIDER_M, "--depth": AVOIDER_DEPTH,
                        "--imax": {"type": int, "default": 40}}, _avoider_embed),
     "appendix-schedule": ("build or certify a radix schedule",
-                          {"--depth": _schedule_depth_flag, "--schedule": {"type": _schedule},
+                          {"--depth": {"type": _capped("mixedradix", "MAX_DEPTH")},
+                           "--schedule": {"type": _schedule},
                            "--budget": _budget_flag},
                           _appendix_schedule),
     "appendix-intersect": ("nested-interval walk through the digit constraints",
@@ -302,7 +289,8 @@ COMMANDS: Dict[str, Tuple[str, Dict[str, Keywords], Callable[[argparse.Namespace
                             _appendix_premeasure),
     "prop-suite": ("randomized exact checks of the kernel algebra",
                    {"--seed": {"type": int, "default": 0},
-                    "--instances": _instances_flag},
+                    "--instances": {"type": _capped("propcheck", "MAX_INSTANCES"),
+                                    "default": 1000}},
                    _prop_suite),
 }
 
@@ -325,14 +313,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _input_errors() -> tuple:
-    """What exits 2: bad input, and the layers' own refusals."""
-    from affcopy.cantor import OracleViolationError
-    from affcopy.slowseq import HorizonError
-    return (ValueError, HorizonError, OracleViolationError, ZeroDivisionError, OSError,
-            ArithmeticError)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes the first word as the subcommand; build that one alone
@@ -344,7 +324,7 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("error: out of memory; the input asks for more work than fits\n")
         return 2
-    except _input_errors() as err:  # evaluated only on an error
+    except (ValueError, OSError, ArithmeticError) as err:  # a layer's refusal is a ValueError
         sys.stderr.write(f"error: {err}\n")
         return 2
     except RuntimeError as err:

@@ -15,13 +15,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from affcopy.cantor import CantorConstruction, TWO_THIRDS
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
                                intersection_of_translates,
                                normalize,  # kept: slowseq.normalize is a public name
                                union_of_translates)
+
+if TYPE_CHECKING:
+    from affcopy.cantor import CantorConstruction
 
 
 #: Longest horizon a sequence is materialized or validated over. Cost grows
@@ -32,7 +34,7 @@ from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_f
 MAX_HORIZON = 250_000
 
 
-class HorizonError(Exception):
+class HorizonError(ValueError):
     """A search or evaluation ran past the materialized horizon."""
 
 
@@ -362,6 +364,7 @@ def coverage01(construction: CantorConstruction, s: SlowSequence,
 def _deficit_bound(construction: CantorConstruction, s: SlowSequence, d: Fraction,
                    m0: int, N: int, M: int) -> Optional[Fraction]:
     """Cheapest sliver-corrected truncation ceiling, if any is dominated."""
+    from affcopy.cantor import TWO_THIRDS  # loaded here: the caller holds a ladder
     thresholds = {}
     for n in range(1, N + 1):
         try:

@@ -11,7 +11,7 @@ import pytest
 
 import fraction_kernel as ref
 from affcopy import intervals
-from affcopy.cantor import (CantorConstruction, CantorLevel, FinitePointsOracle,
+from affcopy.cantor import (CantorConstruction, CantorLevel, FinitePointsOracle, GapOracle,
                             InvariantReport, MiddleThirdOracle, OracleViolationError,
                             TernaryCantorOracle, build_cantor, middle_third,
                             truncated_union_cover, verify_cantor)
@@ -153,6 +153,16 @@ class TestBuild:
         with pytest.raises(OracleViolationError) as err:
             build_cantor(Offside(), depth=1)
         assert err.value.n == 1 and err.value.j == 1
+
+    def test_oracle_without_a_target_check_rejected(self):
+        # every gap is checked against the target: an oracle that only
+        # places gaps cannot leave that check unanswered and build a ladder
+        class GapsOnly(GapOracle):
+            def gap_ends(self, a, b, c, d):
+                return MiddleThirdOracle().gap_ends(a, b, c, d)
+
+        with pytest.raises(NotImplementedError):
+            build_cantor(GapsOnly(), depth=3)
 
 
 def scanned_gap(points, k):

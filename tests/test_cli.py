@@ -390,6 +390,17 @@ class TestHarness:
         assert report is None
         assert "internal error: invariant broken; kernel bug" in capsys.readouterr().err
 
+    def test_oracle_violation_exits_two(self, tmp_path, capsys, monkeypatch):
+        def offside(self, a, b, c, d):
+            # from the right end of the middle third to k.hi: outside it
+            return a * d + 2 * c * b, 3 * b * d, c, d
+
+        monkeypatch.setattr(cantor.MiddleThirdOracle, "gap_ends", offside)
+        code, report = run(tmp_path, "cantor-build", "--depth", "1")
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err.startswith("error: oracle violation at level 1, gap 1:")
+
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -285,7 +285,7 @@ LOADED = {
     **dict.fromkeys(("seq-build", "seq-decompose", "coverage01"),
                     {"intervals", "cantor", "slowseq"}),
     **dict.fromkeys(("avoider-build", "avoider-measure", "avoider-embed"),
-                    {"intervals", "cantor", "slowseq", "avoider", "presets"}),
+                    {"intervals", "slowseq", "avoider", "presets"}),
     **dict.fromkeys(("appendix-schedule", "appendix-intersect", "appendix-premeasure"),
                     {"intervals", "mixedradix", "expbounds"}),
     "prop-suite": {"intervals", "propcheck"},
@@ -322,6 +322,21 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, argv):
                                    str(tmp_path / "report.json"))
     assert code == "0"
     assert modules == sorted(["affcopy", *(f"affcopy.{layer}" for layer in LOADED[argv[0]])])
+
+
+def test_an_input_error_loads_no_extra_layer():
+    # a refused input exits 2 through main's except clause, which imports nothing
+    code, *modules = _fresh_python("-c", RUN_AND_LIST, "avoider-build", "--beta", "harmonic",
+                                   "--depth", "125")
+    assert code == "2"
+    assert modules == sorted(["affcopy",
+                              *(f"affcopy.{layer}" for layer in LOADED["avoider-build"])])
+
+
+def test_the_avoider_half_loads_no_ladder():
+    assert _fresh_python("-c", "import sys, affcopy.presets; print(*sorted("
+                         "m for m in sys.modules if m.startswith('affcopy')))") == [
+        "affcopy", "affcopy.avoider", "affcopy.intervals", "affcopy.presets", "affcopy.slowseq"]
 
 
 class TestLazyExports:
