@@ -146,49 +146,52 @@ def enumerate_base(n: int) -> Interval:
     return Interval.open(center - radius, center + radius)
 
 
+def _overlap(t: ThresholdSequence, lam: Fraction, where: str = "") -> Tuple[int, Fraction]:
+    """The overlap threshold T of the eta-translates of a length-lam interval
+    (the first m whose eta gap drops below lam) and the measure T*lam + eta_T
+    they sweep; ``where`` prefixes the horizon error."""
+    try:
+        T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
+    except HorizonError:
+        raise HorizonError(f"{where}no eta gap falls below the hole length lambda={lam} "
+                           f"within the sequence horizon {t.horizon}") from None
+    return T, T * lam + t.eta(T)
+
+
 @dataclass(frozen=True)
-class HoleBudget:
-    """Per-index budget: the even cutoff K after which eta sinks below 1/n^2,
-    the hole length lambda, the overlap threshold T of the eta-translates
-    of a length-lambda interval, and the measure T*lambda + eta_T those
-    translates sweep. T > K always."""
+class Hole(Report):
+    """The n-th hole J_n, open, of length lambda and centered in the base V_n;
+    K is the even cutoff after which eta sinks below 1/n^2, T > K the overlap
+    threshold of the eta-translates of J_n, and tail = T*lambda + eta_T."""
 
     n: int
-    base: Interval
+    base: Interval = field(metadata={"json": "V"})
+    interval: Interval = field(metadata={"json": "J"})
+    lam: Fraction = field(metadata={"json": "lambda"})
     K: int
-    lam: Fraction
     T: int
-    tail: Fraction
+    tail: Fraction = field(metadata={"json": None})
 
 
-def plan_budget(t: ThresholdSequence, n: int) -> HoleBudget:
+def plan_budget(t: ThresholdSequence, n: int) -> Hole:
     """K(n) = 2 * (first m with eta_m < 1/n^2); lambda_n = min(|V_n|, 2^-n,
     eta-gap at K(n)); T(n) = first m whose eta-gap drops below lambda_n."""
     if n < 1:
         raise ValueError("budget index starts at 1")
     base = enumerate_base(n)
     target = Fraction(1, n * n)
-    K = 2 * first_index(lambda m: t.eta(m) < target, 1, t.horizon)
-    lam = min(base.length, Fraction(1, 2 ** n), t.eta_gap(K))
     try:
-        T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
+        K = 2 * first_index(lambda m: t.eta(m) < target, 1, t.horizon)
+        lam = min(base.length, Fraction(1, 2 ** n), t.eta_gap(K))
     except HorizonError:
-        raise HorizonError(f"hole n={n}: no eta gap falls below its length lambda={lam} "
-                           f"within the sequence horizon {t.horizon}") from None
+        raise HorizonError(f"hole n={n}: no cutoff K = 2m with eta_m < {target} has an eta "
+                           f"gap within the sequence horizon {t.horizon}") from None
+    T, tail = _overlap(t, lam, f"hole n={n}: ")
     if T <= K:
         raise RuntimeError(f"budget invariant broken at n={n}: T={T} <= K={K}")
-    return HoleBudget(n=n, base=base, K=K, lam=lam, T=T, tail=T * lam + t.eta(T))
-
-
-@dataclass(frozen=True)
-class Hole:
-    budget: HoleBudget
-    interval: Interval  # the centered open hole J_n inside V_n
-
-    def to_json_dict(self) -> dict:
-        b = self.budget
-        return {"n": b.n, "V": str(b.base), "J": str(self.interval),
-                "lambda": str(b.lam), "K": b.K, "T": b.T}
+    center = base.midpoint()
+    return Hole(n=n, base=base, interval=Interval.open(center - lam / 2, center + lam / 2),
+                lam=lam, K=K, T=T, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -211,15 +214,13 @@ def build_avoider(t: ThresholdSequence, depth: int) -> AvoiderConstruction:
         raise ValueError(f"depth must be in 0..{MAX_DEPTH}, got {depth}")
     holes = []
     for n in range(1, depth + 1):
-        budget = plan_budget(t, n)
-        center = budget.base.midpoint()
-        hole = Interval.open(center - budget.lam / 2, center + budget.lam / 2)
+        hole = plan_budget(t, n)
         # both endpoints lie in (0,1), so the denominator is the longer int
-        bits = max(hole.lo.denominator.bit_length(), hole.hi.denominator.bit_length())
+        bits = max(x.denominator.bit_length() for x in (hole.interval.lo, hole.interval.hi))
         if bits > MAX_ENDPOINT_BITS:
             raise ValueError(f"hole n={n}: endpoints of {bits} bits exceed "
                              f"MAX_ENDPOINT_BITS = {MAX_ENDPOINT_BITS}")
-        holes.append(Hole(budget=budget, interval=hole))
+        holes.append(hole)
     removed = normalize([h.interval for h in holes])
     avoider = removed.complement_within(Interval.closed(0, 1))
     return AvoiderConstruction(depth=depth, holes=tuple(holes), avoider=avoider)
@@ -250,15 +251,14 @@ def measure_union_translates(hole: Interval, t: ThresholdSequence,
         raise ValueError("need a nondegenerate open interval")
     if M > MAX_M:
         raise ValueError(f"M must be at most MAX_M = {MAX_M}, got {M}")
-    lam = hole.length
-    T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
+    T, tail = _overlap(t, hole.length)
     if M < T:
         raise ValueError(f"M={M} is below the overlap threshold {T}")
     kernel = union_of_translates(IntervalSet((hole,)),
                                  [-t.eta(m) for m in range(1, M + 1)]).measure()
-    closed = T * lam + t.eta(T) - t.eta(M)
+    closed = tail - t.eta(M)
     return TranslateMeasure(threshold=T, kernel_measure=kernel, closed_form=closed,
-                            limit=T * lam + t.eta(T), identity_ok=kernel == closed)
+                            limit=tail, identity_ok=kernel == closed)
 
 
 @dataclass(frozen=True)
@@ -296,21 +296,20 @@ def summability_report(t: ThresholdSequence, depth: int) -> SummabilityReport:
     sum_squares = Fraction(0)
     sum_tails = Fraction(0)
     for n in range(1, depth + 1):
-        b = plan_budget(t, n)
-        eta_half_T = t.eta(b.T // 2)
-        eta_half_K = t.eta(b.K // 2)
-        eta_T = t.eta(b.T)
-        entries.append(SummabilityEntry(n=n, K=b.K, lam=b.lam, T=b.T, tail_measure=b.tail))
+        h = plan_budget(t, n)
+        eta_half_T = t.eta(h.T // 2)
+        eta_half_K = t.eta(h.K // 2)
+        entries.append(SummabilityEntry(n=n, K=h.K, lam=h.lam, T=h.T, tail_measure=h.tail))
         sum_half += eta_half_T
         sum_squares += Fraction(1, n * n)
-        sum_tails += b.tail
-        if b.K % 2 != 0:
-            violations.append(f"n={n}: K={b.K} is odd")
+        sum_tails += h.tail
+        if h.K % 2 != 0:
+            violations.append(f"n={n}: K={h.K} is odd")
         if eta_half_T > eta_half_K:
             violations.append(f"n={n}: eta at T/2 exceeds eta at K/2")
         if not eta_half_K < Fraction(1, n * n):
             violations.append(f"n={n}: eta at K/2 not below 1/{n * n}")
-        if not b.T * b.lam <= 2 * eta_half_T - 2 * eta_T:
+        if not h.T * h.lam <= 2 * eta_half_T - 2 * t.eta(h.T):
             violations.append(f"n={n}: T*lambda exceeds the telescoped eta drop")
     return SummabilityReport(depth=depth, entries=tuple(entries),
                              sum_eta_half_T=sum_half,
@@ -366,7 +365,7 @@ def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLi
     base = delta0 if delta0 is not None else Fraction(1)
     unit = IntervalSet((Interval.closed(0, 1),))
     trace: List[Tuple[Fraction, Fraction]] = []
-    budget_bound = 1 - sum((h.budget.tail for h in construction.holes), Fraction(0))
+    budget_bound = 1 - sum((h.tail for h in construction.holes), Fraction(0))
     for i in range(1, i_max + 1):
         delta = base / 2 ** i
         if delta >= 1:

@@ -174,12 +174,22 @@ class TestBudget:
         with pytest.raises(HorizonError):
             plan_budget(t, 4)  # needs eta below 1/16, never reached
 
+    @pytest.mark.parametrize("n, target", [(2, "1/4"), (3, "1/9")])
+    def test_cutoff_past_the_horizon_names_the_hole(self, n, target):
+        # eta = 1/2..1/9: hole 2's cutoff K = 8 has no gap eta_8 - eta_9, and
+        # no eta falls below hole 3's target 1/9 at all
+        t = thresholdize([F(1, m) for m in range(2, 10)])
+        with pytest.raises(HorizonError, match=f"^hole n={n}: no cutoff K = 2m with eta_m < "
+                                               f"{target} has an eta gap within the sequence "
+                                               f"horizon 8$"):
+            plan_budget(t, n)
+
 
 class TestBuildAvoider:
     def test_depth_one_frozen(self, eta_harmonic):
         a = build_avoider(eta_harmonic, 1)
         hole = a.holes[0].interval
-        assert a.holes[0].budget.lam == F(1, 20)
+        assert a.holes[0].lam == F(1, 20)
         assert hole == Interval.open(F(19, 40), F(21, 40))
         assert a.avoider == normalize([Interval.closed(0, F(19, 40)),
                                        Interval.closed(F(21, 40), 1)])
@@ -192,7 +202,7 @@ class TestBuildAvoider:
     def test_holes_inside_bases_and_missing(self, eta_harmonic):
         a = build_avoider(eta_harmonic, 12)
         for h in a.holes:
-            assert h.budget.base.lo < h.interval.lo < h.interval.hi < h.budget.base.hi
+            assert h.base.lo < h.interval.lo < h.interval.hi < h.base.hi
             assert a.avoider.intersect(IntervalSet((h.interval,))).is_empty
 
     def test_closed_endpoints_survive(self, eta_harmonic):
@@ -259,6 +269,46 @@ class TestMeasureIdentity:
     def test_m_below_threshold_rejected(self, eta_harmonic):
         with pytest.raises(ValueError):
             measure_union_translates(Interval.open(0, F(1, 10)), eta_harmonic, 2)
+
+
+def _scanned_threshold(t, lam):
+    """First m whose eta gap is below lam, by a linear scan; None past the horizon."""
+    return next((m for m in range(1, t.horizon) if t.eta(m) - t.eta(m + 1) < lam), None)
+
+
+class TestOverlapBudget:
+    @pytest.mark.parametrize("beta", ["harmonic", "polynomial:2", "listed"])
+    def test_threshold_and_limit_match_a_linear_scan(self, beta):
+        rng = random.Random(f"overlap {beta}")
+        if beta == "listed":
+            # the recurrence lifts about half of these values
+            t = thresholdize([F(1, m) - F(rng.randint(0, 10 ** 3), 10 ** 9)
+                              for m in range(1, 401)])
+        else:
+            t = presets.threshold_sequence_from(beta)
+        for _ in range(30):
+            lam = t.eta_gap(rng.randint(1, 300)) * F(rng.randint(500, 1500), 1000)
+            lo = F(rng.randint(-50, 50), 7)
+            T = _scanned_threshold(t, lam)
+            M = rng.randint(T, min(T + 40, t.horizon, avoider.MAX_M))
+            got = measure_union_translates(Interval.open(lo, lo + lam), t, M)
+            assert got.threshold == T
+            assert got.limit == T * lam + t.eta(T)
+            assert got.closed_form == got.limit - t.eta(M)
+            assert got.identity_ok
+        if beta == "listed":  # gaps never increase: none falls below the last
+            lam = t.eta_gap(t.horizon - 1)
+            assert _scanned_threshold(t, lam) is None
+            with pytest.raises(HorizonError, match="no eta gap falls below the hole length"):
+                measure_union_translates(Interval.open(0, lam), t, t.horizon)
+
+    def test_every_hole_carries_its_geometry_and_budget(self, eta_harmonic):
+        for h in build_avoider(eta_harmonic, 16).holes:
+            assert h.interval.is_open
+            assert h.interval.midpoint() == h.base.midpoint()
+            assert h.interval.length == h.lam
+            assert h.T == _scanned_threshold(eta_harmonic, h.lam)
+            assert h.tail == h.T * h.lam + eta_harmonic.eta(h.T)
 
 
 class TestTranslateSqueeze:

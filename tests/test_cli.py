@@ -217,6 +217,24 @@ class TestAvoiderCommands:
         assert err.startswith("error: hole n=125: ")
         assert f"sequence horizon {avoider.FORMULA_HORIZON}" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # hole 2's cutoff K = 8 needs eta_9, one past the listed values
+        (["avoider-build", "--depth", "2"],
+         "hole n=2: no cutoff K = 2m with eta_m < 1/4 has an eta gap "
+         "within the sequence horizon 8"),
+        # the smallest gap of 1/2, ..., 1/9 is 1/72
+        (["avoider-measure", "--M", "8", "--lo", "0", "--length", "1/100"],
+         "no eta gap falls below the hole length lambda=1/100 within the sequence horizon 8"),
+    ], ids=["build", "measure"])
+    def test_sequence_file_past_its_horizon_names_the_hole_and_the_input(
+            self, tmp_path, capsys, argv, message):
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps([f"1/{m}" for m in range(2, 10)]))
+        code, report = run(tmp_path, argv[0], "--beta", str(path), *argv[1:])
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_endpoints_past_the_bit_cap_exit_two(self, tmp_path, capsys):
         # hole 2 of geometric:999/1000 has 27,637-bit endpoints; the report
         # once failed to write them after 8 s of work

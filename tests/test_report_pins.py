@@ -14,7 +14,8 @@ import pytest
 
 from affcopy import presets
 from affcopy.avoider import (AvoiderConstruction, ThresholdSequence, build_avoider,
-                             find_embedding, summability_report)
+                             find_embedding, measure_union_translates, summability_report,
+                             thresholdize)
 from affcopy.cantor import FinitePointsOracle, MiddleThirdOracle, build_cantor, verify_cantor
 from affcopy.intervals import Interval, normalize
 from affcopy.mixedradix import default_schedule, digits_of, make_system
@@ -132,3 +133,24 @@ def test_embedding_certificate_bytes_past_the_first_rung(hi, alpha, rungs, diges
     certificate = find_embedding(crafted, alpha, t)
     assert len(certificate.trace) == rungs
     assert hashlib.sha256(text(certificate).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("beta, horizon, depth, digest", [
+    # the README goldens reach only the convex harmonic avoider
+    ("iterlog:1", 2000, 3, "231f839ab59e3cedfd91572aa208b7564a5bf86742fa2ddb24e9e30efef68274"),
+    ("geometric:9/10", None, 32,
+     "6aa1568fea5d59085cbbc5d54faba6450964d462838d0cfca20523ac66cd833d"),
+])
+def test_avoider_construction_bytes(beta, horizon, depth, digest):
+    t = presets.threshold_sequence_from(beta, horizon)
+    assert hashlib.sha256(text(build_avoider(t, depth)).encode()).hexdigest() == digest
+
+
+def test_translate_measure_bytes_on_a_thresholdized_eta():
+    # the recurrence lifts eta_3..eta_10 onto a line of slope -1/10
+    t = thresholdize([F(1), F(9, 10), F(1, 5), F(1, 10), F(1, 20)]
+                     + [F(1, 20 * m) for m in range(2, 60)])
+    report = measure_union_translates(Interval.open(F(1, 3), F(1, 3) + F(1, 500)), t, 60)
+    assert (report.threshold, report.identity_ok) == (11, True)
+    digest = hashlib.sha256(text(report).encode()).hexdigest()
+    assert digest == "8d2e13d6fc2dc83825bde870f39de95db5720c7b84e626c372d5af0978d48979"

@@ -175,9 +175,9 @@ def test_the_ladder_asks_its_oracle_on_ints():
 
 
 def test_report_format_lives_in_one_encoder():
-    # intervals.Report writes every report; only the three reports whose keys
+    # intervals.Report writes every report; only the two reports whose keys
     # are derived values, not fields, keep their own to_json_dict
-    allowed = {"Report", "Hole", "NestedChain", "PremeasureBound"}
+    allowed = {"Report", "NestedChain", "PremeasureBound"}
     found = {node.name
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -185,6 +185,25 @@ def test_report_format_lives_in_one_encoder():
              and any(isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
                      for item in node.body)}
     assert found == allowed
+
+
+def _callers(tree, callee, arg_attr=None):
+    """Names of the functions in ``tree`` that call ``callee`` by name, with an
+    argument reading attribute ``arg_attr`` when one is given."""
+    return sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == callee
+                          and (arg_attr is None or any(isinstance(a, ast.Attribute)
+                                                       and a.attr == arg_attr
+                                                       for a in call.args))
+                          for call in ast.walk(fn)))
+
+
+def test_overlap_budget_is_derived_once():
+    # one avoider function turns a hole length into (T, T*lambda + eta_T);
+    # the hole planner and the translate-measure identity both call it
+    tree = ast.parse((Path(affcopy.__file__).parent / "avoider.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "threshold_index", "eta_gap") == ["_overlap"]
+    assert _callers(tree, "_overlap") == ["measure_union_translates", "plan_budget"]
 
 
 def test_unchecked_construction_stays_in_intervals():
