@@ -251,6 +251,8 @@ def measure_union_translates(hole: Interval, t: ThresholdSequence,
         raise ValueError("need a nondegenerate open interval")
     if M > MAX_M:
         raise ValueError(f"M must be at most MAX_M = {MAX_M}, got {M}")
+    if M > t.horizon:
+        raise HorizonError(f"M={M} is past the sequence horizon {t.horizon}")
     T, tail = _overlap(t, hole.length)
     if M < T:
         raise ValueError(f"M={M} is below the overlap threshold {T}")

@@ -18,10 +18,9 @@ remnant skeleton the left neighborhoods of deeper gaps fail to reach.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Tuple
+from typing import Tuple
 
 from affcopy.intervals import (EMPTY, Interval, IntervalSet, RationalLike, Report,
                                as_fraction, union_all)
@@ -156,8 +155,8 @@ class FinitePointsOracle(GapOracle):
     third of the longest point-free stretch of the middle third of K
     (leftmost on ties).
 
-    The sorted points are kept also as ``(numerator, denominator)`` pairs, and
-    both methods bisect and compare those by cross-multiplication.
+    The sorted points are kept also as ``(numerator, denominator)`` pairs,
+    and both methods scan all of them, comparing by cross-multiplication.
     """
 
     name = "finite-points"
@@ -169,9 +168,8 @@ class FinitePointsOracle(GapOracle):
     def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
         den = 3 * b * d  # the middle third is [u/den, v/den]
         u, v = 2 * a * d + c * b, a * d + 2 * c * b
-        pairs = self._pairs  # sorted: the stops inside the middle third are one slice
-        i = bisect_right(pairs, 0, key=_minus(u, den))
-        stops = [(u, den), *pairs[i:bisect_left(pairs, 0, i, key=_minus(v, den))], (v, den)]
+        stops = [(u, den), *((p, q) for p, q in self._pairs if u * q < p * den < v * q),
+                 (v, den)]
         # the stretch from p/q to r/s has length (rq - ps)/(qs); keep the first longest
         best, num, dnm = 0, -1, 1
         for i, ((p, q), (r, s)) in enumerate(zip(stops, stops[1:])):
@@ -183,18 +181,9 @@ class FinitePointsOracle(GapOracle):
 
     def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
                hi_closed: bool) -> bool:
-        pairs = self._pairs  # only the points in [lo, hi] can lie in the interval
-        past_lo, past_hi = _minus(p, q), _minus(r, s)
-        i = bisect_left(pairs, 0, key=past_lo)
-        # a point in [lo, hi] misses the interval only on an open end
-        return all((not lo_closed and not past_lo(pq)) or (not hi_closed and not past_hi(pq))
-                   for pq in pairs[i:bisect_right(pairs, 0, i, key=past_hi)])
-
-
-def _minus(num: int, den: int) -> Callable[[Tuple[int, int]], int]:
-    """The key ``(p, q) -> p*den - num*q``, of the sign of p/q - num/den (q,
-    den > 0), so bisecting sorted pairs for 0 finds the cut at num/den."""
-    return lambda pq: pq[0] * den - num * pq[1]
+        # a point x/y in [p/q, r/s] misses the interval only on an open end
+        return all((not lo_closed and x * q == p * y) or (not hi_closed and x * s == r * y)
+                   for x, y in self._pairs if p * y <= x * q and x * s <= r * y)
 
 
 # ---------------------------------------------------------------------------
@@ -344,25 +333,16 @@ def _set_claims(levels: Tuple[CantorLevel, ...], D: int, ends: list) -> Tuple[li
     meet, and for each level n whether [0,1] minus the gaps of levels 1..n is
     the union of the level-n remnants.
 
-    Every set is built by :meth:`IntervalSet.from_cuts` on the verifier's
+    Every set is built by :meth:`IntervalSet.from_ends` on the verifier's
     lattice D: ``ends`` holds, level after level, the lists of its gaps'
-    inf, gaps' sup, remnants' inf and remnants' sup as ints x*D, so a part
-    with ends lo, hi is the cut range ``(2lo + (not lo_closed), 2hi +
-    hi_closed)`` and its closure ``(2lo, 2hi + 1)``."""
+    inf, gaps' sup, remnants' inf and remnants' sup as ints x*D. The
+    constructor merges parts out of order or overlapping; that hides nothing,
+    since such a gap tuple fails the shape check, and such a remnant tuple
+    the child indexing, closedness or count checks."""
 
-    def union_of(cuts: list) -> IntervalSet:
-        """Cut ranges as one set: the list itself when it is canonical, else
-        the kernel's union of its one-range sets. A gap tuple out of order or
-        overlapping fails the shape check, and a remnant tuple the child
-        indexing, closedness or count checks, so the fallback hides nothing."""
-        try:
-            return IntervalSet.from_cuts(D, cuts)
-        except ValueError:
-            return union_all([IntervalSet.from_cuts(D, [r]) for r in cuts])
-
-    def cuts_of(parts: Tuple[Interval, ...], los: list, his: list) -> list:
-        return [(2 * lo + (not p.lo_closed), 2 * hi + p.hi_closed)
-                for p, lo, hi in zip(parts, los, his)]
+    def union_of(parts: Tuple[Interval, ...], los: list, his: list) -> IntervalSet:
+        return IntervalSet.from_ends(D, [(lo, hi, p.lo_closed, p.hi_closed)
+                                         for p, lo, hi in zip(parts, los, his)])
 
     def meeting() -> list:
         # closures of different levels are disjoint. Within a level they are
@@ -370,7 +350,7 @@ def _set_claims(levels: Tuple[CantorLevel, ...], D: int, ends: list) -> Tuple[li
         # many parts as they have together exactly when no two levels'
         # closures meet; the pairwise pass runs only to name the pairs that
         # do. The closures are freed before the decomposition runs
-        closures = [union_of([(2 * lo, 2 * hi + 1) for lo, hi in zip(los, his)])
+        closures = [IntervalSet.from_ends(D, [(lo, hi, True, True) for lo, hi in zip(los, his)])
                     for _, los, his in zip(levels, ends[0::4], ends[1::4])]
         if len(union_all(closures)) == sum(map(len, closures)):
             return []
@@ -379,13 +359,12 @@ def _set_claims(levels: Tuple[CantorLevel, ...], D: int, ends: list) -> Tuple[li
                 if not closures[n - 1].intersect(closures[m - 1]).is_empty]
 
     meeting_pairs = meeting()
-    unit = IntervalSet.from_cuts(D, [(0, 2 * D + 1)])
+    unit = IntervalSet.from_ends(D, [(0, D, True, True)])
     decomposed, gaps_through = [], EMPTY
     for lv, gap_lo, gap_hi, rem_lo, rem_hi in zip(levels, ends[0::4], ends[1::4], ends[2::4],
                                                   ends[3::4]):
-        gaps_through = gaps_through.union(union_of(cuts_of(lv.gaps, gap_lo, gap_hi)))
-        remnants = union_of(cuts_of(lv.remnants, rem_lo, rem_hi))
-        decomposed.append(unit.difference(gaps_through) == remnants)
+        gaps_through = gaps_through.union(union_of(lv.gaps, gap_lo, gap_hi))
+        decomposed.append(unit.difference(gaps_through) == union_of(lv.remnants, rem_lo, rem_hi))
     return meeting_pairs, decomposed
 
 
@@ -563,24 +542,28 @@ def truncated_union_cover(construction: CantorConstruction, N: int,
 
     The remainder must sit inside the right-edge slivers
     [inf K(N+k_max, 2^k_max j), sup K(N,j)), so its measure stays below
-    2^N * (2/3)^(N+k_max).
+    2^N * (2/3)^(N+k_max). A pair whose bound is not below the skeleton's
+    own measure is refused (ValueError), since no remainder could exceed it.
     """
     c = construction
     if N < 1 or k_max < 1:
         raise ValueError("N and k_max must be positive")
     if N + k_max > c.depth:
         raise ValueError(f"depth {c.depth} insufficient for N={N}, k_max={k_max}")
+    skeleton = c.remnant_set(N).star()
+    bound = (2 ** N) * TWO_THIRDS ** (N + k_max)
+    if bound >= skeleton.measure():
+        raise ValueError(f"vacuous cover bound: N={N}, k_max={k_max} give 2^N (2/3)^(N+k_max) "
+                         f"= {bound}, not below the skeleton measure {skeleton.measure()}")
     covered = union_all([
         c.open_set(n).left_neighborhood(TWO_THIRDS ** n)
         for n in range(N + 1, N + k_max + 1)
     ])
-    skeleton = c.remnant_set(N).star()
     remainder = skeleton.difference(covered)
     enclosure = IntervalSet(tuple(
         Interval.half_open(c.remnant(N + k_max, (2 ** k_max) * j).lo, c.remnant(N, j).hi)
         for j in range(1, 2 ** N + 1)
     ))
-    bound = (2 ** N) * TWO_THIRDS ** (N + k_max)
     measure = remainder.measure()
     return CoverReport(
         N=N,

@@ -21,9 +21,9 @@ Every set is held as its cuts over one lattice ``D``, the cut ``(x, flag)``
 encoded as the int ``2*x*D + flag``, which orders exactly as the tuple does.
 The constructor encodes its parts once, over the lcm of their endpoint
 denominators, and checks canonical form on those ints; a kernel result keeps
-its operands' common lattice and is checked on its cuts the same way, and so
-is a set that :meth:`IntervalSet.from_cuts` builds from given cuts over a
-given D.
+its operands' common lattice and is checked on its cuts the same way.
+:meth:`IntervalSet.from_ends` takes ends already on a lattice D, as the ints
+x*D with their flags, and merges them on the cuts, so no caller writes a cut.
 Canonical means the cuts strictly increase, which is exactly the
 :class:`Interval` shape rule within each range and the canonical rule between
 neighbours, so a kernel result skips both constructors and decodes its parts
@@ -47,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, starmap
 from math import lcm
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, Tuple, Union
@@ -207,14 +207,21 @@ class IntervalSet:
         _set_lattice(self, (D, cuts))
 
     @staticmethod
-    def from_cuts(D: int, cuts: Iterable[Tuple[int, int]]) -> "IntervalSet":
-        """The set of the half-open int cut ranges ``cuts`` over the lattice
-        ``D >= 1``, each cut ``2*x*D + flag``; ValueError unless the cuts
-        strictly increase (an empty range, or neighbours that overlap or
-        should merge). Its parts are decoded on first read."""
+    def from_ends(D: int, ranges: Iterable[Tuple[int, int, bool, bool]]) -> "IntervalSet":
+        """The union of the intervals from lo/D to hi/D, one ``(lo, hi,
+        lo_closed, hi_closed)`` per range, over the lattice ``D >= 1``:
+        overlapping or touching ranges merge, in any order. ValueError on an
+        empty or inverted range, even one another range covers. Its parts are
+        decoded on first read."""
         if D < 1:
             raise ValueError(f"lattice D must be positive, got {D}")
-        return _decode([(lo, hi) for lo, hi in cuts], D)
+        cuts = [(2 * lo + (not lo_closed), 2 * hi + hi_closed)
+                for lo, hi, lo_closed, hi_closed in ranges]
+        if not all(starmap(lt, cuts)):
+            lo, hi = next(r for r in cuts if r[0] >= r[1])
+            raise ValueError(f"empty or inverted range from {Fraction(lo >> 1, D)} "
+                             f"to {Fraction(hi >> 1, D)}")
+        return _decode(_merge(cuts), D)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -223,7 +230,8 @@ class IntervalSet:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return IntervalSet.from_cuts, self._lattice
+        D, cuts = self._lattice
+        return _decode, (cuts, D)
 
     @property
     def parts(self) -> Tuple[Interval, ...]:

@@ -316,12 +316,14 @@ class DeficitReport(Report):
     """Exact leftovers of the translate covering of [0,1).
 
     ``uncovered_measure`` is the measure of [0,1) minus all translates
-    O_n - delta*alpha_m (n <= N, m0 <= m <= M); ``residual_measure`` is the
-    measure of [0,1) intersected with every translate of the level-N remnant
-    set. ``bound`` is the best provable ceiling on the uncovered measure:
-    2^N' * (2/3)^N for the cheapest dominated truncation level N', plus one
-    right-edge sliver of width delta*alpha_M per gap component (the tail
-    beyond m = M that the finite union cannot reach).
+    O_n - delta*alpha_m (n <= N, m0 <= m <= M); ``residual`` is [0,1)
+    intersected with every translate R_N - delta*alpha_m of the level-N
+    remnant set R_N. The report passes exactly when the residual is empty:
+    then no t in [0,1) has every t + delta*alpha_m in R_N, which holds the
+    ladder's limit set. ``bound`` is printed for reference and decides
+    nothing: 2^N' * (2/3)^N for the first dominated truncation level N',
+    plus one right-edge sliver of width delta*alpha_M per gap component (the
+    tail beyond m = M that the finite union cannot reach).
     """
 
     N: int
@@ -335,7 +337,7 @@ class DeficitReport(Report):
 
     @property
     def passed(self) -> bool:
-        return self.bound is not None and self.uncovered_measure <= self.bound
+        return self.residual.is_empty
 
 
 def coverage01(construction: CantorConstruction, s: SlowSequence,
@@ -363,7 +365,8 @@ def coverage01(construction: CantorConstruction, s: SlowSequence,
 
 def _deficit_bound(construction: CantorConstruction, s: SlowSequence, d: Fraction,
                    m0: int, N: int, M: int) -> Optional[Fraction]:
-    """Cheapest sliver-corrected truncation ceiling, if any is dominated."""
+    """The sliver-corrected truncation ceiling at the first dominated level
+    N', or None when none is; larger N' only weaken it."""
     from affcopy.cantor import TWO_THIRDS  # loaded here: the caller holds a ladder
     thresholds = {}
     for n in range(1, N + 1):
@@ -374,12 +377,8 @@ def _deficit_bound(construction: CantorConstruction, s: SlowSequence, d: Fractio
             return None
     if any(thresholds[n] > M for n in thresholds):
         return None
-    sliver = (2 ** N - 1) * d * s.alpha_at(M)
-    best: Optional[Fraction] = None
     for n_prime in range(0, N):
         if all(d * s.alpha_at(thresholds[n]) >= TWO_THIRDS ** n
                for n in range(n_prime + 1, N + 1)):
-            candidate = (2 ** n_prime) * TWO_THIRDS ** N + sliver
-            best = candidate if best is None else min(best, candidate)
-            break  # larger n_prime only weakens the ceiling
-    return best
+            return (2 ** n_prime) * TWO_THIRDS ** N + (2 ** N - 1) * d * s.alpha_at(M)
+    return None

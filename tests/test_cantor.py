@@ -415,7 +415,9 @@ class TestIntForms:
 
 
 class TestFinitePointsOracle:
-    """The oracle bisects its sorted points; a linear scan is the reference."""
+    """A linear scan of the points as Fractions is the reference for the
+    oracle's cross-multiplied answers, on the ladder's few points and on
+    hundreds."""
 
     def test_gaps_match_a_linear_scan(self):
         rng = random.Random(83)
@@ -437,6 +439,14 @@ class TestFinitePointsOracle:
             want = scanned_gap(points, k)
             assert want == open_gap(*oracle.gap_ends(*ends(k))), (k, points)
         assert on_edges > 1000
+        rng = random.Random(84)
+        for _ in range(100):  # 200 points around K, about a tenth in its middle third
+            lo = F(rng.randint(-30, 30), rng.randint(1, 9))
+            k = Interval.closed(lo, lo + F(rng.randint(1, 30), rng.randint(1, 9)))
+            points = [k.lo + k.length * F(rng.randint(-100, 200), rng.randint(90, 110))
+                      for _ in range(200)]
+            oracle = FinitePointsOracle(tuple(points))
+            assert scanned_gap(points, k) == open_gap(*oracle.gap_ends(*ends(k))), (k, points)
 
     def test_avoids_target_matches_a_linear_scan(self):
         a, b = F(1, 3), F(3, 4)
@@ -478,6 +488,22 @@ class TestFinitePointsOracle:
                 if end in points:
                     seen[closed, got] += 1
         assert set(seen) == {(False, True), (False, False), (True, False)}, seen
+        rng = random.Random(80)
+        answers = Counter()
+        for _ in range(300):  # 200 points, on and around the ends as well
+            lo = F(rng.randint(-20, 20), rng.randint(1, 15))
+            hi = lo + F(rng.randint(0, 20), rng.randint(1, 15))
+            iv = (Interval.point(lo) if lo == hi else
+                  Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+            # 200 points around the interval, or only outside it
+            points = [lo + (hi - lo + 1) * F(rng.randint(-100, 200), rng.randint(90, 110))
+                      for _ in range(200)]
+            points = [p for p in points if not lo <= p <= hi] if rng.random() < 0.5 else points
+            points += rng.sample((lo, hi, (lo + hi) / 2), rng.randint(0, 2))
+            got = int_avoids(FinitePointsOracle(tuple(points)), iv)
+            assert got == scanned_avoids(points, iv), (iv, points)
+            answers[got] += 1
+        assert min(answers.values()) > 50, answers
 
     def test_avoids_target_seeded(self):
         rng = random.Random(89)
@@ -961,8 +987,12 @@ class TestCover:
         assert report.passed
 
     def test_monotone_in_k_max(self, default6):
+        # k_max = 1 is refused: its bound 32/27 is not below the skeleton's 50/63
+        with pytest.raises(ValueError, match=r"N=2, k_max=1 .* = 32/27, not below the "
+                                             r"skeleton measure 50/63$"):
+            truncated_union_cover(default6, N=2, k_max=1)
         measures = [truncated_union_cover(default6, N=2, k_max=k).uncovered_measure
-                    for k in range(1, 5)]
+                    for k in range(2, 5)]
         assert all(b <= a for a, b in zip(measures, measures[1:]))
 
     def test_json_round_trip_shape(self, default6):

@@ -56,6 +56,15 @@ class TestCantorCommands:
         code, _ = run(tmp_path, "cover", "--depth", "4", "--N", "4", "--kmax", "1")
         assert code == 2
 
+    def test_cover_with_a_vacuous_bound_exits_two(self, tmp_path, capsys):
+        # 2^8 (2/3)^10 is about 4.4, above the measure of all of [0,1]
+        code, report = run(tmp_path, "cover", "--depth", "10", "--N", "8", "--kmax", "2")
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: vacuous cover bound: N=8, k_max=2 ")
+        assert "262144/59049, not below the skeleton measure " in err
+
     @pytest.mark.parametrize("argv", [
         ["cantor-build"], ["cantor-verify", "--kmax", "2"], ["cover", "--N", "2", "--kmax", "2"],
         ["seq-build", "--horizon", "50"],
@@ -96,6 +105,16 @@ class TestSequenceCommands:
                            "--M", "80", "--delta", "1", "--m0", "1")
         assert report["residual_measure"] == "0"
         assert code == (0 if report["pass"] else 1)
+
+    def test_coverage01_passes_on_an_empty_residual_without_a_bound(self, tmp_path):
+        # the README ladder at delta 1/4: no truncation level is dominated,
+        # so no bound is printed, yet no t survives every translate
+        code, report = run(tmp_path, "coverage01", "--depth", "10", "--N", "6", "--M", "409",
+                           "--delta", "1/4", "--m0", "1")
+        assert report["residual"] == []
+        assert report["bound"] is None
+        assert report["pass"] is True
+        assert code == 0
 
     @pytest.mark.parametrize("argv", [
         ["seq-build", "--depth", "2"],
@@ -225,7 +244,10 @@ class TestAvoiderCommands:
         # the smallest gap of 1/2, ..., 1/9 is 1/72
         (["avoider-measure", "--M", "8", "--lo", "0", "--length", "1/100"],
          "no eta gap falls below the hole length lambda=1/100 within the sequence horizon 8"),
-    ], ids=["build", "measure"])
+        # eta_9 is one past the listed values, though T = 1 needs none of it
+        (["avoider-measure", "--M", "9", "--lo", "0", "--length", "1/2"],
+         "M=9 is past the sequence horizon 8"),
+    ], ids=["build", "measure", "measure-M"])
     def test_sequence_file_past_its_horizon_names_the_hole_and_the_input(
             self, tmp_path, capsys, argv, message):
         path = tmp_path / "beta.json"
@@ -724,8 +746,8 @@ VERDICTS = {
     "seq-decompose": (["--depth", "6", "--horizon", "300", "--delta", "2", "--lo", "0",
                        "--length", "1/50"], "brute_force_ok", False,
                       (slowseq, "threshold_index", lambda index: lambda *a: index(*a) - 1)),
-    # M below the overlap thresholds: no bound can be proved
-    "coverage01": (["--depth", "6", "--N", "3", "--M", "5"], "pass", False, None),
+    # M = 3 leaves t = 0 with every t + alpha_m in the level-6 remnants
+    "coverage01": (["--depth", "10", "--N", "6", "--M", "3"], "pass", False, None),
     "avoider-measure": (["--beta", "harmonic", "--M", "40", "--lo", "0", "--length", "1/10"],
                         "identity_ok", False, (intervals, "_merge", _drop_last)),
     "avoider-embed": (["--beta", "harmonic", "--alpha", "geometric:1/2", "--M", "20",

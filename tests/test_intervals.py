@@ -593,36 +593,41 @@ class TestChecksOnCuts:
             outcomes.add(got_error)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("cuts", [
-        [(5, 5)], [(6, 5)],          # an empty range
-        [(0, 6), (4, 8)],            # overlapping neighbours
-        [(0, 4), (4, 6)],            # [0,2) then [2,3): mergeable
-        [(1, 4), (3, 6)],            # (0,2) then (1,3)
-    ])
-    def test_from_cuts_rejects_what_is_not_canonical(self, cuts):
-        with pytest.raises(ValueError):
-            IntervalSet.from_cuts(1, cuts)
-
-    def test_from_cuts_equals_the_constructor_on_the_same_cuts(self):
-        # random cut lists: from_cuts raises exactly when the constructor
-        # does, and otherwise builds the same set, on the given lattice
+    def test_from_ends_equals_normalize_of_the_same_intervals(self):
+        # random range lists on a small grid, in any order: overlaps, shared
+        # ends with every flag pair, and closed points all occur
         rng = random.Random(107)
-        outcomes = Counter()
+        touching, shapes = set(), Counter()
         for _ in range(3000):
             D = rng.randint(1, 6)
-            flat = sorted(rng.randint(-9, 9) for _ in range(2 * rng.randint(0, 4)))
-            cuts = list(zip(flat[::2], flat[1::2]))
-            want, want_error = raises_value_error(checked_build, cuts, D)
-            got, got_error = raises_value_error(IntervalSet.from_cuts, D, iter(cuts))
-            assert got_error == want_error, (cuts, D)
-            if not got_error:
-                assert got._lattice == (D, cuts) and got._parts is None
-                same(got, want)
-                assert got == IntervalSet(want.parts)
-            outcomes[got_error] += 1
-        assert min(outcomes[True], outcomes[False]) > 500, outcomes
-        with pytest.raises(ValueError):
-            IntervalSet.from_cuts(0, [])
+            ranges = []
+            for _ in range(rng.randint(0, 5)):
+                lo, hi = sorted(rng.randint(-8, 8) for _ in range(2))
+                hi = lo if rng.random() < 0.2 else hi
+                closed = (True, True) if lo == hi else (rng.random() < 0.5, rng.random() < 0.5)
+                ranges.append((lo, hi, *closed))
+            got = IntervalSet.from_ends(D, iter(ranges))
+            want = normalize([Interval(F(lo, D), F(hi, D), a, b) for lo, hi, a, b in ranges])
+            assert got._lattice[0] == D and got._parts is None
+            same(got, want)
+            touching |= {(x[3], y[2]) for x in ranges for y in ranges if x[1] == y[0] and x != y}
+            shapes["point"] += any(lo == hi for lo, hi, *_ in ranges)
+            shapes["overlap"] += any(x[0] < y[0] < x[1] for x in ranges for y in ranges)
+            shapes["merged"] += len(got) < len(ranges)
+        assert touching == {(a, b) for a in (False, True) for b in (False, True)}
+        assert min(shapes.values()) > 500, shapes
+
+    @pytest.mark.parametrize("D, ranges", [
+        (0, []), (-1, [(0, 1, True, True)]),    # no lattice
+        (1, [(2, 2, False, False)]),            # an open point
+        (1, [(2, 2, True, False)]),             # a half-open point
+        (3, [(2, 1, True, True)]),              # an inverted range
+        (3, [(0, 9, True, True), (5, 4, True, True)]),  # inverted, inside another range
+    ], ids=["D=0", "D=-1", "open-point", "half-open-point", "inverted", "inverted-inside"])
+    def test_from_ends_refuses_what_is_not_an_interval(self, D, ranges):
+        with pytest.raises(ValueError, match="lattice D must be positive" if D < 1
+                           else "empty or inverted range"):
+            IntervalSet.from_ends(D, ranges)
 
     def test_interval_set_matches_the_cut_rule(self):
         rng = random.Random(59)

@@ -60,8 +60,10 @@ def test_cut_encoding_stays_inside_the_kernel():
                for name in vars(owner) if _private(name)}
     assert {"_encode", "_decode", "_decode_part", "_sweep", "_rescale",
             "_parts", "_lattice"} <= private
-    # a kernel result carries only its parts and its (D, cuts)
+    # a kernel result carries only its parts and its (D, cuts), and no
+    # public name takes cut ints: callers hand from_ends their ends
     assert intervals.IntervalSet.__slots__ == ("_parts", "_lattice")
+    assert not hasattr(intervals.IntervalSet, "from_cuts")
     found = []
     for path in SOURCES:
         if path.name == "intervals.py":
@@ -74,6 +76,9 @@ def test_cut_encoding_stays_inside_the_kernel():
                     node.attr in private or (_private(node.attr) and isinstance(node.value, ast.Name)
                                              and node.value.id == "intervals")):
                 found.append(f"{path.name}:{node.lineno}: uses .{node.attr}")
+            if "from_cuts" in (getattr(node, "attr", None), getattr(node, "id", None),
+                               getattr(node, "name", None)):
+                found.append(f"{path.name}:{node.lineno}: names from_cuts")
     assert found == []
 
 
