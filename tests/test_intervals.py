@@ -593,6 +593,40 @@ class TestChecksOnCuts:
             outcomes.add(got_error)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("cuts", [
+        [(5, 5)], [(6, 5)],          # an empty range
+        [(0, 6), (4, 8)],            # overlapping neighbours
+        [(0, 4), (4, 6)],            # [0,2) then [2,3): mergeable
+        [(1, 4), (3, 6)],            # (0,2) then (1,3)
+    ])
+    def test_from_cuts_rejects_what_is_not_canonical(self, cuts):
+        # a set is built from a cut list only when the list is canonical;
+        # from_ends merges such ranges instead, before it builds
+        with pytest.raises(ValueError):
+            intervals._decode(cuts, 1)
+
+    def test_from_cuts_equals_the_constructor_on_the_same_cuts(self):
+        # random cut lists: building from the cuts raises exactly when the
+        # constructor does, and otherwise builds the same set, on the given
+        # lattice, its parts left undecoded
+        rng = random.Random(107)
+        outcomes = Counter()
+        for _ in range(3000):
+            D = rng.randint(1, 6)
+            flat = sorted(rng.randint(-9, 9) for _ in range(2 * rng.randint(0, 4)))
+            cuts = list(zip(flat[::2], flat[1::2]))
+            want, want_error = raises_value_error(checked_build, cuts, D)
+            got, got_error = raises_value_error(intervals._decode, cuts, D)
+            assert got_error == want_error, (cuts, D)
+            if not got_error:
+                assert got._lattice == (D, cuts) and got._parts is None
+                same(got, want)
+                assert got == IntervalSet(want.parts)
+            outcomes[got_error] += 1
+        assert min(outcomes[True], outcomes[False]) > 500, outcomes
+        with pytest.raises(ValueError):
+            IntervalSet.from_ends(0, [])
+
     def test_from_ends_equals_normalize_of_the_same_intervals(self):
         # random range lists on a small grid, in any order: overlaps, shared
         # ends with every flag pair, and closed points all occur
