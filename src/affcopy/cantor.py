@@ -28,13 +28,12 @@ from affcopy.intervals import (EMPTY, Interval, IntervalSet, RationalLike, Repor
 UNIT = Interval.closed(0, 1)
 TWO_THIRDS = Fraction(2, 3)
 
-#: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so
-#: time and memory double per level: on a 2-core VM (Python 3.11) a depth-16
-#: middle-third ladder builds in 1.1-1.4 s at 57 MB peak RSS and verifies
-#: (k_max 4, a 135-bit lattice D) in 0.65-0.85 s more at 105 MB;
-#: ``cantor-build --depth 16`` takes 1.8-2.6 s and 125 MB, and
-#: ``cantor-verify --depth 16 --kmax 4`` 1.9-2.6 s and 106 MB. Deeper requests
-#: are refused before anything is built.
+#: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so time
+#: and memory double per level: on a 2-core VM (Python 3.11) a depth-16 middle-third
+#: ladder builds in 1.1-1.6 s at 55 MB peak RSS and verifies (k_max 4, a 135-bit
+#: lattice D) in 0.7-0.8 s more at 111 MB; ``cantor-build --depth 16`` takes 2.2-2.7 s
+#: and 125 MB, and ``cantor-verify --depth 16 --kmax 4`` 2.1-2.8 s and 111 MB.
+#: Deeper requests are refused before anything is built.
 MAX_DEPTH = 16
 
 
@@ -54,6 +53,12 @@ def middle_third(k: Interval) -> Interval:
     den = 3 * b * d
     return Interval(Fraction(2 * a * d + c * b, den), Fraction(a * d + 2 * c * b, den),
                     True, True)
+
+
+def _middle_ninth(a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
+    """The open middle ninth ((5lo + 4hi)/9, (4lo + 5hi)/9) of K = [a/b, c/d], as gap ends."""
+    den = 9 * b * d
+    return 5 * a * d + 4 * c * b, den, 4 * a * d + 5 * c * b, den
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +94,7 @@ class MiddleThirdOracle(GapOracle):
 
     name = "middle-third"
 
-    def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
-        # the middle third of [(2lo + hi)/3, (lo + 2hi)/3] is ((5lo + 4hi)/9, (4lo + 5hi)/9)
-        den = 9 * b * d
-        return 5 * a * d + 4 * c * b, den, 4 * a * d + 5 * c * b, den
+    gap_ends = staticmethod(_middle_ninth)
 
     def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
                hi_closed: bool) -> bool:
@@ -153,7 +155,8 @@ class TernaryCantorOracle(GapOracle):
 class FinitePointsOracle(GapOracle):
     """Target set is a finite set of rationals. The gap is the open middle
     third of the longest point-free stretch of the middle third of K
-    (leftmost on ties).
+    (leftmost on ties); with no point strictly inside, that is the middle
+    ninth of K, given as the middle-third oracle's ints over 9bd.
 
     The sorted points are kept also as ``(numerator, denominator)`` pairs,
     and both methods scan all of them, comparing by cross-multiplication.
@@ -168,8 +171,9 @@ class FinitePointsOracle(GapOracle):
     def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
         den = 3 * b * d  # the middle third is [u/den, v/den]
         u, v = 2 * a * d + c * b, a * d + 2 * c * b
-        stops = [(u, den), *((p, q) for p, q in self._pairs if u * q < p * den < v * q),
-                 (v, den)]
+        stops = [(u, den), *((p, q) for p, q in self._pairs if u * q < p * den < v * q), (v, den)]
+        if len(stops) == 2:  # no point inside: the middle-third oracle's ints, over 9bd
+            return _middle_ninth(a, b, c, d)
         # the stretch from p/q to r/s has length (rq - ps)/(qs); keep the first longest
         best, num, dnm = 0, -1, 1
         for i, ((p, q), (r, s)) in enumerate(zip(stops, stops[1:])):
@@ -250,9 +254,10 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
     in K = [lo, hi], the containment in the closed middle third is
     3p/q >= 2lo + hi and 3r/s <= lo + 2hi, cross-multiplied; the level length
     is 1/M with M the larger of twice the previous level's M and every
-    ceil(qs / (rq - ps)); and the shrunk gap's ends are
-    ((ps + rq)M - qs) / (2qsM) and ((ps + rq)M + qs) / (2qsM), one Fraction
-    each.
+    ceil(qs / (rq - ps)); and the shrunk gap's ends are ((ps + rq)M -+ qs) /
+    (2qsM), one Fraction each. A gap over one denominator (q = s, as every
+    oracle here answers) never forms qs: its bound is ceil(q / (r - p)) and
+    its ends ((p + r)M -+ q) / (2qM).
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
@@ -268,7 +273,8 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
             if q <= 0 or s <= 0:
                 raise OracleViolationError(
                     n, j, f"gap ends {(p, q, r, s)} need positive denominators")
-            width = r * q - p * s  # |gap| = width / (qs)
+            # |gap| = width/qs and its midpoint is mid/(2qs); one denominator q = s is not squared
+            width, mid, qs = (r - p, p + r, q) if q == s else (r * q - p * s, p * s + r * q, q * s)
             if width <= 0:
                 raise OracleViolationError(n, j, f"gap {_gap(p, q, r, s)} is not a "
                                                  "nondegenerate open interval")
@@ -277,8 +283,8 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
                                                  f"middle third {middle_third(k)} of {k}")
             if not oracle.avoids(p, q, r, s, False, False):
                 raise OracleViolationError(n, j, f"gap {_gap(p, q, r, s)} meets the target set")
-            m = max(m, -(-q * s // width))
-            raw.append((p * s + r * q, q * s))  # the midpoint is the first over twice the second
+            m = max(m, -(-qs // width))
+            raw.append((mid, qs))
         gaps = []
         next_remnants = []
         for k, (mid, qs) in zip(remnants, raw):

@@ -174,6 +174,8 @@ def _avoider_measure(args: argparse.Namespace) -> tuple:
 
 def _avoider_embed(args: argparse.Namespace) -> tuple:
     from affcopy import avoider, presets
+    if args.M < 1:  # the cap bounds it above while parsing
+        raise ValueError(f"--M must be at least 1, got {args.M}")
     t = presets.threshold_sequence_from(args.beta, args.horizon)
     construction = avoider.build_avoider(t, args.depth)
     alpha = presets.alpha_vector(args.alpha, args.M)
@@ -196,6 +198,8 @@ def _appendix_schedule(args: argparse.Namespace) -> tuple:
 
 def _appendix_intersect(args: argparse.Namespace) -> tuple:
     from affcopy import mixedradix
+    if not 1 <= args.U <= len(args.schedule):
+        raise ValueError(f"--U must be in 1..{len(args.schedule)}, got {args.U}")
     system = mixedradix.make_system(args.schedule)
     alphas = [as_fraction(part) for part in args.alphas.split(",")]
     chain = mixedradix.nested_intersect(alphas, system, args.U)

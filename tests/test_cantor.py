@@ -132,17 +132,23 @@ class TestBuild:
 
         def counted(cls, *args, _new=F.__new__, **kwargs):
             made["Fraction"] += 1
+            made["bits"] = max([made["bits"]] + [x.bit_length() for x in args
+                                                 if isinstance(x, int)])
             return _new(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", counted)
-        per_depth = {}
+        build_cantor(MiddleThirdOracle(), 10)
+        per_depth, bits = {}, {"middle-third": made["bits"]}
         for depth in (9, 10):
             made.clear()
             build_cantor(oracle, depth)
-            per_depth[depth] = made["Fraction"]
+            per_depth[depth], bits[depth] = made["Fraction"], made["bits"]
         F(1, 3)
         assert made["Fraction"] == per_depth[10] + 1  # the hook counts
         assert per_depth[10] - per_depth[9] <= 2 * 2 ** 9 + 1, per_depth
+        # a gap over one denominator is shrunk without squaring it, and a
+        # point-free middle third answered over 9bd, not the scan's 3(3bd)^2
+        assert bits[10] <= 128 and bits["middle-third"] <= 128, bits
 
     def test_bad_oracle_rejected(self):
         class Offside(MiddleThirdOracle):
@@ -256,6 +262,21 @@ def seeded_point_sets(seed, count):
         yield tuple(points)
 
 
+class Rescaled(GapOracle):
+    """Another oracle's gaps with unreduced ends: (p/q, r/s) answered as
+    (pt/qt, ru/su)."""
+
+    def __init__(self, oracle, t, u):
+        self.oracle, self.t, self.u = oracle, t, u
+
+    def gap_ends(self, a, b, c, d):
+        p, q, r, s = self.oracle.gap_ends(a, b, c, d)
+        return p * self.t, q * self.t, r * self.u, s * self.u
+
+    def avoids(self, p, q, r, s, lo_closed, hi_closed):
+        return self.oracle.avoids(p, q, r, s, lo_closed, hi_closed)
+
+
 class TestBuildAgainstReference:
     """build_cantor runs on integer numerators; the plain-Fraction ladder is
     the reference, with plain-Fraction oracles for all three targets."""
@@ -285,6 +306,25 @@ class TestBuildAgainstReference:
                     inner = reference_middle_third(got.remnant(n, j))
                     on_ends[n > 0] += sum(p in (inner.lo, inner.hi) for p in points)
         assert on_ends[False] >= 3 and on_ends[True] >= 6, on_ends  # levels 0 and deeper
+
+    def test_unreduced_gap_ends(self):
+        # gaps over one unreduced denominator (t = u) take build_cantor's
+        # one-denominator step and gaps over two (t != u) its general step
+        rng = random.Random(113)
+        targets = [(MiddleThirdOracle(), reference_middle_ninth, lambda iv: True)]
+        for points in seeded_point_sets(127, 3):
+            targets.append((FinitePointsOracle(points), lambda k, pts=points: scanned_gap(pts, k),
+                            lambda iv, pts=points: scanned_avoids(pts, iv)))
+        for oracle, gap_of, avoids in targets:
+            want = {depth: reference_ladder(gap_of, avoids, depth) for depth in (3, 6)}
+            for _ in range(3):
+                t = rng.randint(2, 30)
+                for u in (t, t + rng.randint(1, 30)):
+                    for depth in (3, 6):
+                        got = build_cantor(Rescaled(oracle, t, u), depth)
+                        assert got == want[depth], (oracle.name, t, u, depth)
+                        assert json.dumps(got.to_json_dict()) == \
+                            json.dumps(want[depth].to_json_dict())
 
     def test_middle_third_helper(self):
         rng = random.Random(67)
@@ -447,6 +487,35 @@ class TestFinitePointsOracle:
                       for _ in range(200)]
             oracle = FinitePointsOracle(tuple(points))
             assert scanned_gap(points, k) == open_gap(*oracle.gap_ends(*ends(k))), (k, points)
+
+    def test_point_free_middle_third_gets_the_middle_third_oracles_ints(self):
+        # no point strictly inside K's middle third: none at all, points on
+        # its two ends, in K's outer thirds or outside K. The answer is the
+        # middle-third oracle's, as the same ints; one point inside it, and
+        # the stretch scan answers instead
+        rng = random.Random(131)
+        kinds = Counter()
+        for _ in range(1000):
+            lo = F(rng.randint(-30, 30), rng.randint(1, 9))
+            k = Interval.closed(lo, lo + F(rng.randint(1, 30), rng.randint(1, 9)))
+            inner = reference_middle_third(k)
+            kind = rng.choice(("none", "ends", "outer thirds", "outside"))
+            kinds[kind] += 1
+            points = {"none": [],
+                      "ends": [inner.lo, inner.hi] * rng.randint(1, 2),
+                      "outer thirds": [k.lo + (inner.lo - k.lo) * F(rng.randint(0, 6), 6),
+                                       inner.hi + (k.hi - inner.hi) * F(rng.randint(0, 6), 6)],
+                      "outside": [k.lo - F(rng.randint(1, 40), rng.randint(1, 12)),
+                                  k.hi + F(rng.randint(1, 40), rng.randint(1, 12))]}[kind]
+            t, u = rng.randint(1, 5), rng.randint(1, 5)
+            a, b, c, d = ends(k)
+            for args in ((a, b, c, d), (a * t, b * t, c * u, d * u)):
+                got = FinitePointsOracle(tuple(points)).gap_ends(*args)
+                assert got == MiddleThirdOracle().gap_ends(*args), (k, points)
+            inside = inner.lo + (inner.hi - inner.lo) * F(rng.randint(1, 8), 9)
+            oracle = FinitePointsOracle(tuple(points) + (inside,))
+            assert open_gap(*oracle.gap_ends(a, b, c, d)) == scanned_gap(points + [inside], k)
+        assert min(kinds.values()) > 200, kinds
 
     def test_avoids_target_matches_a_linear_scan(self):
         a, b = F(1, 3), F(3, 4)

@@ -319,6 +319,15 @@ class TestWorkCaps:
         with pytest.raises(AssertionError, match="work started"):
             run(tmp_path, *argv, flag, str(cap))
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_translates_exits_two_naming_the_flag(self, tmp_path, capsys, nothing_built,
+                                                     count):
+        code, report = run(tmp_path, "avoider-embed", "--beta", "harmonic", "--alpha",
+                           "harmonic", "--depth", "2", "--M", count)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: --M must be at least 1, got {count}\n"
+
     def test_caps_admit_the_documented_examples(self):
         # README, perfbench and the acceptance suite use depth 64, M 100 and
         # 1000 instances
@@ -604,6 +613,15 @@ class TestScheduleCaps:
         assert os.listdir(tmp_path) == []
         with pytest.raises(AssertionError, match="work started"):
             run(tmp_path, *argv, "--schedule", ",".join(["4"] * cap))
+
+    @pytest.mark.parametrize("depth", ["0", "-1", "3"])
+    def test_walk_depth_outside_the_schedule_exits_two_naming_the_flag(
+            self, tmp_path, capsys, nothing_built, depth):
+        code, report = run(tmp_path, "appendix-intersect", "--schedule", "4,14",
+                           "--alphas", "0,0", "--U", depth)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: --U must be in 1..2, got {depth}\n"
 
     def test_library_refuses_past_the_caps(self, monkeypatch):
         def never(*args, **kwargs):
