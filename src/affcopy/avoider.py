@@ -276,8 +276,8 @@ class SummabilityEntry(Report):
 class SummabilityReport(Report):
     """Exact partial sums and the termwise inequalities that make the total
     translate measure finite: eta at half-T is dominated by eta at half-K,
-    which sits below 1/n^2, and T*lambda telescopes into twice the eta drop
-    from half-T to T."""
+    the first eta below 1/n^2, and T*lambda telescopes into twice the eta
+    drop from half-T to T."""
 
     depth: int
     entries: Tuple[SummabilityEntry, ...]
@@ -305,12 +305,10 @@ def summability_report(t: ThresholdSequence, depth: int) -> SummabilityReport:
         sum_half += eta_half_T
         sum_squares += Fraction(1, n * n)
         sum_tails += h.tail
-        if h.K % 2 != 0:
-            violations.append(f"n={n}: K={h.K} is odd")
         if eta_half_T > eta_half_K:
             violations.append(f"n={n}: eta at T/2 exceeds eta at K/2")
-        if not eta_half_K < Fraction(1, n * n):
-            violations.append(f"n={n}: eta at K/2 not below 1/{n * n}")
+        if h.K > 2 and t.eta(h.K // 2 - 1) < Fraction(1, n * n):
+            violations.append(f"n={n}: K/2 is not the first m with eta_m below 1/{n * n}")
         if not h.T * h.lam <= 2 * eta_half_T - 2 * t.eta(h.T):
             violations.append(f"n={n}: T*lambda exceeds the telescoped eta drop")
     return SummabilityReport(depth=depth, entries=tuple(entries),

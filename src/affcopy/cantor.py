@@ -158,15 +158,15 @@ class FinitePointsOracle(GapOracle):
     (leftmost on ties); with no point strictly inside, that is the middle
     ninth of K, given as the middle-third oracle's ints over 9bd.
 
-    The sorted points are kept also as ``(numerator, denominator)`` pairs,
-    and both methods scan all of them, comparing by cross-multiplication.
+    Only the sorted points' ``(numerator, denominator)`` pairs are kept, and
+    both methods scan all of them, comparing by cross-multiplication.
     """
 
     name = "finite-points"
 
     def __init__(self, points: "tuple[RationalLike, ...]"):
-        self.points = tuple(sorted(as_fraction(p) for p in points))
-        self._pairs = tuple((p.numerator, p.denominator) for p in self.points)
+        self._pairs = tuple((p.numerator, p.denominator)
+                            for p in sorted(as_fraction(p) for p in points))
 
     def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
         den = 3 * b * d  # the middle third is [u/den, v/den]

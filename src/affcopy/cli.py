@@ -106,6 +106,14 @@ def _sequence_for(construction: cantor.CantorConstruction, horizon: int) -> slow
     return slowseq.build_mu({0: table}, horizon)
 
 
+def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse a count flag below 1 by the name the user typed, before any work."""
+    for flag in flags:
+        value = getattr(args, flag[2:])
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _checked(report) -> tuple:
     """The JSON form of a report that carries its own verdict."""
     return report.to_json_dict(), report.passed
@@ -122,6 +130,7 @@ def _cantor_verify(args: argparse.Namespace) -> tuple:
 
 def _cover(args: argparse.Namespace) -> tuple:
     from affcopy import cantor
+    _at_least_one(args, "--N", "--kmax")
     return _checked(cantor.truncated_union_cover(_ladder(args), args.N, args.kmax))
 
 
@@ -138,6 +147,7 @@ def _seq_build(args: argparse.Namespace) -> tuple:
 
 def _seq_decompose(args: argparse.Namespace) -> tuple:
     from affcopy import slowseq
+    _at_least_one(args, "--m0")
     seq = _sequence_for(_ladder(args), args.horizon)
     interval = Interval.open(args.lo, args.lo + args.length)
     decomposition = slowseq.decompose_translates(interval, seq.alpha_at, args.delta,
@@ -151,9 +161,9 @@ def _seq_decompose(args: argparse.Namespace) -> tuple:
 
 def _coverage01(args: argparse.Namespace) -> tuple:
     from affcopy import slowseq
+    _at_least_one(args, "--N", "--M", "--m0")
     construction = _ladder(args)
-    seq = _sequence_for(construction, max(args.M, 1) if args.horizon is None
-                        else args.horizon)
+    seq = _sequence_for(construction, args.M if args.horizon is None else args.horizon)
     return _checked(slowseq.coverage01(construction, seq, args.delta, args.m0,
                                        args.N, args.M))
 
@@ -174,8 +184,7 @@ def _avoider_measure(args: argparse.Namespace) -> tuple:
 
 def _avoider_embed(args: argparse.Namespace) -> tuple:
     from affcopy import avoider, presets
-    if args.M < 1:  # the cap bounds it above while parsing
-        raise ValueError(f"--M must be at least 1, got {args.M}")
+    _at_least_one(args, "--M", "--imax")  # the cap bounds --M above while parsing
     t = presets.threshold_sequence_from(args.beta, args.horizon)
     construction = avoider.build_avoider(t, args.depth)
     alpha = presets.alpha_vector(args.alpha, args.M)

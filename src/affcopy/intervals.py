@@ -9,13 +9,13 @@ Structural equality of two canonical sets is therefore exact set equality.
 
 Internally each interval maps to a half-open range of *cuts*. A cut ``(x, 0)``
 sits at the point ``x`` itself and ``(x, 1)`` immediately after it; an
-interval covers ``[start_cut, end_cut)`` where a closed left endpoint starts
-at ``(lo, 0)``, an open one at ``(lo, 1)``, a closed right endpoint ends at
-``(hi, 1)`` and an open one at ``(hi, 0)``. Union, intersection and
-complement reduce to sweeps over sorted half-open cut ranges, and the
-canonical adjacency rule -- ``(a,b) | [b,c)`` merges to ``(a,c)`` while
-``(a,b) | (b,c)`` keeps two parts separated by the missing point ``b`` --
-falls out of cut equality with no special cases.
+interval covers the cuts from its start up to, not including, its end: a
+closed left endpoint starts at ``(lo, 0)``, an open one at ``(lo, 1)``, a
+closed right endpoint ends at ``(hi, 1)`` and an open one at ``(hi, 0)``.
+Union, intersection and complement reduce to sweeps over sorted half-open cut
+ranges, and the canonical adjacency rule -- ``(a,b) | [b,c)`` merges to
+``(a,c)`` while ``(a,b) | (b,c)`` keeps two parts separated by the missing
+point ``b`` -- falls out of cut equality with no special cases.
 
 Every set is held as its cuts over one lattice ``D``, the cut ``(x, flag)``
 encoded as the int ``2*x*D + flag``, which orders exactly as the tuple does.
@@ -53,10 +53,6 @@ from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
-
-#: A cut is a position on the doubled line: (x, 0) is the point x, (x, 1) is
-#: the position immediately after it. Tuples compare lexicographically.
-Cut = Tuple[Fraction, int]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -101,30 +97,20 @@ class Interval:
 
     @staticmethod
     def open(lo: RationalLike, hi: RationalLike) -> "Interval":
-        return Interval(as_fraction(lo), as_fraction(hi), False, False)
+        return Interval(lo, hi, False, False)
 
     @staticmethod
     def closed(lo: RationalLike, hi: RationalLike) -> "Interval":
-        return Interval(as_fraction(lo), as_fraction(hi), True, True)
+        return Interval(lo, hi, True, True)
 
     @staticmethod
     def half_open(lo: RationalLike, hi: RationalLike) -> "Interval":
         """The left-closed, right-open interval [lo, hi)."""
-        return Interval(as_fraction(lo), as_fraction(hi), True, False)
+        return Interval(lo, hi, True, False)
 
     @staticmethod
     def point(x: RationalLike) -> "Interval":
-        return Interval(as_fraction(x), as_fraction(x), True, True)
-
-    # -- cut representation -------------------------------------------------
-
-    @property
-    def start_cut(self) -> Cut:
-        return (self.lo, 0 if self.lo_closed else 1)
-
-    @property
-    def end_cut(self) -> Cut:
-        return (self.hi, 1 if self.hi_closed else 0)
+        return Interval(x, x, True, True)
 
     # -- queries ------------------------------------------------------------
 
@@ -139,14 +125,6 @@ class Interval:
     @property
     def is_open(self) -> bool:
         return not self.lo_closed and not self.hi_closed
-
-    def contains(self, x: RationalLike) -> bool:
-        x = as_fraction(x)
-        return ((self.lo < x or (self.lo_closed and x == self.lo))
-                and (x < self.hi or (self.hi_closed and x == self.hi)))
-
-    def closure(self) -> "Interval":
-        return Interval(self.lo, self.hi, True, True)
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -176,8 +154,7 @@ class Interval:
         body = s[1:-1].split(",")
         if len(body) != 2:
             raise ValueError(f"malformed interval {text!r}")
-        return Interval(as_fraction(body[0].strip()), as_fraction(body[1].strip()),
-                        s[0] == "[", s[-1] == "]")
+        return Interval(body[0].strip(), body[1].strip(), s[0] == "[", s[-1] == "]")
 
 
 class IntervalSet:

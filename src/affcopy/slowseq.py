@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional, S
 
 from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
                                intersection_of_translates,
-                               normalize,  # kept: slowseq.normalize is a public name
+                               normalize,  # unused here; perfbench's tests read slowseq.normalize
                                union_of_translates)
 
 if TYPE_CHECKING:

@@ -1,25 +1,38 @@
 """Reference kernel for the tests: the sort-and-sweep over ``(Fraction, flag)``
 cut tuples that ``affcopy.intervals`` ran before it encoded cuts as ints, and
-the parts-based ``affine``, ``star``, ``closure`` and ``contains_point`` it
-ran before those read the int cuts.
+the parts-based ``translate``, ``affine``, ``star``, ``closure`` and
+``contains_point`` it ran before those read the int cuts.
 
 A cut ``(x, 0)`` sits at the point ``x`` and ``(x, 1)`` immediately after it;
 an interval covers the half-open cut range ``[start_cut, end_cut)``. The sweeps
-below compare Fractions directly and share no code with the integer kernel, so
-the differential tests and the brute-force oracles check the library against
-an independent implementation.
+below compare Fractions directly and share no code with the integer kernel:
+``Interval`` and ``IntervalSet`` serve only as containers (their constructors,
+``parts`` and the four fields), so the differential tests and the brute-force
+oracles check the library against an independent implementation.
 """
 
 from bisect import bisect_right
+from fractions import Fraction
 from typing import Iterable, Tuple
 
-from affcopy.intervals import Cut, Interval, IntervalSet, as_fraction
+from affcopy.intervals import Interval, IntervalSet
 
+#: A position on the doubled line: (x, 0) is the point x, (x, 1) the position
+#: immediately after it. Tuples compare lexicographically.
+Cut = Tuple[Fraction, int]
 Range = Tuple[Cut, Cut]
 
 
+def start_cut(p: Interval) -> Cut:
+    return (p.lo, 0 if p.lo_closed else 1)
+
+
+def end_cut(p: Interval) -> Cut:
+    return (p.hi, 1 if p.hi_closed else 0)
+
+
 def ranges(s: IntervalSet) -> list:
-    return [(p.start_cut, p.end_cut) for p in s.parts]
+    return [(start_cut(p), end_cut(p)) for p in s.parts]
 
 
 def from_ranges(rs: Iterable[Range]) -> IntervalSet:
@@ -42,7 +55,7 @@ def union_of_ranges(rs: Iterable[Range]) -> IntervalSet:
 
 
 def normalize(intervals: Iterable[Interval]) -> IntervalSet:
-    return union_of_ranges((iv.start_cut, iv.end_cut) for iv in intervals)
+    return union_of_ranges((start_cut(iv), end_cut(iv)) for iv in intervals)
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -88,7 +101,9 @@ def difference(x: IntervalSet, y: IntervalSet) -> IntervalSet:
 
 
 def translate(s: IntervalSet, t) -> IntervalSet:
-    return IntervalSet(tuple(p.translate(t) for p in s.parts))
+    t = Fraction(t)
+    return IntervalSet(tuple(Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed)
+                             for p in s.parts))
 
 
 def left_neighborhood(s: IntervalSet, r) -> IntervalSet:
@@ -99,7 +114,7 @@ def left_neighborhood(s: IntervalSet, r) -> IntervalSet:
 def affine(s: IntervalSet, scale, shift=0) -> IntervalSet:
     """Each part's image under x -> scale*x + shift; a negative scale swaps
     each part's ends and flags and reverses the parts."""
-    a, t = as_fraction(scale), as_fraction(shift)
+    a, t = Fraction(scale), Fraction(shift)
     if a == 0:
         raise ValueError("scale must be nonzero")
     if a > 0:
@@ -113,20 +128,20 @@ def star(s: IntervalSet) -> IntervalSet:
     """Every part (a,b) or [a,b] as [a,b); ValueError for a degenerate part
     or two parts whose closures touch."""
     for p in s.parts:
-        if p.is_point:
+        if p.lo == p.hi:
             raise ValueError(f"star undefined for degenerate part {p}")
     for prev, cur in zip(s.parts, s.parts[1:]):
         if prev.hi >= cur.lo:
             raise ValueError(f"star undefined: closures of {prev} and {cur} touch")
-    return IntervalSet(tuple(Interval.half_open(p.lo, p.hi) for p in s.parts))
+    return IntervalSet(tuple(Interval(p.lo, p.hi, True, False) for p in s.parts))
 
 
 def closure(s: IntervalSet) -> IntervalSet:
-    return normalize([p.closure() for p in s.parts])
+    return normalize([Interval(p.lo, p.hi, True, True) for p in s.parts])
 
 
 def contains_point(s: IntervalSet, x) -> bool:
     """Bisect the parts' start cuts for the cut (x, 0)."""
-    cut = (as_fraction(x), 0)
-    i = bisect_right(s.parts, cut, key=lambda p: p.start_cut)
-    return i > 0 and cut < s.parts[i - 1].end_cut
+    cut = (Fraction(x), 0)
+    i = bisect_right(s.parts, cut, key=start_cut)
+    return i > 0 and cut < end_cut(s.parts[i - 1])

@@ -13,7 +13,7 @@ from affcopy.avoider import (AvoiderConstruction, EmbeddingSearchError,
                              enumerate_base, find_embedding, measure_union_translates,
                              plan_budget, summability_report, thresholdize)
 from affcopy.intervals import Interval, IntervalSet, normalize
-from affcopy.slowseq import MAX_HORIZON, HorizonError
+from affcopy.slowseq import MAX_HORIZON, HorizonError, first_index
 
 F = Fraction
 
@@ -341,6 +341,15 @@ class TestSummability:
         assert report.sum_inverse_squares == sum(F(1, n * n) for n in range(1, 21))
         assert report.sum_eta_half_T <= report.sum_inverse_squares
 
+    def test_a_late_cutoff_fails(self, eta_harmonic, monkeypatch):
+        # K/2 must be the first m with eta_m < 1/n^2; a search answering one
+        # index late still leaves eta at K/2 below 1/n^2 and K even
+        monkeypatch.setattr(avoider, "first_index",
+                            lambda pred, lo, hi: first_index(pred, lo, hi) + 1)
+        report = summability_report(eta_harmonic, 6)
+        assert report.violations == tuple(
+            f"n={n}: K/2 is not the first m with eta_m below 1/{n * n}" for n in range(1, 7))
+
 
 class TestDelta0:
     def test_geometric_alpha(self, eta_harmonic):
@@ -392,6 +401,17 @@ class TestFindEmbedding:
         alpha = [F(0), F(-1, 8), F(1, 16), F(-1, 64), F(0), F(1, 128)]
         cert = find_embedding(a, alpha, t)
         for m, al in enumerate(alpha, 1):
+            assert a.avoider.contains_point(cert.t + cert.delta * al)
+
+    def test_rungs_at_or_above_one_are_skipped(self, eta_harmonic):
+        # alpha_m = 2^-m / 8 gives delta0 = 8: rungs 4, 2 and 1 are skipped
+        a = build_avoider(eta_harmonic, 4)
+        alpha = [F(1, 2 ** m) / 8 for m in range(1, 9)]
+        cert = find_embedding(a, alpha, eta_harmonic)
+        assert cert.delta0 == 8
+        assert cert.trace[0][0] == F(1, 2)
+        assert cert.delta == F(1, 2)
+        for al in alpha:
             assert a.avoider.contains_point(cert.t + cert.delta * al)
 
     def test_exhausted_ladder_reports_trace(self, eta_harmonic):

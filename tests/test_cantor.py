@@ -385,6 +385,81 @@ class TestOracleGapOnTheMiddleThirdEnds:
             assert "leaves the closed middle third" in got.value.reason
 
 
+class Spoiled(MiddleThirdOracle):
+    """The middle-third oracle, except that in one remnant K its gap ends
+    ``(p, q, r, s)`` become ``spoil(p, q, r, s)``."""
+
+    def __init__(self, target, spoil):
+        self.target, self.spoil = target, spoil
+
+    def gap_ends(self, a, b, c, d):
+        gap = super().gap_ends(a, b, c, d)
+        return self.spoil(*gap) if Interval.closed(F(a, b), F(c, d)) == self.target else gap
+
+
+class Blind(FinitePointsOracle):
+    """Finite points, with the gaps placed as if there were none."""
+
+    def gap_ends(self, a, b, c, d):
+        return MiddleThirdOracle().gap_ends(a, b, c, d)
+
+
+def seeded_remnants(seed, count):
+    """(n, j, K) for seeded level-n gaps j of the depth-4 middle-third
+    ladder, K the remnant the gap is cut from."""
+    clean, rng = build_cantor(MiddleThirdOracle(), 4), random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        j = rng.randint(1, 2 ** (n - 1))
+        yield n, j, clean.remnant(n - 1, j)
+
+
+class TestOracleViolations:
+    """Each breach of the oracle contract is named by its level n, its gap j
+    and the rule it breaks."""
+
+    @pytest.mark.parametrize("spoil", [
+        lambda p, q, r, s: (p, 0, r, s),
+        lambda p, q, r, s: (p, q, -r, -s),
+    ], ids=["zero", "negative"])
+    def test_non_positive_denominator(self, spoil):
+        for n, j, k in seeded_remnants(79, 6):
+            with pytest.raises(OracleViolationError) as err:
+                build_cantor(Spoiled(k, spoil), 4)
+            bad = spoil(*MiddleThirdOracle().gap_ends(*ends(k)))
+            assert (err.value.n, err.value.j) == (n, j)
+            assert err.value.reason == f"gap ends {bad} need positive denominators"
+
+    @pytest.mark.parametrize("spoil", [
+        lambda p, q, r, s: (p, q, p, q),
+        lambda p, q, r, s: (r, s, p, q),
+        lambda p, q, r, s: (2 * r, 2 * s, p, q),
+    ], ids=["degenerate", "reversed", "reversed-two-denominators"])
+    def test_degenerate_or_reversed_gap(self, spoil):
+        for n, j, k in seeded_remnants(83, 6):
+            with pytest.raises(OracleViolationError) as err:
+                build_cantor(Spoiled(k, spoil), 4)
+            p, q, r, s = spoil(*MiddleThirdOracle().gap_ends(*ends(k)))
+            assert (err.value.n, err.value.j) == (n, j)
+            assert err.value.reason == \
+                f"gap ({F(p, q)},{F(r, s)}) is not a nondegenerate open interval"
+
+    def test_gap_meeting_the_target(self):
+        # a point inside K's middle-ninth gap: no earlier gap, cut from
+        # another remnant, holds it
+        for n, j, k in seeded_remnants(89, 6):
+            gap = open_gap(*MiddleThirdOracle().gap_ends(*ends(k)))
+            points = (gap.midpoint(),)
+            oracle = Blind(points)
+            with pytest.raises(OracleViolationError) as want:
+                reference_ladder(lambda k: open_gap(*oracle.gap_ends(*ends(k))),
+                                 lambda iv: scanned_avoids(points, iv), 4)
+            with pytest.raises(OracleViolationError) as got:
+                build_cantor(oracle, 4)
+            assert (got.value.n, got.value.j) == (want.value.n, want.value.j) == (n, j)
+            assert got.value.reason == want.value.reason == f"gap {gap} meets the target set"
+
+
 def reference_ternary_gap(k):
     """The ternary oracle's gap by plain Fractions: the open middle third of
     the first ternary block of the smallest size fitting twice in the middle
@@ -601,7 +676,7 @@ class TestFinitePointsOracle:
                     assert open_gap(*oracle.gap_ends(a, b, c, d)) == want
                     assert open_gap(*oracle.gap_ends(a * t, b * t, c * u, d * u)) == want
                     assert int_avoids(oracle, want) is scanned_avoids(points, want) is True
-                    closed = want.closure()
+                    closed = Interval.closed(want.lo, want.hi)
                     assert int_avoids(oracle, closed) == scanned_avoids(points, closed)
 
 
@@ -865,7 +940,8 @@ def reference_verify(c, k_max):
             checks += 1
             if a.hi >= b.lo:
                 flag(f"level {n}: closures of gaps {j} and {j + 1} meet")
-    closures = [ref.normalize([g.closure() for g in lv.gaps]) for lv in c.levels[:depth]]
+    closures = [ref.normalize([Interval.closed(g.lo, g.hi) for g in lv.gaps])
+                for lv in c.levels[:depth]]
     checks += depth * (depth - 1) // 2
     if len(ref.normalize(p for s in closures for p in s)) != sum(map(len, closures)):
         for n in range(1, depth + 1):

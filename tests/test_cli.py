@@ -206,6 +206,25 @@ class TestAvoiderCommands:
         assert len(report["holes"]) == 3
 
 
+    def test_alpha_sequence_file_certifies(self, tmp_path):
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps([f"1/{2 ** m}" for m in range(1, 9)]))
+        argv = ["avoider-embed", "--beta", "harmonic", "--M", "8", "--depth", "4"]
+        code, report = run(tmp_path, *argv, "--alpha", str(path))
+        assert code == 0
+        assert report["checked_points"] == 8
+        assert F(report["residual_measure"]) > 0
+        assert (code, report) == run(tmp_path, *argv, "--alpha", "geometric:1/2")
+
+    def test_short_alpha_sequence_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(["1/2", "1/4", "1/8"]))
+        code, report = run(tmp_path, "avoider-embed", "--beta", "harmonic",
+                           "--alpha", str(path), "--M", "5", "--depth", "2")
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: {path} holds 3 values, need 5\n"
+
     def test_negative_horizon_on_sequence_file_exits_two(self, tmp_path):
         path = tmp_path / "beta.json"
         path.write_text(json.dumps([f"1/{m}" for m in range(1, 200)]))
@@ -345,6 +364,42 @@ class TestWorkCaps:
             presets.alpha_vector("harmonic", avoider.MAX_M + 1)
         with pytest.raises(ValueError, match="instances must be in"):
             propcheck.run_kernel_property_suite(0, propcheck.MAX_INSTANCES + 1)
+
+
+class TestCountFlags:
+    """A count flag below 1 is refused by the name the user typed, before any
+    ladder, sequence or avoider is built."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before a count check")
+
+        for owner, name in ((cantor, "build_cantor"), (presets, "threshold_sequence_from"),
+                            (avoider, "build_avoider")):
+            monkeypatch.setattr(owner, name, never)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["avoider-embed", "--beta", "harmonic", "--alpha", "harmonic", "--M", "5",
+          "--depth", "2"], "--imax"),
+        (["cover", "--depth", "4", "--kmax", "1"], "--N"),
+        (["cover", "--depth", "4", "--N", "1"], "--kmax"),
+        (["coverage01", "--depth", "4", "--M", "2"], "--N"),
+        (["coverage01", "--depth", "4", "--N", "2"], "--M"),
+        (["coverage01", "--depth", "4", "--N", "2", "--M", "2"], "--m0"),
+        (["seq-decompose", "--depth", "4", "--horizon", "50", "--lo", "0", "--length", "1/9"],
+         "--m0"),
+    ])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_below_one_exits_two_naming_the_flag(self, tmp_path, capsys, nothing_built, argv,
+                                                 flag, count):
+        code, report = run(tmp_path, *argv, flag, count)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {count}\n"
+        # 1 is accepted: the handler goes on and the work starts
+        with pytest.raises(AssertionError, match="work started"):
+            run(tmp_path, *argv, flag, "1")
 
 
 class TestAppendixCommands:

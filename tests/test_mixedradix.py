@@ -5,7 +5,7 @@ import pytest
 
 from affcopy.expbounds import (ceil_even, compare_with_exp, even_upper_exp_quotient,
                                exp_bounds)
-from affcopy.intervals import Interval
+from affcopy.intervals import Interval, IntervalSet
 from affcopy.mixedradix import (DigitVector, alternate_digits, branch_index,
                                 chain_point_check, check_h_condition, default_schedule,
                                 digits_of, f_membership, make_system, nested_intersect,
@@ -153,12 +153,12 @@ class TestMembership:
     def test_level_geometry_by_enumeration(self, sys2):
         # inside [0, 1/4): the level-2 set is [0,1/56] plus [1/8, 1/8+1/56];
         # the next block starts a new member interval at 1/4 itself
-        member_blocks = [Interval.closed(0, F(1, 56)),
-                         Interval.closed(F(1, 8), F(1, 8) + F(1, 56))]
+        member_blocks = IntervalSet((Interval.closed(0, F(1, 56)),
+                                     Interval.closed(F(1, 8), F(1, 8) + F(1, 56))))
         step = F(1, 8 * 56)
         x = F(0)
         while x < F(1, 4):
-            expect = any(b.contains(x) for b in member_blocks)
+            expect = member_blocks.contains_point(x)
             assert f_membership(x, 2, sys2) is expect, x
             x += step
         assert f_membership(F(1, 4), 2, sys2) is True

@@ -179,6 +179,42 @@ def test_the_ladder_asks_its_oracle_on_ints():
             if isinstance(node, ast.Name) and node.id == "Fraction"] == []
 
 
+def test_an_interval_is_one_checked_value():
+    # an Interval is its four fields, coerced and checked in __post_init__
+    # alone: no cut view, no second point test or closure beside
+    # IntervalSet.contains_point and .closure, and no constructor coerces
+    assert not {"start_cut", "end_cut", "contains", "closure"} & set(dir(intervals.Interval))
+    assert not hasattr(intervals, "Cut")
+    assert set(vars(cantor.FinitePointsOracle(("1/3", 0)))) == {"_pairs"}
+    tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "Interval"]
+    methods = {item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)}
+    coercing = {name for name, method in methods.items()
+                for node in ast.walk(method)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_fraction"}
+    assert {"open", "closed", "half_open", "point", "parse"} <= set(methods)
+    assert coercing == {"__post_init__", "translate"}  # translate coerces its shift
+
+
+def test_the_reference_kernel_uses_intervals_only_as_containers():
+    # tests/fraction_kernel.py checks the library, so it shares none of its
+    # arithmetic: it imports Interval and IntervalSet alone and reads only
+    # the parts of a set and the four fields of an interval
+    tree = ast.parse(Path(__file__).with_name("fraction_kernel.py").read_text(encoding="utf-8"))
+    imported = [(getattr(node, "module", None), alias.name) for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [(module, name) for module, name in imported
+            if "affcopy" in (module or name)] == [("affcopy.intervals", "Interval"),
+                                                    ("affcopy.intervals", "IntervalSet")]
+    members = {name for cls in (intervals.Interval, intervals.IntervalSet) for name in dir(cls)}
+    allowed = {"parts", "lo", "hi", "lo_closed", "hi_closed"}
+    assert allowed < members
+    found = [f"fraction_kernel.py:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in members - allowed]
+    assert found == []
+
+
 def test_report_format_lives_in_one_encoder():
     # intervals.Report writes every report; only the two reports whose keys
     # are derived values, not fields, keep their own to_json_dict
