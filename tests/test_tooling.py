@@ -258,6 +258,21 @@ def test_unchecked_construction_stays_in_intervals():
     assert found == []
 
 
+def test_one_unchecked_interval_builder():
+    # _part is the one function that makes an Interval without __post_init__;
+    # Interval.translate and the kernel's part decoder both build through it,
+    # so no second fast builder sits beside it
+    tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
+    calls = [(owner, node) for owner, node in _enclosing_functions(tree)
+             if isinstance(node, ast.Call)]
+    builders = [owner for owner, call in calls
+                if isinstance(call.func, ast.Attribute) and call.func.attr == "__new__"
+                and any(isinstance(a, ast.Name) and a.id == "Interval" for a in call.args)]
+    assert builders == ["_part"]
+    assert {owner for owner, call in calls
+            if getattr(call.func, "id", None) == "_part"} == {"translate", "_decode_part"}
+
+
 def test_measure_and_longest_part_come_from_the_kernel():
     # IntervalSet.measure() and .longest() read the integer cuts; no other
     # module may sum part lengths or pick a part by length in Fractions
