@@ -114,12 +114,10 @@ def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
             raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
-def _ordered(small: str, a: int, large: str, b: int, strict: bool = False) -> None:
-    """Refuse ``a > b`` (``a >= b`` when strict) by the flags the user typed,
-    before any work."""
-    if a > b or strict and a == b:
-        relation, sign = ("below", ">=") if strict else ("at most", ">")
-        raise ValueError(f"{small} must be {relation} {large}, got {a} {sign} {b}")
+def _at_most(small: str, a: int, large: str, b: int) -> None:
+    """Refuse ``a > b`` by the flags the user typed, before any work."""
+    if a > b:
+        raise ValueError(f"{small} must be at most {large}, got {a} > {b}")
 
 
 def _checked(report) -> tuple:
@@ -139,7 +137,7 @@ def _cantor_verify(args: argparse.Namespace) -> tuple:
 def _cover(args: argparse.Namespace) -> tuple:
     from affcopy import cantor
     _at_least_one(args, "--N", "--kmax")
-    _ordered("--N + --kmax", args.N + args.kmax, "--depth", args.depth)
+    _at_most("--N + --kmax", args.N + args.kmax, "--depth", args.depth)
     return _checked(cantor.truncated_union_cover(_ladder(args), args.N, args.kmax))
 
 
@@ -157,7 +155,8 @@ def _seq_build(args: argparse.Namespace) -> tuple:
 def _seq_decompose(args: argparse.Namespace) -> tuple:
     from affcopy import slowseq
     _at_least_one(args, "--m0")
-    _ordered("--m0", args.m0, "--horizon", args.horizon, strict=True)
+    if args.m0 >= args.horizon:
+        raise ValueError(f"--m0 must be below --horizon, got {args.m0} >= {args.horizon}")
     seq = _sequence_for(_ladder(args), args.horizon)
     interval = Interval.open(args.lo, args.lo + args.length)
     decomposition = slowseq.decompose_translates(interval, seq.alpha_at, args.delta,
@@ -172,10 +171,10 @@ def _seq_decompose(args: argparse.Namespace) -> tuple:
 def _coverage01(args: argparse.Namespace) -> tuple:
     from affcopy import slowseq
     _at_least_one(args, "--N", "--M", "--m0")
-    _ordered("--N", args.N, "--depth", args.depth)
-    _ordered("--m0", args.m0, "--M", args.M)
+    _at_most("--N", args.N, "--depth", args.depth)
+    _at_most("--m0", args.m0, "--M", args.M)
     if args.horizon is not None:
-        _ordered("--M", args.M, "--horizon", args.horizon)
+        _at_most("--M", args.M, "--horizon", args.horizon)
     construction = _ladder(args)
     seq = _sequence_for(construction, args.M if args.horizon is None else args.horizon)
     return _checked(slowseq.coverage01(construction, seq, args.delta, args.m0,
