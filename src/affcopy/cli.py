@@ -131,6 +131,7 @@ def _cantor_build(args: argparse.Namespace) -> tuple:
 
 def _cantor_verify(args: argparse.Namespace) -> tuple:
     from affcopy import cantor
+    _at_least_one(args, "--kmax")
     return _checked(cantor.verify_cantor(_ladder(args), args.kmax))
 
 
@@ -239,6 +240,7 @@ def _appendix_premeasure(args: argparse.Namespace) -> tuple:
 
 def _prop_suite(args: argparse.Namespace) -> tuple:
     from affcopy import propcheck
+    _at_least_one(args, "--instances")
     return _checked(propcheck.run_kernel_property_suite(args.seed, args.instances))
 
 

@@ -19,9 +19,10 @@ point ``b`` -- falls out of cut equality with no special cases.
 
 Every set is held as its cuts over one lattice ``D``, the cut ``(x, flag)``
 encoded as the int ``2*x*D + flag``, which orders exactly as the tuple does.
-The constructor encodes its parts once, over the lcm of their endpoint
-denominators, and checks canonical form on those ints; a kernel result keeps
-its operands' common lattice and is checked on its cuts the same way.
+The constructor encodes its parts in one pass that reads each endpoint once,
+over the lcm of their endpoint denominators, and checks canonical form on
+those ints; a kernel result keeps its operands' common lattice and is
+checked on its cuts the same way.
 :meth:`IntervalSet.from_ends` takes ends already on a lattice D, as the ints
 x*D with their flags, and merges them on the cuts, so no caller writes a cut.
 Canonical means the cuts strictly increase, which is exactly the
@@ -172,14 +173,13 @@ class IntervalSet:
 
     def __init__(self, parts: Iterable[Interval]) -> None:
         parts = tuple(parts)
-        D = _denominator(parts)
-        cuts = _encode(parts, D)
+        D, cuts = _encode(parts)
         # canonical iff each end cut is below the next start cut: a shared
         # endpoint must be missing from both parts
-        for i, ((_, end), (start, _)) in enumerate(zip(cuts, cuts[1:])):
-            if end >= start:
-                raise ValueError(f"parts not canonical: {parts[i]} followed by "
-                                 f"{parts[i + 1]}; use normalize()")
+        if not _increasing(cuts):
+            i = next(i for i in range(1, len(cuts)) if cuts[i - 1][1] >= cuts[i][0])
+            raise ValueError(f"parts not canonical: {parts[i - 1]} followed by "
+                             f"{parts[i]}; use normalize()")
         _set_parts(self, parts)
         _set_lattice(self, (D, cuts))
 
@@ -223,10 +223,11 @@ class IntervalSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if len(self) != len(other):
+        (d, a), (e, b) = self._lattice, other._lattice
+        if len(a) != len(b):
             return False
-        # canonical cut lists over one D are equal exactly when the sets are
-        _, (a, b), _ = _aligned((self, other))
+        if d != e:  # canonical cut lists over one D are equal exactly when the sets are
+            _, (a, b), _ = _aligned((self, other))
         return a == b
 
     def __hash__(self) -> int:
@@ -243,7 +244,7 @@ class IntervalSet:
 
     @property
     def is_empty(self) -> bool:
-        return not len(self)
+        return not self._lattice[1]
 
     # -- set algebra ----------------------------------------------------------
 
@@ -265,7 +266,10 @@ class IntervalSet:
     def measure(self) -> Fraction:
         """Total length; endpoint flags do not affect the value."""
         D, cuts = self._lattice
-        return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
+        total = 0
+        for lo, hi in cuts:
+            total += (hi >> 1) - (lo >> 1)
+        return Fraction(total, D)
 
     def longest(self) -> Interval:
         """The first part of greatest length, the only part it decodes;
@@ -283,13 +287,14 @@ class IntervalSet:
         ``2(scale*x + shift)D' + f``. A negative scale reverses the ranges and
         flips every flag, since each start cut comes from an end cut.
         """
-        a, t = as_fraction(scale), as_fraction(shift)
-        if a == 0:
+        a, q = as_fraction(scale).as_integer_ratio()
+        t, r = as_fraction(shift).as_integer_ratio()
+        if not a:
             raise ValueError("scale must be nonzero")
         d, cuts = self._lattice
-        D = lcm(d * a.denominator, t.denominator)
-        k = a.numerator * (D // (d * a.denominator))
-        move = 2 * t.numerator * (D // t.denominator)
+        D = lcm(d * q, r)
+        k = a * (D // (d * q))
+        move = 2 * t * (D // r)
         if k > 0:
             mapped = [(lo + move, hi + move) for lo, hi in _rescale(cuts, k)]
         else:
@@ -310,7 +315,7 @@ class IntervalSet:
         and the ranges merge.
         """
         rr = as_fraction(r)
-        if rr <= 0:
+        if rr.numerator <= 0:
             raise ValueError("left_neighborhood needs r > 0")
         D, (cuts,), (move,) = _aligned((self,), (rr,))
         return _decode(_merge([((lo | 1) - move, hi) for lo, hi in cuts]), D)
@@ -425,27 +430,48 @@ _Cuts = list[Tuple[int, int]]
 _START, _END = itemgetter(0), itemgetter(1)
 
 
-def _denominator(parts: Iterable[Interval]) -> int:
-    """The lcm of the endpoint denominators (1 for no parts)."""
-    return lcm(*{x.denominator for p in parts for x in (p.lo, p.hi)})
-
-
-def _encode(parts: Iterable[Interval], D: int) -> _Cuts:
-    """Cut ranges over D, each endpoint's ratio read once."""
+def _encode(parts: Iterable[Interval]) -> Tuple[int, _Cuts]:
+    """The lcm D of the endpoint denominators (1 for no parts) and the cut
+    ranges over D, in one streaming pass that reads each endpoint's ratio
+    once: a part is encoded over the lcm so far, and each run of parts
+    encoded before the lcm grew is carried to D at the end."""
+    D = 1
     cuts: _Cuts = []
+    runs = []  # (end of a run, the lattice its parts were encoded over)
     for p in parts:
         a, b = p.lo.as_integer_ratio()
         c, e = p.hi.as_integer_ratio()
+        if D % b or D % e:
+            runs.append((len(cuts), D))
+            D = lcm(D, b, e)
         cuts.append((2 * a * (D // b) + (not p.lo_closed), 2 * c * (D // e) + p.hi_closed))
-    return cuts
+    start = 0
+    for end, d in runs:  # as _rescale would, but in place: no second list
+        k2 = 2 * (D // d)
+        for i in range(start, end):
+            lo, hi = cuts[i]
+            cuts[i] = ((lo >> 1) * k2 | lo & 1, (hi >> 1) * k2 | hi & 1)
+        start = end
+    return D, cuts
+
+
+def _increasing(cuts: _Cuts) -> bool:
+    """Whether the cuts strictly increase: every range is nonempty and starts
+    above the end of the range before it."""
+    if cuts:
+        end = cuts[0][0] - 1
+        for start, stop in cuts:
+            if start <= end or stop <= start:
+                return False
+            end = stop
+    return True
 
 
 def _decode(cuts: _Cuts, D: int) -> IntervalSet:
     """The set of canonical cut ranges, its parts left to decode on first
     read; ValueError unless the cuts strictly increase (an empty range, or
     neighbours that overlap or should merge)."""
-    edges = [c for r in cuts for c in r]
-    if not all(map(lt, edges, edges[1:])):
+    if not _increasing(cuts):
         raise ValueError("kernel result is not a canonical cut list")
     out = object.__new__(IntervalSet)
     _set_parts(out, None)
@@ -469,12 +495,13 @@ def _rescale(cuts: _Cuts, k: int) -> _Cuts:
 def _aligned(sets: Iterable[IntervalSet],
              shifts: Iterable[RationalLike] = ()) -> Tuple[int, list, list]:
     """The lcm D of the sets' lattices and the shifts' denominators, each
-    set's cuts carried to D, and each shift t as the cut move ``2tD``."""
+    set's cuts carried to D (a set already on D as it is), and each shift t,
+    its ratio read once, as the cut move ``2tD``."""
     lattices = [s._lattice for s in sets]
-    ts = [as_fraction(t) for t in shifts]
-    D = lcm(*(d for d, _ in lattices), *{t.denominator for t in ts})
-    return (D, [_rescale(cuts, D // d) for d, cuts in lattices],
-            [2 * t.numerator * (D // t.denominator) for t in ts])
+    ratios = [as_fraction(t).as_integer_ratio() for t in shifts]
+    D = lcm(*map(_START, lattices), *map(_END, ratios))
+    return (D, [cuts if d == D else _rescale(cuts, D // d) for d, cuts in lattices],
+            [2 * p * (D // q) for p, q in ratios])
 
 
 def _sweep(sweep: Callable[..., _Cuts], *sets: IntervalSet) -> IntervalSet:
@@ -534,9 +561,8 @@ def normalize(intervals: Iterable[Interval]) -> IntervalSet:
     The result has identical point membership: overlapping or mergeable parts
     fuse, order is restored, and nothing else changes.
     """
-    parts = tuple(intervals)
-    D = _denominator(parts)
-    return _decode(_merge(_encode(parts, D)), D)
+    D, cuts = _encode(intervals)
+    return _decode(_merge(cuts), D)
 
 
 def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:

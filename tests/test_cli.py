@@ -50,7 +50,7 @@ class TestCantorCommands:
         code, report = run(tmp_path, "cantor-verify", "--depth", "4", "--kmax", kmax)
         assert code == 2
         assert report is None
-        assert "k_max must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --kmax must be at least 1, got {kmax}\n"
 
     def test_cover_depth_error(self, tmp_path):
         code, _ = run(tmp_path, "cover", "--depth", "4", "--N", "4", "--kmax", "1")
@@ -368,7 +368,8 @@ class TestWorkCaps:
 
 class TestCountFlags:
     """A count flag below 1, or out of order with another flag, is refused by
-    the names the user typed, before any ladder, sequence or avoider is built."""
+    the names the user typed, before any ladder, sequence, avoider or property
+    instance is built."""
 
     @pytest.fixture
     def nothing_built(self, monkeypatch):
@@ -376,7 +377,7 @@ class TestCountFlags:
             raise AssertionError("work started before a count check")
 
         for owner, name in ((cantor, "build_cantor"), (presets, "threshold_sequence_from"),
-                            (avoider, "build_avoider")):
+                            (avoider, "build_avoider"), (propcheck, "run_kernel_property_suite")):
             monkeypatch.setattr(owner, name, never)
 
     @pytest.mark.parametrize("argv, flag", [
@@ -389,6 +390,8 @@ class TestCountFlags:
         (["coverage01", "--depth", "4", "--N", "2", "--M", "2"], "--m0"),
         (["seq-decompose", "--depth", "4", "--horizon", "50", "--lo", "0", "--length", "1/9"],
          "--m0"),
+        (["cantor-verify", "--depth", "4"], "--kmax"),
+        (["prop-suite"], "--instances"),
     ])
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_below_one_exits_two_naming_the_flag(self, tmp_path, capsys, nothing_built, argv,

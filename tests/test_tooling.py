@@ -139,12 +139,12 @@ def test_an_interval_set_has_one_representation():
 
 def test_one_helper_sizes_the_common_lattice():
     # _aligned is the one lcm over several sets' lattices and shifts; besides
-    # it only the constructor's _denominator (a lattice for parts) and affine
+    # it only the constructor's _encode (a lattice for parts) and affine
     # (one set's lattice times the scale's denominator) take an lcm
     tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
     found = {owner for owner, node in _enclosing_functions(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lcm"}
-    assert found == {"_aligned", "_denominator", "affine"}
+    assert found == {"_aligned", "_encode", "affine"}
 
 
 def test_the_ladder_asks_its_oracle_on_ints():
