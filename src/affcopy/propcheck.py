@@ -24,8 +24,10 @@ def random_fraction(rng: random.Random, span: int = 24, max_den: int = 12,
 
 def _draw(rng: random.Random, span: int = 24, max_den: int = 12,
           positive: bool = False) -> Tuple[int, int]:
-    """The numerator and denominator :func:`random_fraction` draws."""
-    return rng.randint(1 if positive else -span, span), rng.randint(1, max_den)
+    """The numerator and denominator :func:`random_fraction` draws, each by
+    ``randrange(a, b + 1)``: ``randint(a, b)`` is its documented alias, one
+    call deeper."""
+    return rng.randrange(1 if positive else -span, span + 1), rng.randrange(1, max_den + 1)
 
 
 def _plus_draw(p: int, q: int, rng: random.Random, span: int = 24) -> Tuple[int, int]:
@@ -71,7 +73,9 @@ def _union_of_draws(draws: list) -> IntervalSet:
     """The set :func:`normalize` makes of the intervals from a/b to c/e, one
     ``(a, b, c, e, lo_closed, hi_closed)`` per draw, built from the ints: over
     the lcm D of the reduced denominators each end is the int ``a*D/b``."""
-    D = lcm(*(y // gcd(x, y) for a, b, c, e, *_ in draws for x, y in ((a, b), (c, e))))
+    D = 1
+    for a, b, c, e, _, _ in draws:
+        D = lcm(D, b // gcd(a, b), e // gcd(c, e))
     return IntervalSet.from_ends(D, [(a * D // b, c * D // e, lo_closed, hi_closed)
                                      for a, b, c, e, lo_closed, hi_closed in draws])
 

@@ -15,7 +15,7 @@ from affcopy.propcheck import (KERNEL_PROPERTIES, random_fraction, random_interv
 
 #: sha256 of the repr of the first 3,000 outputs of each generator, each from
 #: its own fixed seed, and of the generator's state after them (CPython's
-#: Mersenne Twister and ``randint``)
+#: Mersenne Twister and ``randrange``)
 STREAM_DIGEST = "017c1c58d6e5699ba01c1515b0fea777c1c89aa3c82ed9f5676594ce0ed7a0c7"
 
 
