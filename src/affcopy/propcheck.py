@@ -84,7 +84,7 @@ Check = Callable[[random.Random], Optional[str]]
 
 #: Most instances per property :func:`run_kernel_property_suite` runs. Time is
 #: linear in it: on a 2-core VM (Python 3.11) ``prop-suite --instances 10000``
-#: takes 4.5-5.3 s (0.5-0.6 s at 1000).
+#: takes 4.1-4.8 s (0.4-0.5 s at 1000).
 MAX_INSTANCES = 10_000
 
 
