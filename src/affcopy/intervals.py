@@ -266,10 +266,7 @@ class IntervalSet:
     def measure(self) -> Fraction:
         """Total length; endpoint flags do not affect the value."""
         D, cuts = self._lattice
-        total = 0
-        for lo, hi in cuts:
-            total += (hi >> 1) - (lo >> 1)
-        return Fraction(total, D)
+        return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
 
     def longest(self) -> Interval:
         """The first part of greatest length, the only part it decodes;
@@ -499,7 +496,7 @@ def _aligned(sets: Iterable[IntervalSet],
     its ratio read once, as the cut move ``2tD``."""
     lattices = [s._lattice for s in sets]
     ratios = [as_fraction(t).as_integer_ratio() for t in shifts]
-    D = lcm(*map(_START, lattices), *map(_END, ratios))
+    D = lcm(*(d for d, _ in lattices), *(q for _, q in ratios))
     return (D, [cuts if d == D else _rescale(cuts, D // d) for d, cuts in lattices],
             [2 * p * (D // q) for p, q in ratios])
 
