@@ -247,7 +247,7 @@ def measure_union_translates(hole: Interval, t: ThresholdSequence,
     where T is the overlap threshold; the full-union limit T*lambda + eta_T
     is reported alongside.
     """
-    if not hole.is_open or hole.is_point:
+    if not hole.is_open:
         raise ValueError("need a nondegenerate open interval")
     if M > MAX_M:
         raise ValueError(f"M must be at most MAX_M = {MAX_M}, got {M}")

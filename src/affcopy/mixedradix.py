@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from affcopy.expbounds import compare_with_exp, even_upper_exp_quotient
@@ -119,14 +121,9 @@ def make_system(radices: Sequence[int],
             raise ValueError(f"radix {m} at level {i + 1} is odd")
         if i and m < radices[i - 1]:
             raise ValueError(f"radices decrease at level {i + 1}")
-    products = []
-    p = 1
-    for m in radices:
-        p *= m
-        products.append(p)
     verified = tuple(check_h_condition(radices, n, exponent_budget) is True
                      for n in range(1, len(radices) + 1))
-    return MixedRadixSystem(radices=radices, products=tuple(products),
+    return MixedRadixSystem(radices=radices, products=tuple(accumulate(radices, mul)),
                             h_verified=verified)
 
 
@@ -190,28 +187,17 @@ def alternate_digits(x: RationalLike, system: MixedRadixSystem,
                      depth: int) -> Optional[DigitVector]:
     """The borrow twin of a terminating expansion, truncated at depth.
 
-    Decrement the last nonzero digit (or the integer part when the fraction
-    vanishes) and fill everything after it with M_n - 1; the result equals x
-    only as an infinite expansion, so it is reported with exact=False. None
-    when the greedy expansion does not terminate within depth.
+    The twin decrements the last nonzero digit (or the integer part) and
+    fills every later digit n with M_n - 1, which sums to 1/P_pivot -
+    1/P_depth: so it is the terminating expansion of x - 1/P_depth, which is
+    unique. It equals x only as an infinite expansion, hence exact=False.
+    None when the greedy expansion of x does not terminate within depth.
     """
-    primary = digits_of(x, system, depth)
-    if not primary.exact:
+    x = as_fraction(x)
+    if not digits_of(x, system, depth).exact:
         return None
-    digits = list(primary.digits)
-    pivot = 0
-    for n in range(depth, 0, -1):
-        if digits[n - 1] > 0:
-            pivot = n
-            break
-    if pivot == 0:
-        integer_part = primary.integer_part - 1
-    else:
-        integer_part = primary.integer_part
-        digits[pivot - 1] -= 1
-    for n in range(pivot + 1, depth + 1):
-        digits[n - 1] = system.radix(n) - 1
-    return DigitVector(integer_part=integer_part, digits=tuple(digits), exact=False)
+    twin = digits_of(x - Fraction(1, system.product(depth)), system, depth)
+    return DigitVector(integer_part=twin.integer_part, digits=twin.digits, exact=False)
 
 
 def f_membership(x: RationalLike, n: int, system: MixedRadixSystem) -> bool:
@@ -289,7 +275,7 @@ def nested_intersect(alpha: Sequence[RationalLike], system: MixedRadixSystem,
         if bits + product_bits > MAX_PRODUCT_BITS:
             raise ValueError(f"offset {j}: {bits} bits, with the {product_bits} bits of "
                              f"P_{depth}, above MAX_PRODUCT_BITS = {MAX_PRODUCT_BITS}")
-    need = max(branch_index(u) for u in range(1, depth + 1))
+    need = depth.bit_length()  # the largest branch_index(u) for u in 1..depth
     if len(offsets) < need:
         raise ValueError(f"need offsets for branches 1..{need}, got {len(offsets)}")
 
@@ -370,16 +356,11 @@ def premeasure_bound(system: MixedRadixSystem, j: int, k: int) -> PremeasureBoun
         raise ValueError(f"schedule too short: stage needs level {level}")
     _check_product_bits(system, level)
     selected = [(2 * l - 1) * 2 ** (j - 1) for l in range(1, k + 1)]
-    denom = 1
-    for idx in selected:
-        denom *= system.radix(idx) // 2
-    count = Fraction(system.product(level), denom)
+    count = Fraction(system.product(level), math.prod(system.radix(i) // 2 for i in selected))
     if count.denominator != 1:
         raise RuntimeError(f"cover count {count} at level {level} is not an integer")
     bound = Fraction(int(count), system.product(level - 1))
-    simplified = Fraction(2)
-    for idx in selected[:-1]:
-        simplified /= Fraction(system.radix(idx), 2)
+    simplified = Fraction(2) / math.prod(Fraction(system.radix(i), 2) for i in selected[:-1])
     if bound != simplified:
         raise RuntimeError(f"cover bound {bound} differs from its closed form {simplified}")
     target = Fraction(2) ** (2 - k)

@@ -89,12 +89,11 @@ MAX_INSTANCES = 10_000
 
 
 def _check_left_nbhd_single(rng: random.Random) -> Optional[str]:
-    # B_-((a,b), r) is exactly (a-r, b), and it contains [a,b).
-    p, q = _draw(rng)
-    iv = Interval.open(Fraction(p, q), Fraction(*_plus_draw(p, q, rng)))
+    # B_-(<a,b>, r) is exactly (a-r, b>, b's flag kept, and it contains [a,b).
+    iv = random_interval(rng)
     r = random_fraction(rng, positive=True)
     got = IntervalSet((iv,)).left_neighborhood(r)
-    want = IntervalSet((Interval.open(iv.lo - r, iv.hi),))
+    want = IntervalSet((Interval(iv.lo - r, iv.hi, False, iv.hi_closed),))
     if got != want:
         return f"B_-({iv},{r}) = {got}, expected {want}"
     if not got.issuperset(IntervalSet((Interval.half_open(iv.lo, iv.hi),))):

@@ -216,7 +216,7 @@ def decompose_translates(interval: Interval, seq: Callable[[int], Fraction],
     hypotheses are checked exactly by check_convex and violations are
     rejected.
     """
-    if not interval.is_open or interval.is_point:
+    if not interval.is_open:
         raise ValueError("decompose_translates needs a nondegenerate open interval")
     d = as_fraction(delta)
     if d <= 0:

@@ -16,6 +16,20 @@ F = Fraction
 GEOMETRY_SCHEDULE = (4, 14, 40, 120, 360, 1080)
 
 
+def borrow_twin(x, system, depth):
+    """The borrow twin by its definition: decrement the last nonzero digit, or
+    the integer part when every digit is zero, and fill every later digit n
+    with M_n - 1."""
+    primary = digits_of(x, system, depth)
+    digits = list(primary.digits)
+    pivot = max((n for n, d in enumerate(digits, 1) if d), default=0)
+    if pivot:
+        digits[pivot - 1] -= 1
+    digits[pivot:] = [system.radix(n) - 1 for n in range(pivot + 1, depth + 1)]
+    return DigitVector(integer_part=primary.integer_part - (pivot == 0),
+                       digits=tuple(digits), exact=False)
+
+
 @pytest.fixture(scope="module")
 def sys2():
     return make_system((4, 14))
@@ -44,12 +58,18 @@ class TestExpBounds:
         assert compare_with_exp(3, 1) is True
         assert compare_with_exp(F(27, 10), 1) is False
         assert compare_with_exp(1, 0) is True
+        assert compare_with_exp(F(99, 100), 0) is False
 
     def test_even_quotient(self):
         assert ceil_even(F(273, 20)) == 14  # 13.65
         assert ceil_even(F(14)) == 14
         assert ceil_even(F(13)) == 14
         assert even_upper_exp_quotient(4, 4) == 14
+
+    def test_even_quotient_at_zero(self):
+        # e^0 = 1 exactly, and the first bracket already says so
+        for d in range(1, 13):
+            assert even_upper_exp_quotient(0, d) == ceil_even(F(1, d))
 
 
 class TestSchedules:
@@ -122,6 +142,28 @@ class TestDigits:
         twin = alternate_digits(3, sys2, 2)
         assert twin.integer_part == 2
         assert twin.digits == (3, 13)
+
+    def test_twin_follows_the_borrow_rule(self):
+        rng = random.Random(2727)
+        seen = set()
+        for _ in range(400):
+            radices = [2 * rng.randint(2, 10)]
+            for _ in range(rng.randint(0, 4)):
+                radices.append(radices[-1] + 2 * rng.randint(0, 3))
+            system = make_system(radices, exponent_budget=8)  # certification plays no part
+            depth = rng.randint(1, system.depth)
+            p = system.product(depth)
+            kind = rng.choice(("positive", "negative", "zero", "integer"))
+            k = {"positive": rng.randint(1, 3 * p), "negative": rng.randint(-3 * p, -1),
+                 "zero": 0, "integer": p * rng.randint(-3, 3)}[kind]
+            x = F(k, p)
+            seen.add(kind)
+            twin = alternate_digits(x, system, depth)
+            assert twin == borrow_twin(x, system, depth)
+            assert twin.value(system) == x - F(1, p)
+            # radices stay below 23, so a denominator of 23 never terminates
+            assert alternate_digits(x + F(1, 23 * p), system, depth) is None
+        assert seen == {"positive", "negative", "zero", "integer"}
 
     def test_reconstruction_on_grid(self, geo6):
         rng = random.Random(6021)

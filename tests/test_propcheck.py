@@ -68,6 +68,12 @@ def widens_first_part_only(self, r):
         IntervalSet(self.parts[1:]))
 
 
+def keeps_closed_left_flag(self, r):
+    # [a,b] -> [a-r,b]: B_- with the left end of each closed-left part kept closed
+    return normalize([Interval(p.lo - as_fraction(r), p.hi, p.lo_closed, p.hi_closed)
+                      for p in self.parts])
+
+
 def drops_left_operand(self, other):
     return other
 
@@ -113,4 +119,13 @@ def test_each_property_fails_on_a_broken_kernel(monkeypatch, name):
     monkeypatch.setattr(owner, attribute, fault)
     report = run_kernel_property_suite(1, 50)
     assert name in {failure.split("[")[0] for failure in report.failures}
+    assert report.checks_run == 9 * 50
+
+
+def test_the_single_interval_identity_checks_the_left_flag(monkeypatch):
+    # the four other left-neighborhood properties are inclusions that the
+    # extra point a-r does not break; the identity draws both flags to see it
+    monkeypatch.setattr(IntervalSet, "left_neighborhood", keeps_closed_left_flag)
+    report = run_kernel_property_suite(1, 50)
+    assert "left_nbhd_single_interval" in {failure.split("[")[0] for failure in report.failures}
     assert report.checks_run == 9 * 50

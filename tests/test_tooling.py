@@ -247,6 +247,24 @@ def test_overlap_budget_is_derived_once():
     assert _callers(tree, "_overlap") == ["measure_union_translates", "plan_budget"]
 
 
+def test_both_exp_deciders_share_one_bracket_loop():
+    # _brackets is the one loop refining exp_bounds, and the MAX_TERMS cap
+    # with it; compare_with_exp and even_upper_exp_quotient both read it
+    tree = ast.parse((Path(affcopy.__file__).parent / "expbounds.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "exp_bounds") == ["_brackets"]
+    assert _callers(tree, "_brackets") == ["compare_with_exp", "even_upper_exp_quotient"]
+
+
+def test_the_borrow_twin_is_an_expansion():
+    # alternate_digits is digits_of of x - 1/P_depth, with no digit loop of its own
+    tree = ast.parse((Path(affcopy.__file__).parent / "mixedradix.py").read_text(encoding="utf-8"))
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "alternate_digits")
+    assert "alternate_digits" in _callers(tree, "digits_of")
+    assert not [node for node in ast.walk(fn)
+                if isinstance(node, (ast.For, ast.While, *COMPREHENSIONS))]
+
+
 def test_unchecked_construction_stays_in_intervals():
     # object.__new__ skips the Interval and IntervalSet checks; only the
     # kernel, which checks its results on the cuts, may do that
