@@ -257,7 +257,9 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
     ceil(qs / (rq - ps)); and the shrunk gap's ends are ((ps + rq)M -+ qs) /
     (2qsM), one Fraction each. A gap over one denominator (q = s, as every
     oracle here answers) never forms qs: its bound is ceil(q / (r - p)) and
-    its ends ((p + r)M -+ q) / (2qM).
+    its ends ((p + r)M -+ q) / (2qM). :meth:`Interval.split_around` checks
+    on ints that each shrunk gap lies strictly inside its closed remnant and
+    builds the gap and the two closed remnants beside it.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
@@ -289,11 +291,10 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
         next_remnants = []
         for k, (mid, qs) in zip(remnants, raw):
             den = 2 * qs * m
-            shrunk = Interval(Fraction(mid * m - qs, den), Fraction(mid * m + qs, den),
-                              False, False)
-            gaps.append(shrunk)
-            next_remnants.append(Interval(k.lo, shrunk.lo, True, True))
-            next_remnants.append(Interval(shrunk.hi, k.hi, True, True))
+            left, gap, right = k.split_around(Fraction(mid * m - qs, den),
+                                              Fraction(mid * m + qs, den))
+            gaps.append(gap)
+            next_remnants += left, right
         remnants = tuple(next_remnants)
         levels.append(CantorLevel(n=n, gap_length=Fraction(1, m), gaps=tuple(gaps),
                                   remnants=remnants))

@@ -215,6 +215,7 @@ def _appendix_schedule(args: argparse.Namespace) -> tuple:
     if (args.depth is None) == (args.schedule is None):
         raise ValueError("give exactly one of --depth and --schedule")
     if args.schedule is None:
+        _at_least_one(args, "--depth")
         return mixedradix.default_schedule(args.depth, args.budget).to_json_dict(), True
     return mixedradix.make_system(args.schedule, args.budget).to_json_dict(), True
 
@@ -233,6 +234,7 @@ def _appendix_intersect(args: argparse.Namespace) -> tuple:
 
 def _appendix_premeasure(args: argparse.Namespace) -> tuple:
     from affcopy import mixedradix
+    _at_least_one(args, "--j", "--k")
     result = mixedradix.premeasure_bound(mixedradix.make_system(args.schedule),
                                          args.j, args.k)
     return result.to_json_dict(), result.meets_target

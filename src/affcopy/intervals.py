@@ -24,13 +24,15 @@ over the lcm of their endpoint denominators, and checks canonical form on
 those ints; a kernel result keeps its operands' common lattice and is
 checked on its cuts the same way.
 :meth:`IntervalSet.from_ends` takes ends already on a lattice D, as the ints
-x*D with their flags, and merges them on the cuts, so no caller writes a cut.
+x*D with their flags, and merges them on the cuts unless they are canonical
+already, so no caller writes a cut.
 Canonical means the cuts strictly increase, which is exactly the
 :class:`Interval` shape rule within each range and the canonical rule between
 neighbours, so a kernel result skips both constructors and decodes its parts
 to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``) only when
-``parts`` is first read. Those parts and :meth:`Interval.translate` build
-through one unchecked builder, ``_part``, since their shape is known.
+``parts`` is first read. Those parts, :meth:`Interval.translate` and
+:meth:`Interval.split_around` build through one unchecked builder, ``_part``,
+since their shape is known or, for a split, checked on ints first.
 Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
 Every set operation, transform and query reads the cuts: ``len``, truth,
 ``is_empty``, ``==``, union, intersection, difference, ``measure``,
@@ -140,6 +142,26 @@ class Interval:
         return _part(Fraction(a * d + n * b, b * d), Fraction(c * d + n * e, e * d),
                      self.lo_closed, self.hi_closed)
 
+    def split_around(self, lo: Fraction, hi: Fraction) -> Tuple["Interval", "Interval",
+                                                                "Interval"]:
+        """``[self.lo, lo]``, ``(lo, hi)`` and ``[hi, self.hi]`` for a closed
+        interval with ``self.lo < lo < hi < self.hi``, decided in one chain of
+        cross-multiplied int comparisons that reads each ratio once;
+        ValueError on any other shape, TypeError unless lo and hi are
+        Fractions."""
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            raise TypeError(f"split_around takes Fraction ends, got {lo!r} and {hi!r}")
+        a, b = self.lo.as_integer_ratio()
+        c, d = lo.as_integer_ratio()
+        e, f = hi.as_integer_ratio()
+        g, h = self.hi.as_integer_ratio()
+        if not (self.lo_closed and self.hi_closed and a * d < c * b and c * f < e * d
+                and e * h < g * f):
+            raise ValueError(f"cannot split {self} around ({lo},{hi}): need a closed interval "
+                             "with the gap strictly inside it")
+        return (_part(self.lo, lo, True, True), _part(lo, hi, False, False),
+                _part(hi, self.hi, True, True))
+
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -188,12 +210,17 @@ class IntervalSet:
         """The union of the intervals from lo/D to hi/D, one ``(lo, hi,
         lo_closed, hi_closed)`` per range, over the lattice ``D >= 1``:
         overlapping or touching ranges merge, in any order. ValueError on an
-        empty or inverted range, even one another range covers. Its parts are
-        decoded on first read."""
+        empty or inverted range, even one another range covers. Canonical
+        ranges, whose cuts already strictly increase, are neither sorted nor
+        merged. Its parts are decoded on first read."""
         if D < 1:
             raise ValueError(f"lattice D must be positive, got {D}")
         cuts = [(2 * lo + (not lo_closed), 2 * hi + hi_closed)
                 for lo, hi, lo_closed, hi_closed in ranges]
+        try:
+            return _decode(cuts, D)  # one strict-increase pass checks canonical input
+        except ValueError:
+            pass
         if not all(starmap(lt, cuts)):
             lo, hi = next(r for r in cuts if r[0] >= r[1])
             raise ValueError(f"empty or inverted range from {Fraction(lo >> 1, D)} "

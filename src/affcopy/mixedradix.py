@@ -167,10 +167,14 @@ class DigitVector(Report):
         return total
 
 
-def digits_of(x: RationalLike, system: MixedRadixSystem, depth: int) -> DigitVector:
-    """Greedy expansion of x to the given depth."""
+def _check_depth(system: MixedRadixSystem, depth: int) -> None:
     if not 1 <= depth <= system.depth:
         raise ValueError(f"depth must be in 1..{system.depth}")
+
+
+def digits_of(x: RationalLike, system: MixedRadixSystem, depth: int) -> DigitVector:
+    """Greedy expansion of x to the given depth."""
+    _check_depth(system, depth)
     x = as_fraction(x)
     integer_part = x.numerator // x.denominator
     y = x - integer_part
@@ -193,10 +197,12 @@ def alternate_digits(x: RationalLike, system: MixedRadixSystem,
     unique. It equals x only as an infinite expansion, hence exact=False.
     None when the greedy expansion of x does not terminate within depth.
     """
+    _check_depth(system, depth)
     x = as_fraction(x)
-    if not digits_of(x, system, depth).exact:
+    product = system.product(depth)
+    if product % x.denominator:  # the remainder after depth digits is frac(x * P_depth)
         return None
-    twin = digits_of(x - Fraction(1, system.product(depth)), system, depth)
+    twin = digits_of(x - Fraction(1, product), system, depth)
     return DigitVector(integer_part=twin.integer_part, digits=twin.digits, exact=False)
 
 
@@ -263,8 +269,7 @@ def nested_intersect(alpha: Sequence[RationalLike], system: MixedRadixSystem,
     1/P_u, so an admissible choice always exists; failing to find one would
     be an arithmetic bug and aborts.
     """
-    if not 1 <= depth <= system.depth:
-        raise ValueError(f"depth must be in 1..{system.depth}")
+    _check_depth(system, depth)
     _check_product_bits(system, depth)
     offsets = [as_fraction(a) for a in alpha]
     # every window end is a multiple of 1/P_depth plus an offset, so its

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -325,6 +326,26 @@ class TestBuildAgainstReference:
                         assert got == want[depth], (oracle.name, t, u, depth)
                         assert json.dumps(got.to_json_dict()) == \
                             json.dumps(want[depth].to_json_dict())
+
+    def test_every_part_matches_the_checked_constructor(self):
+        # the parts split_around builds unchecked equal the reference's
+        # Interval.open and Interval.closed parts in every form, at depths 1-10
+        (points,) = seeded_point_sets(131, 1)
+        targets = [(MiddleThirdOracle(), reference_middle_ninth, lambda iv: True),
+                   (TernaryCantorOracle(), reference_ternary_gap, reference_ternary_avoids),
+                   (FinitePointsOracle(points), lambda k: scanned_gap(points, k),
+                    lambda iv: scanned_avoids(points, iv))]
+        for oracle, gap_of, avoids in targets:
+            want = reference_ladder(gap_of, avoids, 10).levels
+            for depth in range(1, 11):
+                got = build_cantor(oracle, depth)
+                assert got.levels == want[:depth], (oracle.name, depth)
+            for lv, ref_lv in zip(got.levels, want):
+                for part, checked in zip(lv.gaps + lv.remnants, ref_lv.gaps + ref_lv.remnants):
+                    assert (type(part.lo), type(part.hi)) == (F, F)
+                    assert (type(part.lo_closed), type(part.hi_closed)) == (bool, bool)
+                    assert hash(part) == hash(checked) and str(part) == str(checked)
+                    assert pickle.loads(pickle.dumps(part)) == checked
 
     def test_middle_third_helper(self):
         rng = random.Random(67)

@@ -368,8 +368,8 @@ class TestWorkCaps:
 
 class TestCountFlags:
     """A count flag below 1, or out of order with another flag, is refused by
-    the names the user typed, before any ladder, sequence, avoider or property
-    instance is built."""
+    the names the user typed, before any ladder, sequence, avoider, schedule
+    or property instance is built."""
 
     @pytest.fixture
     def nothing_built(self, monkeypatch):
@@ -377,7 +377,8 @@ class TestCountFlags:
             raise AssertionError("work started before a count check")
 
         for owner, name in ((cantor, "build_cantor"), (presets, "threshold_sequence_from"),
-                            (avoider, "build_avoider"), (propcheck, "run_kernel_property_suite")):
+                            (avoider, "build_avoider"), (propcheck, "run_kernel_property_suite"),
+                            (mixedradix, "default_schedule"), (mixedradix, "make_system")):
             monkeypatch.setattr(owner, name, never)
 
     @pytest.mark.parametrize("argv, flag", [
@@ -392,6 +393,9 @@ class TestCountFlags:
          "--m0"),
         (["cantor-verify", "--depth", "4"], "--kmax"),
         (["prop-suite"], "--instances"),
+        (["appendix-schedule"], "--depth"),
+        (["appendix-premeasure", "--schedule", "4,14", "--k", "1"], "--j"),
+        (["appendix-premeasure", "--schedule", "4,14", "--j", "1"], "--k"),
     ])
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_below_one_exits_two_naming_the_flag(self, tmp_path, capsys, nothing_built, argv,

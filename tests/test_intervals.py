@@ -651,6 +651,48 @@ class TestChecksOnCuts:
         assert touching == {(a, b) for a in (False, True) for b in (False, True)}
         assert min(shapes.values()) > 500, shapes
 
+    def test_from_ends_takes_canonical_ranges_without_a_merge(self, monkeypatch):
+        # ranges whose cuts already strictly increase build the same set with
+        # no sort and no merge; out-of-order, overlapping or touching ranges
+        # still reach the merge
+        rng = random.Random(109)
+        cases = []
+        for _ in range(600):
+            D, count = rng.randint(1, 6), rng.randint(0, 5)
+            if rng.random() < 0.5:  # distinct sorted ends: canonical with any flags
+                flat = sorted(rng.sample(range(-12, 12), 2 * count))
+                ranges = [(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+                          for lo, hi in zip(flat[::2], flat[1::2])]
+            else:
+                ranges = []
+                for _ in range(count):
+                    lo, hi = sorted(rng.randint(-8, 8) for _ in range(2))
+                    hi = lo if rng.random() < 0.2 else hi
+                    closed = (True, True) if lo == hi else (rng.random() < 0.5,
+                                                            rng.random() < 0.5)
+                    ranges.append((lo, hi, *closed))
+            cases.append((D, ranges, IntervalSet.from_ends(D, ranges)))
+
+        def no_merge(*groups):
+            raise AssertionError("merged")
+
+        monkeypatch.setattr(intervals, "_merge", no_merge)
+        outcomes = Counter()
+        for D, ranges, want in cases:
+            cuts = [(2 * lo + (not a), 2 * hi + b) for lo, hi, a, b in ranges]
+            canonical = all(x < y for x, y in zip(chain(*cuts), list(chain(*cuts))[1:]))
+            if canonical:
+                got = IntervalSet.from_ends(D, ranges)
+                assert got._lattice == (D, cuts) and got._parts is None
+                same(got, want)
+            else:
+                with pytest.raises(AssertionError, match="merged"):
+                    IntervalSet.from_ends(D, ranges)
+            outcomes[canonical, len(ranges) > 1] += 1
+        # a single valid range is always canonical
+        assert set(outcomes) == {(True, False), (True, True), (False, True)}, outcomes
+        assert min(outcomes.values()) > 50, outcomes
+
     @pytest.mark.parametrize("D, ranges", [
         (0, []), (-1, [(0, 1, True, True)]),    # no lattice
         (1, [(2, 2, False, False)]),            # an open point
@@ -954,9 +996,42 @@ def flagged_intervals(rng, count):
 
 
 class TestUncheckedParts:
-    """Interval.translate and the kernel's part decoder build their parts
-    without ``__post_init__``; each part must equal the checked construction
-    of the same ends."""
+    """Interval.translate, Interval.split_around and the kernel's part decoder
+    build their parts without ``__post_init__``; each part must equal the
+    checked construction of the same ends."""
+
+    def test_split_around_matches_the_checked_constructor(self):
+        rng = random.Random(197)
+        seen = Counter()
+        for p in flagged_intervals(rng, 300):
+            if not (p.lo_closed and p.hi_closed) or p.is_point:
+                continue
+            # two distinct cut points strictly inside, some over huge denominators
+            n = rng.choice((3, 7, 2 ** 61 - 1))
+            i, j = sorted(rng.sample(range(1, n), 2))
+            lo, hi = (p.lo + p.length * F(i, n), p.lo + p.length * F(j, n))
+            left, gap, right = p.split_around(lo, hi)
+            same_interval(left, Interval(p.lo, lo, True, True))
+            same_interval(gap, Interval(lo, hi, False, False))
+            same_interval(right, Interval(hi, p.hi, True, True))
+            seen[n] += 1
+        assert len(seen) == 3 and min(seen.values()) > 50, seen
+
+    @pytest.mark.parametrize("k, lo, hi", [
+        ("[0,1]", 0, "1/2"), ("[0,1]", "1/2", 1), ("[0,1]", 0, 1),  # touching an end
+        ("[0,1]", 2, 3), ("[0,1]", -1, "1/2"), ("[0,1]", "1/2", 2),  # outside K
+        ("[0,1]", "2/3", "1/3"), ("[0,1]", "1/2", "1/2"),            # reversed or empty
+        ("(0,1]", "1/3", "2/3"), ("[0,1)", "1/3", "2/3"), ("(0,1)", "1/3", "2/3"),  # open ends
+        ("[1/2,1/2]", "1/2", "1/2"), ("[1/2,1/2]", "1/3", "2/3"),    # a point K
+    ])
+    def test_split_around_refuses_every_other_shape(self, k, lo, hi):
+        with pytest.raises(ValueError, match="cannot split"):
+            iv(k).split_around(F(lo), F(hi))
+
+    @pytest.mark.parametrize("lo, hi", [(1, F(1, 2)), (F(1, 3), "1/2"), (0.25, F(1, 2))])
+    def test_split_around_takes_fractions_only(self, lo, hi):
+        with pytest.raises(TypeError, match="Fraction ends"):
+            iv("[0,1]").split_around(lo, hi)
 
     def test_translate_matches_the_checked_constructor(self):
         rng = random.Random(191)

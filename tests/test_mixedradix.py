@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from affcopy import mixedradix
 from affcopy.expbounds import (ceil_even, compare_with_exp, even_upper_exp_quotient,
                                exp_bounds)
 from affcopy.intervals import Interval, IntervalSet
@@ -164,6 +165,28 @@ class TestDigits:
             # radices stay below 23, so a denominator of 23 never terminates
             assert alternate_digits(x + F(1, 23 * p), system, depth) is None
         assert seen == {"positive", "negative", "zero", "integer"}
+
+    @pytest.mark.parametrize("depth", [-1, 0, 3])
+    @pytest.mark.parametrize("x", [F(1, 4), F(1, 3)])
+    def test_twin_refuses_a_depth_outside_the_schedule(self, sys2, x, depth):
+        # the depth is checked before P_depth is read, with digits_of's message
+        with pytest.raises(ValueError, match=r"^depth must be in 1\.\.2$"):
+            alternate_digits(x, sys2, depth)
+
+    def test_membership_expands_twice_on_the_twin_path(self, geo6, monkeypatch):
+        # termination is read off P_n, so the twin path expands x and its twin only
+        calls = []
+
+        def counted(x, system, depth):
+            calls.append(x)
+            return digits_of(x, system, depth)
+
+        monkeypatch.setattr(mixedradix, "digits_of", counted)
+        p = geo6.product(3)  # both x have digit 3 equal to 1, so the twin is asked
+        for x, member, expansions in ((F(1, p), True, 2), (F(1, p) + F(1, 23 * p), False, 1)):
+            calls.clear()
+            assert f_membership(x, 3, geo6) is member
+            assert calls[0] == x and len(calls) == expansions
 
     def test_reconstruction_on_grid(self, geo6):
         rng = random.Random(6021)

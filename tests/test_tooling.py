@@ -278,8 +278,8 @@ def test_unchecked_construction_stays_in_intervals():
 
 def test_one_unchecked_interval_builder():
     # _part is the one function that makes an Interval without __post_init__;
-    # Interval.translate and the kernel's part decoder both build through it,
-    # so no second fast builder sits beside it
+    # Interval.translate, Interval.split_around and the kernel's part decoder
+    # build through it, so no second fast builder sits beside it
     tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
     calls = [(owner, node) for owner, node in _enclosing_functions(tree)
              if isinstance(node, ast.Call)]
@@ -288,7 +288,23 @@ def test_one_unchecked_interval_builder():
                 and any(isinstance(a, ast.Name) and a.id == "Interval" for a in call.args)]
     assert builders == ["_part"]
     assert {owner for owner, call in calls
-            if getattr(call.func, "id", None) == "_part"} == {"translate", "_decode_part"}
+            if getattr(call.func, "id", None) == "_part"} == {"translate", "_decode_part",
+                                                              "split_around"}
+
+
+def test_the_ladder_splits_each_remnant_in_one_checked_step():
+    # build_cantor makes every gap and remnant through Interval.split_around,
+    # which checks the three shapes on ints, and constructs no Interval itself
+    tree = ast.parse(Path(cantor.__file__).read_text(encoding="utf-8"))
+    (build,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_cantor"]
+    calls = [node.func for node in ast.walk(build) if isinstance(node, ast.Call)]
+    assert [f.attr for f in calls if isinstance(f, ast.Attribute)
+            and f.attr == "split_around"] == ["split_around"]
+    found = [f"build_cantor:{f.lineno}: {ast.unparse(f)}" for f in calls
+             if "Interval" in (getattr(f, "id", None),
+                               getattr(getattr(f, "value", None), "id", None))]
+    assert found == []
 
 
 def test_measure_and_longest_part_come_from_the_kernel():
