@@ -30,9 +30,9 @@ TWO_THIRDS = Fraction(2, 3)
 
 #: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so time
 #: and memory double per level: on a 2-core VM (Python 3.11) a depth-16 middle-third
-#: ladder builds in 1.1-1.6 s at 55 MB peak RSS and verifies (k_max 4, a 135-bit
-#: lattice D) in 0.7-0.8 s more at 111 MB; ``cantor-build --depth 16`` takes 2.2-2.7 s
-#: and 125 MB, and ``cantor-verify --depth 16 --kmax 4`` 2.1-2.8 s and 111 MB.
+#: ladder builds in 0.7 s at 55 MB peak RSS and verifies (k_max 4, a 135-bit
+#: lattice D) in 0.45 s more at 104 MB; ``cantor-build --depth 16`` takes 1.2-1.3 s
+#: and 125 MB, and ``cantor-verify --depth 16 --kmax 4`` 1.2-1.6 s and 105 MB.
 #: Deeper requests are refused before anything is built.
 MAX_DEPTH = 16
 

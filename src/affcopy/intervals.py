@@ -142,13 +142,10 @@ class Interval:
         return _part(Fraction(a * d + n * b, b * d), Fraction(c * d + n * e, e * d),
                      self.lo_closed, self.hi_closed)
 
-    def split_around(self, lo: Fraction, hi: Fraction) -> Tuple["Interval", "Interval",
-                                                                "Interval"]:
-        """``[self.lo, lo]``, ``(lo, hi)`` and ``[hi, self.hi]`` for a closed
-        interval with ``self.lo < lo < hi < self.hi``, decided in one chain of
-        cross-multiplied int comparisons that reads each ratio once;
-        ValueError on any other shape, TypeError unless lo and hi are
-        Fractions."""
+    def split_around(self, lo: Fraction, hi: Fraction) -> Tuple[Interval, Interval, Interval]:
+        """[self.lo, lo], (lo, hi) and [hi, self.hi] of a closed interval with
+        self.lo < lo < hi < self.hi, checked by one chain of cross-multiplied int
+        comparisons; ValueError on any other shape, TypeError on non-Fractions."""
         if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
             raise TypeError(f"split_around takes Fraction ends, got {lo!r} and {hi!r}")
         a, b = self.lo.as_integer_ratio()
