@@ -340,7 +340,7 @@ class TestBuildAgainstReference:
             for depth in range(1, 11):
                 got = build_cantor(oracle, depth)
                 assert got.levels == want[:depth], (oracle.name, depth)
-            for lv, ref_lv in zip(got.levels, want):
+            for lv, ref_lv in zip(got.levels, want):  # the depth-10 ladder, part by part
                 for part, checked in zip(lv.gaps + lv.remnants, ref_lv.gaps + ref_lv.remnants):
                     assert (type(part.lo), type(part.hi)) == (F, F)
                     assert (type(part.lo_closed), type(part.hi_closed)) == (bool, bool)
