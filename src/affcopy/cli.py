@@ -39,9 +39,9 @@ if TYPE_CHECKING:
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", suffix=".tmp")
     try:
@@ -49,7 +49,8 @@ def _emit(report: dict, out: Optional[str]) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # a redirect's mode, not mkstemp's 0600
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)

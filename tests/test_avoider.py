@@ -423,3 +423,34 @@ class TestFindEmbedding:
         with pytest.raises(EmbeddingSearchError) as err:
             find_embedding(bad, alpha, eta_harmonic, i_max=3)
         assert len(err.value.trace) == 3
+
+
+class TestRefusals:
+    """Every refusal by exception type and a fragment of its message; each
+    comes before the sequence or construction it is handed is read."""
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda: thresholdize([F(1, 2)]), ValueError, "need at least two source values"),
+        (lambda: thresholdize([F(1, 2), 0]), ValueError, "source value 2 is not positive"),
+        (lambda: enumerate_base(0), ValueError, "base index starts at 1"),
+        (lambda: plan_budget(None, 0), ValueError, "budget index starts at 1"),
+        (lambda: measure_union_translates(Interval.closed(0, F(1, 9)), None, 5), ValueError,
+         "need a nondegenerate open interval"),
+        (lambda: find_embedding(None, [], None), ValueError, "need at least one alpha entry"),
+        (lambda: find_embedding(None, [F(1, 2)], None, i_max=0), ValueError,
+         "i_max must be at least 1"),
+        (lambda: presets.alpha_vector("geometric:3/2", 3), ValueError,
+         "geometric ratio must be in (0,1), got 3/2"),
+        (lambda: presets.alpha_vector("polynomial:0", 3), ValueError,
+         "polynomial exponent must be a positive integer, got 0"),
+        (lambda: presets.alpha_vector("iterlog:0", 3), ValueError,
+         "iterlog depth must be a positive integer, got 0"),
+        (lambda: presets.alpha_vector("no-such-preset", 3), ValueError,
+         "unknown sequence preset 'no-such-preset'"),
+    ], ids=["thresholdize-one-value", "thresholdize-non-positive", "enumerate-base-zero",
+            "plan-budget-zero", "measure-closed-hole", "embed-empty-alpha", "embed-no-rungs",
+            "geometric-ratio", "polynomial-exponent", "iterlog-depth", "unknown-preset"])
+    def test_refused(self, call, error, fragment):
+        with pytest.raises(error) as err:
+            call()
+        assert fragment in str(err.value)

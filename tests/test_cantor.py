@@ -1169,3 +1169,25 @@ class TestCover:
         assert d2["depth"] == 6
         assert d2["levels"][0]["l"] == "1/9"
         assert d2["levels"][0]["gaps"] == ["(4/9,5/9)"]
+
+
+class TestRefusals:
+    """Every refusal by exception type and a fragment of its message."""
+
+    @pytest.fixture(scope="class")
+    def ladder4(self):
+        return build_cantor(MiddleThirdOracle(), 4)
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda c: c.remnant(0, 2), IndexError, "level 0 has a single remnant"),
+        (lambda c: verify_cantor(c, 0), ValueError, "k_max must be positive"),
+        (lambda c: truncated_union_cover(c, 0, 1), ValueError, "N and k_max must be positive"),
+    ], ids=["remnant-level-zero", "verify-kmax-zero", "cover-N-zero"])
+    def test_refused(self, ladder4, call, error, fragment):
+        with pytest.raises(error) as err:
+            call(ladder4)
+        assert fragment in str(err.value)
+
+    def test_level_zero_is_the_unit_interval(self, ladder4):
+        assert ladder4.remnant_set(0) == IntervalSet((Interval.closed(0, 1),))
+        assert ladder4.remnant(0, 1) == Interval.closed(0, 1)

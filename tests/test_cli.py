@@ -515,6 +515,25 @@ class TestHarness:
         assert code == 0
         assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o644
 
+    def test_reports_are_streamed_not_joined(self, tmp_path, capsys, monkeypatch):
+        # json.dumps would hold the whole indented text in memory before the
+        # first byte is written; the bytes stay those it would have written
+        argv = ["cantor-build", "--depth", "6"]
+        code, report = run(tmp_path, *argv)
+        assert code == 0
+        expected = (tmp_path / "report.json").read_bytes()
+        assert expected == (json.dumps(report, indent=2) + "\n").encode()
+
+        def joined(*args, **kwargs):
+            raise AssertionError("report joined into one string")
+
+        monkeypatch.setattr(json, "dumps", joined)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+        out = tmp_path / "streamed.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("invariant broken; kernel bug")
@@ -806,6 +825,23 @@ def test_schedule_takes_exactly_one_of_depth_and_schedule(tmp_path, capsys, argv
     assert report is None
     err = capsys.readouterr().err
     assert "--depth" in err and "--schedule" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["appendix-intersect", "--schedule", "4,14", "--alphas", "0", "--U", "2"],
+     "error: need offsets for branches 1..2, got 1\n"),
+    (["appendix-schedule", "--schedule", "4,x"],
+     "error: argument --schedule: malformed schedule '4,x': "),
+])
+def test_malformed_appendix_input_exits_two(tmp_path, capsys, argv, message):
+    # the first is refused by mixedradix, the second while parsing
+    try:
+        code, report = run(tmp_path, *argv)
+    except SystemExit as err:
+        code, report = err.code, None
+    assert code == 2
+    assert report is None
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("beta", ["harmonic:junk", "harmonic:"])

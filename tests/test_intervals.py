@@ -50,6 +50,12 @@ class TestIntervalBasics:
         for text in ["(0,1)", "[0,1]", "[1/3,2/3)", "(-5/2,7]"]:
             assert str(Interval.parse(text)) == text
 
+    @pytest.mark.parametrize("text", ["0,1", "[0;1]"])
+    def test_parse_refuses_malformed_text(self, text):
+        with pytest.raises(ValueError) as err:
+            Interval.parse(text)
+        assert str(err.value) == f"malformed interval {text!r}"
+
 
 class TestNormalize:
     def test_overlapping_merge(self):
@@ -525,6 +531,10 @@ class TestEquality:
             assert got != other and other != got
         assert got._parts is None
         assert got == IntervalSet((iv("[0,1)"),))
+
+    def test_a_set_is_unequal_to_a_number(self):
+        assert (iset("[0,1]") == 5) is False
+        assert iset("[0,1]") != 5
 
     def test_cut_equality_matches_part_equality(self):
         rng = random.Random(71)

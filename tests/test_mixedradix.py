@@ -306,3 +306,27 @@ class TestPremeasure:
         with pytest.raises(ValueError, match="schedule too short: branch 4 needs a level "
                                              "of at least 2\\^3"):
             premeasure_bound(sys4, j=4, k=1)
+
+
+class TestRefusals:
+    """Every refusal by exception type and a fragment of its message."""
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda: check_h_condition((4, 14), 3), ValueError, "level 3 outside the schedule"),
+        (lambda: check_h_condition((4, 14), 0), ValueError, "level 0 outside the schedule"),
+        (lambda: make_system(()), ValueError, "schedule is empty"),
+        (lambda: branch_index(0), ValueError, "index must be positive"),
+        (lambda: nested_intersect([0], make_system((4, 14)), 2), ValueError,
+         "need offsets for branches 1..2, got 1"),
+        (lambda: premeasure_bound(make_system((4, 14)), 0, 1), ValueError,
+         "j and k must be positive"),
+        (lambda: premeasure_bound(make_system((4, 14)), 1, 0), ValueError,
+         "j and k must be positive"),
+        (lambda: exp_bounds(-1), ValueError, "exponent must be nonnegative"),
+        (lambda: even_upper_exp_quotient(3, 0), ValueError, "divisor must be positive"),
+    ], ids=["h-level-past", "h-level-zero", "empty-schedule", "branch-zero", "few-offsets",
+            "premeasure-j", "premeasure-k", "exp-negative", "quotient-divisor"])
+    def test_refused(self, call, error, fragment):
+        with pytest.raises(error) as err:
+            call()
+        assert fragment in str(err.value)

@@ -21,6 +21,28 @@ def harmonic_gap(m):
     return F(1, m * (m + 1))
 
 
+def gallop_and_halve(pred, lo, hi):
+    """The reference threshold search: first_index with a hand-written halving
+    loop in place of bisect (the two may probe in different orders)."""
+    if pred(lo):
+        return lo
+    step = 1
+    while True:  # pred(lo) fails
+        probe = min(lo + step, hi)
+        if pred(probe):
+            break
+        if probe == hi:
+            raise HorizonError(f"threshold not reached by m={hi}")
+        lo, step = probe, 2 * step
+    while probe - lo > 1:  # pred(lo) fails, pred(probe) holds
+        mid = (lo + probe) // 2
+        if pred(mid):
+            probe = mid
+        else:
+            lo = mid
+    return probe
+
+
 @pytest.fixture(scope="module")
 def ladder6():
     return build_cantor(MiddleThirdOracle(), depth=6)
@@ -211,6 +233,28 @@ class TestSharedCore:
                 with pytest.raises(HorizonError):
                     first_index(lambda m: m > hi, lo, hi)
 
+    def test_first_index_matches_the_reference_search(self):
+        # both searches on seeded brackets up to 10^18 wide: the same index,
+        # no probe of the new one past twice the answer, and no more probes
+        rng = random.Random(2029)
+        counts = {first_index: 0, gallop_and_halve: 0}
+        for _ in range(5000):
+            lo = rng.randint(1, 50)
+            answer = lo + rng.randint(0, 10 ** rng.randint(0, 6))
+            hi = rng.randint(answer, 10 ** rng.randint(len(str(answer)), 18))
+            for search in counts:
+                probes = []
+
+                def at_least(m):
+                    probes.append(m)
+                    return m >= answer
+
+                assert search(at_least, lo, hi) == answer, (search, lo, hi, answer)
+                counts[search] += len(probes)
+                if search is first_index:
+                    assert max(probes) <= lo + 2 * (answer - lo), (lo, hi, answer)
+        assert counts[first_index] <= counts[gallop_and_halve]
+
     def test_check_convex_range(self):
         # positivity is required on [lo, hi]; the value at hi + 1 only has to
         # be below seq(hi) with a gap no larger than the one before it
@@ -321,6 +365,15 @@ class TestSlowDecay:
         assert all(e.n >= 4 for e in report.entries)
         assert report.passed, report.violations
 
+    def test_alpha_below_the_next_reciprocal_is_a_violation(self):
+        # delta = 64 pushes the level-2 threshold past N_2 into block 3,
+        # where alpha has fallen to 1/4 < 1/3
+        ladder = build_cantor(MiddleThirdOracle(), depth=8)
+        seq = build_mu({0: [ladder.gap_length(n) for n in range(1, 9)]}, 2000)
+        report = verify_slow_decay(ladder, seq, 64, 1, range(1, 7))
+        assert "n=2: alpha at threshold 1/4 below 1/3" in report.violations
+        assert not report.passed
+
 
 class TestCoverage:
     def test_residual_and_uncovered_monotone(self, ladder6, seq6):
@@ -356,3 +409,40 @@ class TestCoverage:
             coverage01(ladder6, seq6, 1, 1, N=9, M=40)
         with pytest.raises(ValueError):
             coverage01(ladder6, seq6, 1, 5, N=2, M=4)
+
+
+class TestRefusals:
+    """Every refusal by exception type and a fragment of its message."""
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda l, s: build_mu({}, 10), ValueError, "need at least one gap table"),
+        (lambda l, s: build_mu({2: [F(1, 3), F(1, 9)]}, 10), ValueError,
+         "no gap table with |k| <= 1"),
+        (lambda l, s: threshold_index(s.alpha_gap, 0, 1, F(1, 9), 50), ValueError,
+         "delta and l must be positive"),
+        (lambda l, s: threshold_index(s.alpha_gap, 1, 1, 0, 50), ValueError,
+         "delta and l must be positive"),
+        (lambda l, s: threshold_index(s.alpha_gap, 1, 0, F(1, 9), 50), ValueError,
+         "need 1 <= m0 <= horizon"),
+        (lambda l, s: threshold_index(s.alpha_gap, 1, 51, F(1, 9), 50), ValueError,
+         "need 1 <= m0 <= horizon"),
+        (lambda l, s: decompose_translates(Interval.closed(0, F(1, 9)), harmonic, 1, 1, 10),
+         ValueError, "needs a nondegenerate open interval"),
+        (lambda l, s: decompose_translates(Interval.open(0, F(1, 9)), harmonic, 0, 1, 10),
+         ValueError, "delta must be positive"),
+        (lambda l, s: decompose_translates(Interval.open(0, F(1, 9)), harmonic, 1, 5, 5),
+         ValueError, "need 1 <= m0 < m_horizon"),
+        (lambda l, s: verify_slow_decay(l, s, 1, 1, [7]), ValueError,
+         "level 7 beyond construction depth 6"),
+        (lambda l, s: verify_slow_decay(l, build_mu({0: [F(1, 3 ** n) for n in range(2, 8)]},
+                                                     50), 1, 1, [5]),
+         HorizonError, "level 5 beyond materialized blocks 3"),
+        (lambda l, s: coverage01(l, s, 0, 1, 1, 5), ValueError, "delta must be positive"),
+    ], ids=["build_mu-no-tables", "build_mu-no-window", "threshold-delta", "threshold-l",
+            "threshold-m0-zero", "threshold-m0-past-horizon", "decompose-closed",
+            "decompose-delta", "decompose-horizon", "slow-decay-depth", "slow-decay-blocks",
+            "coverage01-delta"])
+    def test_refused(self, ladder6, seq6, call, error, fragment):
+        with pytest.raises(error) as err:
+            call(ladder6, seq6)
+        assert fragment in str(err.value)

@@ -255,6 +255,31 @@ def test_both_exp_deciders_share_one_bracket_loop():
     assert _callers(tree, "_brackets") == ["compare_with_exp", "even_upper_exp_quotient"]
 
 
+def _halves_a_sum(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Add) and isinstance(node.right, ast.Constant)
+            and (isinstance(node.op, ast.FloorDiv) and node.right.value == 2
+                 or isinstance(node.op, ast.RShift) and node.right.value == 1))
+
+
+def test_the_threshold_search_ends_in_bisect():
+    # first_index gallops and hands its last bracket to bisect_left: no
+    # function binds a midpoint ``mid`` and no loop halves a sum by hand
+    tree = ast.parse((Path(affcopy.__file__).parent / "slowseq.py").read_text(encoding="utf-8"))
+    assert "first_index" in _callers(tree, "bisect_left")
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and any(
+                    isinstance(target, ast.Name) and target.id == "mid" for target in targets):
+                found.append(f"{path.name}:{node.lineno}: assigns mid")
+            if isinstance(node, ast.While):
+                found += [f"{path.name}:{inner.lineno}: halves a sum in a loop"
+                          for inner in ast.walk(node) if _halves_a_sum(inner)]
+    assert found == []
+
+
 def test_the_borrow_twin_is_an_expansion():
     # alternate_digits is digits_of of x - 1/P_depth, with no digit loop of its own
     tree = ast.parse((Path(affcopy.__file__).parent / "mixedradix.py").read_text(encoding="utf-8"))
