@@ -225,8 +225,13 @@ def _appendix_intersect(args: argparse.Namespace) -> tuple:
     from affcopy import mixedradix
     if not 1 <= args.U <= len(args.schedule):
         raise ValueError(f"--U must be in 1..{len(args.schedule)}, got {args.U}")
+    alphas = []
+    for i, part in enumerate(args.alphas.split(","), 1):
+        try:
+            alphas.append(as_fraction(part))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--alphas entry {i}: malformed rational {part!r}") from None
     system = mixedradix.make_system(args.schedule)
-    alphas = [as_fraction(part) for part in args.alphas.split(",")]
     chain = mixedradix.nested_intersect(alphas, system, args.U)
     final = chain.final
     ok = mixedradix.chain_point_check(chain, system, [final.lo, final.midpoint(), final.hi])

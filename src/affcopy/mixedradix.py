@@ -4,10 +4,11 @@ Real numbers expand as [x] + sum of digit_n / (M_1*...*M_n) with digits in
 [0, M_n - 1]. The level-n constraint set F_n keeps the numbers whose n-th
 digit is 0 or M_n/2 under either expansion (the terminating expansion and its
 borrow-and-carry twin), which makes F_n a union of closed intervals of length
-1/P_n spaced 1/(2*P_(n-1)) apart. Constraint families are dispatched by the
-2-adic branch index, and a deterministic nested-interval walk produces, at
-any finite depth, a closed interval every point of which satisfies all
-shifted digit constraints simultaneously.
+1/P_n spaced 1/(2*P_(n-1)) apart; membership is decided by one residue on
+ints, with no expansion. Constraint families are dispatched by the 2-adic
+branch index, and a deterministic nested-interval walk produces, at any
+finite depth, a closed interval every point of which satisfies all shifted
+digit constraints simultaneously.
 
 The schedule certification ties the radix growth to the dimension gauge
 x -> -1/ln(x): level n is certified when ln(P_n) >= P_(n-1), decided through
@@ -93,6 +94,8 @@ def check_h_condition(radices: Sequence[int], n: int,
 
 
 def _check_budget(exponent_budget: int) -> None:
+    if exponent_budget < 0:
+        raise ValueError(f"exponent budget {exponent_budget} is negative")
     if exponent_budget > MAX_EXPONENT_BUDGET:
         raise ValueError(f"exponent budget {exponent_budget} exceeds "
                          f"MAX_EXPONENT_BUDGET = {MAX_EXPONENT_BUDGET}")
@@ -187,34 +190,19 @@ def digits_of(x: RationalLike, system: MixedRadixSystem, depth: int) -> DigitVec
     return DigitVector(integer_part=integer_part, digits=tuple(digits), exact=y == 0)
 
 
-def alternate_digits(x: RationalLike, system: MixedRadixSystem,
-                     depth: int) -> Optional[DigitVector]:
-    """The borrow twin of a terminating expansion, truncated at depth.
-
-    The twin decrements the last nonzero digit (or the integer part) and
-    fills every later digit n with M_n - 1, which sums to 1/P_pivot -
-    1/P_depth: so it is the terminating expansion of x - 1/P_depth, which is
-    unique. It equals x only as an infinite expansion, hence exact=False.
-    None when the greedy expansion of x does not terminate within depth.
-    """
-    _check_depth(system, depth)
-    x = as_fraction(x)
-    product = system.product(depth)
-    if product % x.denominator:  # the remainder after depth digits is frac(x * P_depth)
-        return None
-    twin = digits_of(x - Fraction(1, product), system, depth)
-    return DigitVector(integer_part=twin.integer_part, digits=twin.digits, exact=False)
-
-
 def f_membership(x: RationalLike, n: int, system: MixedRadixSystem) -> bool:
-    """Whether the level-n digit constraint holds: digit n is 0 or M_n/2
-    under the greedy expansion or under its borrow twin."""
-    primary = digits_of(x, system, n)
-    half = system.radix(n) // 2
-    if primary.digits[n - 1] in (0, half):
-        return True
-    twin = alternate_digits(x, system, n)
-    return twin is not None and twin.digits[n - 1] in (0, half)
+    """Whether digit n of x is 0 or M_n/2 under the greedy expansion or its
+    borrow twin, decided on ints.
+
+    Let t = x*P_n and h = M_n/2. Greedy digit n is floor(t) mod M_n, which
+    is 0 or h exactly when t mod h lies in [0, 1). The twin, the expansion
+    of x - 1/P_n, exists only when t is an integer; its digit n is
+    (t - 1) mod M_n, which is 0 or h exactly when t mod h = 1. So x is in
+    F_n when t mod h is in [0, 1]: for x = p/q, q > 0, p*P_n mod q*h <= q.
+    """
+    _check_depth(system, n)
+    p, q = as_fraction(x).as_integer_ratio()
+    return p * system.product(n) % (q * (system.radix(n) // 2)) <= q
 
 
 def branch_index(u: int) -> int:

@@ -63,7 +63,13 @@ def load_sequence_file(path: str) -> List[Fraction]:
         data = json.load(handle)
     if not isinstance(data, list) or not data or not all(isinstance(v, str) for v in data):
         raise ValueError(f"{path}: expected a nonempty JSON array of 'p/q' strings")
-    return [as_fraction(v) for v in data]
+    values = []
+    for i, text in enumerate(data, 1):
+        try:
+            values.append(as_fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{path}, entry {i}: malformed rational {text!r}") from None
+    return values
 
 
 def threshold_sequence_from(spec: str, horizon: Optional[int] = None) -> ThresholdSequence:

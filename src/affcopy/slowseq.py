@@ -94,7 +94,9 @@ def build_mu(gap_tables: Mapping[int, Sequence[Fraction]], horizon: int) -> Slow
     """Envelope the gap tables and materialize breakpoints past the horizon.
 
     mu_n is the minimum of the level-n entries over every table whose window
-    index k satisfies |k| <= n, so mu_n <= l_n^(k) as soon as n >= |k|.
+    index k satisfies |k| <= n, so mu_n <= l_n^(k) as soon as n >= |k|. The
+    envelope strictly decreases with no check: the table attaining mu_(n-1)
+    is still admitted at level n, and its level-n entry is strictly smaller.
     Blocks are added until N_n > horizon, guaranteeing alpha and its gap are
     defined on all of 1..horizon.
     """
@@ -116,8 +118,6 @@ def build_mu(gap_tables: Mapping[int, Sequence[Fraction]], horizon: int) -> Slow
                     f"gap table {k} exhausted at level {n} before reaching horizon {horizon}")
             values.append(tables[k][n - 1])
         mu = min(values)
-        if mus and mu >= mus[-1]:
-            raise ValueError(f"envelope not strictly decreasing at level {n}")
         mus.append(mu)
         breaks.append(breaks[-1] + int(1 / mu))
         n += 1

@@ -225,6 +225,21 @@ class TestAvoiderCommands:
         assert report is None
         assert capsys.readouterr().err == f"error: {path} holds 3 values, need 5\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["avoider-build", "--depth", "2", "--beta"],
+        ["avoider-embed", "--beta", "harmonic", "--M", "3", "--depth", "2", "--alpha"],
+    ], ids=["beta", "alpha"])
+    @pytest.mark.parametrize("text", ["1/0", "abc"])
+    def test_malformed_rational_in_a_sequence_file_exits_two(self, tmp_path, capsys, argv,
+                                                             text):
+        # once printed as "error: Fraction(1, 0)", naming neither the text nor the file
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(["1/2", text, "1/8"]))
+        code, report = run(tmp_path, *argv, str(path))
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: {path}, entry 2: malformed rational {text!r}\n"
+
     def test_negative_horizon_on_sequence_file_exits_two(self, tmp_path):
         path = tmp_path / "beta.json"
         path.write_text(json.dumps([f"1/{m}" for m in range(1, 200)]))
@@ -832,9 +847,16 @@ def test_schedule_takes_exactly_one_of_depth_and_schedule(tmp_path, capsys, argv
      "error: need offsets for branches 1..2, got 1\n"),
     (["appendix-schedule", "--schedule", "4,x"],
      "error: argument --schedule: malformed schedule '4,x': "),
+    (["appendix-schedule", "--schedule", "4", "--budget", "-5"],
+     "error: exponent budget -5 is negative\n"),
+    (["appendix-intersect", "--schedule", "4,14", "--alphas", "0,1/0", "--U", "2"],
+     "error: --alphas entry 2: malformed rational '1/0'\n"),
+    (["appendix-intersect", "--schedule", "4,14", "--alphas", "abc,0", "--U", "2"],
+     "error: --alphas entry 1: malformed rational 'abc'\n"),
 ])
 def test_malformed_appendix_input_exits_two(tmp_path, capsys, argv, message):
-    # the first is refused by mixedradix, the second while parsing
+    # --schedule is refused while parsing, and the budget and a malformed
+    # offset before any level is certified
     try:
         code, report = run(tmp_path, *argv)
     except SystemExit as err:

@@ -7,7 +7,7 @@ from affcopy import mixedradix
 from affcopy.expbounds import (ceil_even, compare_with_exp, even_upper_exp_quotient,
                                exp_bounds)
 from affcopy.intervals import Interval, IntervalSet
-from affcopy.mixedradix import (DigitVector, alternate_digits, branch_index,
+from affcopy.mixedradix import (DigitVector, branch_index,
                                 chain_point_check, check_h_condition, default_schedule,
                                 digits_of, f_membership, make_system, nested_intersect,
                                 premeasure_bound)
@@ -131,20 +131,27 @@ class TestDigits:
     def test_boundary_alternative(self, sys2):
         primary = digits_of(F(1, 4), sys2, 2)
         assert primary.digits == (1, 0) and primary.exact
-        twin = alternate_digits(F(1, 4), sys2, 2)
-        assert twin is not None
+        twin = borrow_twin(F(1, 4), sys2, 2)
         assert twin.digits == (0, 13)
-        assert not twin.exact
+        assert twin.value(sys2) == F(1, 4) - F(1, 56)
 
     def test_no_alternative_without_termination(self, sys2):
-        assert alternate_digits(F(1, 3), sys2, 2) is None
+        # 1/56 is a member only through its twin; a point just past it is
+        # off the 1/P_2 lattice, so it has no twin and its greedy digit 1 rules
+        assert f_membership(F(1, 56), 2, sys2) is True
+        past = F(1, 56) + F(1, 56 * 23)
+        assert digits_of(past, sys2, 2).digits == (0, 1)
+        assert f_membership(past, 2, sys2) is False
+        assert f_membership(F(1, 3), 2, sys2) is False  # digits (1, 4), no twin
 
     def test_integer_borrows_from_integer_part(self, sys2):
-        twin = alternate_digits(3, sys2, 2)
+        twin = borrow_twin(3, sys2, 2)
         assert twin.integer_part == 2
         assert twin.digits == (3, 13)
+        assert twin.value(sys2) == 3 - F(1, 56)
 
     def test_twin_follows_the_borrow_rule(self):
+        # the twin is the terminating expansion of x - 1/P_depth
         rng = random.Random(2727)
         seen = set()
         for _ in range(400):
@@ -159,34 +166,18 @@ class TestDigits:
                  "zero": 0, "integer": p * rng.randint(-3, 3)}[kind]
             x = F(k, p)
             seen.add(kind)
-            twin = alternate_digits(x, system, depth)
-            assert twin == borrow_twin(x, system, depth)
+            twin = borrow_twin(x, system, depth)
             assert twin.value(system) == x - F(1, p)
-            # radices stay below 23, so a denominator of 23 never terminates
-            assert alternate_digits(x + F(1, 23 * p), system, depth) is None
+            assert twin.digits == digits_of(x - F(1, p), system, depth).digits
         assert seen == {"positive", "negative", "zero", "integer"}
 
     @pytest.mark.parametrize("depth", [-1, 0, 3])
     @pytest.mark.parametrize("x", [F(1, 4), F(1, 3)])
     def test_twin_refuses_a_depth_outside_the_schedule(self, sys2, x, depth):
-        # the depth is checked before P_depth is read, with digits_of's message
+        # 1/4 has a borrow twin at every level and 1/3 none; either way
+        # f_membership checks the level first, with digits_of's message
         with pytest.raises(ValueError, match=r"^depth must be in 1\.\.2$"):
-            alternate_digits(x, sys2, depth)
-
-    def test_membership_expands_twice_on_the_twin_path(self, geo6, monkeypatch):
-        # termination is read off P_n, so the twin path expands x and its twin only
-        calls = []
-
-        def counted(x, system, depth):
-            calls.append(x)
-            return digits_of(x, system, depth)
-
-        monkeypatch.setattr(mixedradix, "digits_of", counted)
-        p = geo6.product(3)  # both x have digit 3 equal to 1, so the twin is asked
-        for x, member, expansions in ((F(1, p), True, 2), (F(1, p) + F(1, 23 * p), False, 1)):
-            calls.clear()
-            assert f_membership(x, 3, geo6) is member
-            assert calls[0] == x and len(calls) == expansions
+            f_membership(x, depth, sys2)
 
     def test_reconstruction_on_grid(self, geo6):
         rng = random.Random(6021)
@@ -214,6 +205,33 @@ class TestMembership:
     def test_interior_non_member(self, sys2):
         assert f_membership(F(3, 8), 1, sys2) is False
         assert f_membership(F(1, 10), 2, sys2) is False
+
+    def test_membership_matches_the_digits_of_both_expansions(self):
+        # the residue form against its definition: digit n of the greedy
+        # expansion, or of the borrow twin when x*P_n is an integer, is 0 or M_n/2
+        rng = random.Random(3030)
+        seen = set()
+        for _ in range(2400):
+            radices = [2 * rng.randint(2, 12)]
+            for _ in range(rng.randint(0, 5)):
+                radices.append(radices[-1] + 2 * rng.randint(0, 4))
+            system = make_system(radices, exponent_budget=8)  # certification plays no part
+            n = rng.randint(1, system.depth)
+            p = system.product(n)
+            kind = rng.choice(("positive", "negative", "zero", "integer"))
+            k = {"positive": rng.randint(1, 3 * p), "negative": rng.randint(-3 * p, -1),
+                 "zero": 0, "integer": p * rng.randint(-3, 3)}[kind]
+            x = F(k, p)
+            if rng.random() < 0.5:  # just past a lattice point, never on one
+                x += F(rng.randint(1, 28), 29 * p)
+            on_lattice = (x * p).denominator == 1
+            seen.add((kind, on_lattice))
+            half = system.radix(n) // 2
+            expect = digits_of(x, system, n).digits[n - 1] in (0, half) or (
+                on_lattice and borrow_twin(x, system, n).digits[n - 1] in (0, half))
+            assert f_membership(x, n, system) is expect, (radices, n, x)
+        assert seen == {(kind, on_lattice) for kind in ("positive", "negative", "zero", "integer")
+                        for on_lattice in (False, True)}
 
     def test_level_geometry_by_enumeration(self, sys2):
         # inside [0, 1/4): the level-2 set is [0,1/56] plus [1/8, 1/8+1/56];
@@ -324,8 +342,11 @@ class TestRefusals:
          "j and k must be positive"),
         (lambda: exp_bounds(-1), ValueError, "exponent must be nonnegative"),
         (lambda: even_upper_exp_quotient(3, 0), ValueError, "divisor must be positive"),
+        (lambda: make_system((4, 14), -1), ValueError, "exponent budget -1 is negative"),
+        (lambda: default_schedule(2, -5), ValueError, "exponent budget -5 is negative"),
     ], ids=["h-level-past", "h-level-zero", "empty-schedule", "branch-zero", "few-offsets",
-            "premeasure-j", "premeasure-k", "exp-negative", "quotient-divisor"])
+            "premeasure-j", "premeasure-k", "exp-negative", "quotient-divisor",
+            "system-budget-negative", "schedule-budget-negative"])
     def test_refused(self, call, error, fragment):
         with pytest.raises(error) as err:
             call()

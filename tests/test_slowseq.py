@@ -98,6 +98,24 @@ class TestBuildMu:
                     if n <= len(table):
                         assert s.mu[n - 1] <= table[n - 1]
 
+    def test_envelope_decreases_over_mixed_windows(self):
+        # tables admitted later (larger |k|) may start above the current
+        # minimum; the envelope is still the level-wise minimum and strictly
+        # decreasing, since the table that attains it stays admitted
+        rng = random.Random(2929)
+        for _ in range(400):
+            keys = {rng.choice((-1, 0, 1))} | {rng.randint(-5, 5) for _ in range(rng.randint(0, 5))}
+            tables = {}
+            for k in keys:
+                dens = [rng.randint(2, 40)]
+                for _ in range(11):
+                    dens.append(dens[-1] + rng.randint(1, 30))
+                tables[k] = [F(1, den) for den in dens]
+            s = build_mu(tables, horizon=rng.randint(1, 60))
+            assert all(a > b for a, b in zip(s.mu, s.mu[1:]))
+            assert list(s.mu) == [min(t[n - 1] for k, t in tables.items() if abs(k) <= n)
+                                  for n in range(1, s.blocks + 1)]
+
     def test_rejects_non_unit_fractions(self):
         with pytest.raises(ValueError):
             build_mu({0: [F(2, 3), F(1, 4)]}, horizon=4)

@@ -280,14 +280,18 @@ def test_the_threshold_search_ends_in_bisect():
     assert found == []
 
 
-def test_the_borrow_twin_is_an_expansion():
-    # alternate_digits is digits_of of x - 1/P_depth, with no digit loop of its own
+def test_digit_membership_is_one_residue():
+    # f_membership reads x*P_n mod M_n/2 on ints: it expands no digits, runs
+    # no loop, and no borrow-twin builder is left beside it
     tree = ast.parse((Path(affcopy.__file__).parent / "mixedradix.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "f_membership" in defined and "alternate_digits" not in defined
     fn = next(node for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == "alternate_digits")
-    assert "alternate_digits" in _callers(tree, "digits_of")
+              if isinstance(node, ast.FunctionDef) and node.name == "f_membership")
     assert not [node for node in ast.walk(fn)
-                if isinstance(node, (ast.For, ast.While, *COMPREHENSIONS))]
+                if isinstance(node, (ast.For, ast.While, ast.DictComp, *COMPREHENSIONS))
+                or isinstance(node, ast.Call) and "digits_of" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 def test_unchecked_construction_stays_in_intervals():
