@@ -418,7 +418,9 @@ class Report:
     the field out), and ends with ``"pass"`` when the class defines
     ``passed``. Values are written in their text form: a Fraction as
     ``p/q``, an Interval as ``(lo,hi)``, an IntervalSet as a list of interval
-    strings, a tuple as a list and a nested report as its dict.
+    strings, a tuple as a list and a nested report as its dict. A value
+    whose decimal text is longer than ``str()`` writes (4,300 digits by
+    default) is refused with a ValueError naming the report and the field.
     """
 
     def to_json_dict(self) -> dict:
@@ -426,10 +428,20 @@ class Report:
         for f in fields(self):
             key = f.metadata.get("json", f.name)
             if key is not None:
-                out[key] = _json_value(getattr(self, f.name))
+                try:
+                    out[key] = _json_value(getattr(self, f.name))
+                except _Unprintable:
+                    raise  # a nested report named its own field
+                except ValueError as err:  # str() of an int past the digit limit
+                    raise _Unprintable(f"report {type(self).__name__}, field {key}: "
+                                       f"value too long to print ({err})") from None
         if hasattr(type(self), "passed"):
             out["pass"] = self.passed
         return out
+
+
+class _Unprintable(ValueError):
+    """A report value too long for ``str()``, named by its report and field."""
 
 
 def _json_value(value):

@@ -29,6 +29,14 @@ def _iterated_floor_log(m: int, depth: int) -> int:
     return x
 
 
+def _argument(spec: str, arg: str, parse: Callable[[str], object], kind: str):
+    """A preset's argument parsed, or a ValueError naming the preset and it."""
+    try:
+        return parse(arg)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"preset {spec!r}: malformed {kind} {arg!r}") from None
+
+
 def _parse_preset(spec: str) -> Optional[Tuple[Callable[[int], Fraction], bool]]:
     """Return (value function, convex) for a preset spec string, or None when
     the spec names no preset but an existing sequence file."""
@@ -38,17 +46,17 @@ def _parse_preset(spec: str) -> Optional[Tuple[Callable[[int], Fraction], bool]]
             raise ValueError(f"harmonic takes no argument, got {spec!r}")
         return (lambda m: Fraction(1, m + 1)), True
     if name == "geometric":
-        r = as_fraction(arg or "1/2")
+        r = _argument(spec, arg or "1/2", as_fraction, "rational")
         if not 0 < r < 1:
             raise ValueError(f"geometric ratio must be in (0,1), got {r}")
         return (lambda m: r ** m), True
     if name == "polynomial":
-        s = int(arg or "2")
+        s = _argument(spec, arg or "2", int, "integer")
         if s < 1:
             raise ValueError(f"polynomial exponent must be a positive integer, got {s}")
         return (lambda m: Fraction(1, (m + 1) ** s)), True
     if name == "iterlog":
-        d = int(arg or "1")
+        d = _argument(spec, arg or "1", int, "integer")
         if d < 1:
             raise ValueError(f"iterlog depth must be a positive integer, got {d}")
         # strictly decreasing taper times the plateaued reciprocal log

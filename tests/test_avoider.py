@@ -12,7 +12,7 @@ from affcopy.avoider import (AvoiderConstruction, EmbeddingSearchError,
                              ThresholdSequence, build_avoider, delta0_of,
                              enumerate_base, find_embedding, measure_union_translates,
                              plan_budget, summability_report, thresholdize)
-from affcopy.intervals import Interval, IntervalSet, normalize
+from affcopy.intervals import Interval, IntervalSet, intersection_of_translates, normalize
 from affcopy.slowseq import MAX_HORIZON, HorizonError, first_index
 
 F = Fraction
@@ -423,6 +423,80 @@ class TestFindEmbedding:
         with pytest.raises(EmbeddingSearchError) as err:
             find_embedding(bad, alpha, eta_harmonic, i_max=3)
         assert len(err.value.trace) == 3
+
+
+def _crafted_set(rng):
+    """A seeded union of up to 6 parts with ends on a grid over [-1/2, 3/2]:
+    open, closed and half-open parts, points, parts past either end of [0,1]
+    and the empty set all occur."""
+    parts = []
+    for _ in range(rng.randint(0, 6)):
+        lo = F(rng.randint(-20, 60), 40)
+        if rng.random() < 0.2:
+            parts.append(Interval.point(lo))
+        else:
+            hi = lo + F(rng.randint(1, 30), rng.choice((40, 41, 60)))
+            parts.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return normalize(parts)
+
+
+class TestTranslateResidual:
+    """[0,1] minus one union of the gaps' translates, against the chain that
+    intersects [0,1] with every translate of the avoider itself."""
+
+    UNIT = IntervalSet((Interval.closed(0, 1),))
+
+    def test_equals_the_chain_of_intersections(self):
+        rng = random.Random(3101)
+        seen = dict.fromkeys(("empty set", "open end", "point", "outside [0,1]",
+                              "zero shift", "empty residual", "point residual",
+                              "positive residual"), 0)
+        for _ in range(500):
+            A = _crafted_set(rng)
+            parts = A.parts
+            seen["empty set"] += not parts
+            seen["open end"] += bool(parts) and not (parts[0].lo_closed and parts[-1].hi_closed)
+            seen["point"] += any(p.is_point for p in parts)
+            seen["outside [0,1]"] += bool(parts) and (parts[0].lo < 0 or parts[-1].hi > 1)
+            residual_at = avoider.translate_residual(A)
+            for _ in range(3):
+                shifts = [F(rng.randint(-30, 30), rng.choice((40, 41, 97))) * rng.randint(0, 1)
+                          for _ in range(rng.randint(1, 8))]
+                seen["zero shift"] += 0 in shifts
+                expected = intersection_of_translates(A, shifts, self.UNIT)
+                assert residual_at(shifts) == expected, (str(A), [str(s) for s in shifts])
+                measure = expected.measure()
+                seen["empty residual"] += expected.is_empty
+                seen["point residual"] += bool(expected) and measure == 0
+                seen["positive residual"] += measure > 0
+        assert all(seen.values()), seen
+
+    def test_every_rung_of_the_search_matches_the_chain(self, eta_harmonic):
+        # the trace's measures, and the witness at the certified rung, are
+        # those of the chain; negative and zero entries and ladders that run
+        # out are among the draws
+        rng = random.Random(3102)
+        certified = exhausted = 0
+        for _ in range(150):
+            A = _crafted_set(rng)
+            alpha = [F(rng.randint(-40, 40), rng.choice((1, 7, 40))) * rng.randint(0, 1)
+                     for _ in range(rng.randint(1, 6))]
+            construction = AvoiderConstruction(depth=0, holes=(), avoider=A)
+            try:
+                cert = find_embedding(construction, alpha, eta_harmonic, i_max=6)
+            except EmbeddingSearchError as err:
+                trace, t_star = err.trace, None
+                exhausted += 1
+            else:
+                trace, t_star = cert.trace, cert.t
+                certified += 1
+            assert trace
+            for delta, measure in trace:
+                chain = intersection_of_translates(A, [-delta * a for a in alpha], self.UNIT)
+                assert measure == chain.measure()
+            if t_star is not None:
+                assert t_star == chain.longest().midpoint()
+        assert certified and exhausted
 
 
 class TestRefusals:

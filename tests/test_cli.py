@@ -240,6 +240,23 @@ class TestAvoiderCommands:
         assert report is None
         assert capsys.readouterr().err == f"error: {path}, entry 2: malformed rational {text!r}\n"
 
+    @pytest.mark.parametrize("argv, spec, message", [
+        (["avoider-build", "--depth", "2", "--beta"], "geometric:1/0", "rational '1/0'"),
+        (["avoider-build", "--depth", "2", "--beta"], "geometric:abc", "rational 'abc'"),
+        (["avoider-build", "--depth", "2", "--beta"], "polynomial:x", "integer 'x'"),
+        (["avoider-build", "--depth", "2", "--beta"], "iterlog:2.5", "integer '2.5'"),
+        (["avoider-embed", "--beta", "harmonic", "--M", "3", "--depth", "2", "--alpha"],
+         "geometric:abc", "rational 'abc'"),
+        (["avoider-embed", "--beta", "harmonic", "--M", "3", "--depth", "2", "--alpha"],
+         "polynomial:1/2", "integer '1/2'"),
+    ])
+    def test_malformed_preset_argument_exits_two(self, tmp_path, capsys, argv, spec, message):
+        # once printed as "error: Fraction(1, 0)" or a bare int() error
+        code, report = run(tmp_path, *argv, spec)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"error: preset {spec!r}: malformed {message}\n"
+
     def test_negative_horizon_on_sequence_file_exits_two(self, tmp_path):
         path = tmp_path / "beta.json"
         path.write_text(json.dumps([f"1/{m}" for m in range(1, 200)]))
@@ -290,6 +307,22 @@ class TestAvoiderCommands:
         assert code == 2
         assert report is None
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_report_value_too_long_to_print_exits_two(self, tmp_path, capsys, monkeypatch):
+        # avoider-embed --beta geometric:99/100 --alpha polynomial:1 --M 1000
+        # --depth 128 reaches a 55,610-bit budget_lower_bound after about 5 s;
+        # a crafted certificate stands in for it
+        huge = F(1, 10 ** 4300)
+        monkeypatch.setattr(avoider, "find_embedding", lambda *args: avoider.EmbeddingCertificate(
+            delta=F(1, 2), t=F(1, 2), checked_points=1,
+            residual_measure=F(1), trace=(), budget_lower_bound=huge, delta0=None))
+        code, report = run(tmp_path, "avoider-embed", "--beta", "harmonic", "--alpha",
+                           "harmonic", "--M", "1", "--depth", "1")
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err.startswith(
+            "error: report EmbeddingCertificate, field budget_lower_bound: "
+            "value too long to print (Exceeds the limit (4300 digits)")
 
     def test_endpoints_past_the_bit_cap_exit_two(self, tmp_path, capsys):
         # hole 2 of geometric:999/1000 has 27,637-bit endpoints; the report

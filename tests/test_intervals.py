@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 from collections import Counter
@@ -1083,3 +1084,41 @@ def test_kernel_property_suite_smoke():
     report = run_kernel_property_suite(seed=20250810, instances=120)
     assert report.passed, report.failures
     assert report.checks_run == 120 * 9
+
+
+@dataclasses.dataclass(frozen=True)
+class Tiny(intervals.Report):
+    small: Fraction
+    big: object = dataclasses.field(metadata={"json": "huge"})
+
+
+@dataclasses.dataclass(frozen=True)
+class Outer(intervals.Report):
+    name: str
+    inner: tuple
+
+
+class TestReportText:
+    """A value past the 4,300 digits ``str()`` writes is refused by the
+    report and field it sits in, not by the interpreter's bare message."""
+
+    HUGE = F(1, 10 ** 4300)  # a 4,301-digit denominator
+
+    @pytest.mark.parametrize("big", [HUGE, Interval.closed(0, HUGE),
+                                     IntervalSet((Interval.closed(0, HUGE),)), (F(1), HUGE)],
+                             ids=["fraction", "interval", "interval-set", "tuple"])
+    def test_a_value_too_long_to_print_is_named(self, big):
+        with pytest.raises(ValueError) as err:
+            Tiny(F(1, 2), big).to_json_dict()
+        assert str(err.value).startswith(
+            "report Tiny, field huge: value too long to print (Exceeds the limit (4300 digits)")
+
+    def test_a_nested_report_names_its_own_field(self):
+        with pytest.raises(ValueError) as err:
+            Outer("outer", (Tiny(F(1), F(2)), Tiny(F(1), self.HUGE))).to_json_dict()
+        assert str(err.value).startswith("report Tiny, field huge: value too long to print")
+
+    def test_the_longest_printable_value_prints(self):
+        longest = F(1, 10 ** 4299)  # 4,300 digits
+        assert Tiny(F(1, 2), longest).to_json_dict() == {"small": "1/2",
+                                                         "huge": str(longest)}

@@ -416,6 +416,31 @@ class TestCoverage:
             assert report.uncovered_measure <= report.bound, N
             assert report.passed, N
 
+    @pytest.mark.parametrize("N, delta, m0, M", [(1, F(1, 2), 5, 15), (2, F(1, 10), 5, 45),
+                                                 (3, F(1, 4), 20, 60)])
+    def test_residual_and_uncovered_are_exactly_the_translates_m0_to_M(self, ladder6, seq6,
+                                                                      N, delta, m0, M):
+        # the oracle materializes every translate one by one; the chain with
+        # one translate more at either end differs, so a range off by one fails
+        window = Interval.half_open(0, 1)
+
+        def chain(first, last):
+            residual = IntervalSet((window,))
+            for m in range(first, last + 1):
+                residual = residual.intersect(ladder6.remnant_set(N).translate(
+                    -delta * seq6.alpha_at(m)))
+            return residual
+
+        report = coverage01(ladder6, seq6, delta, m0, N, M)
+        expected = chain(m0, M)
+        assert report.residual == expected
+        assert report.residual_measure == expected.measure() > 0
+        assert chain(m0, M + 1) != expected and chain(m0 - 1, M) != expected
+        covered = normalize([part.translate(-delta * seq6.alpha_at(m))
+                             for m in range(m0, M + 1)
+                             for part in ladder6.open_sets_through(N)])
+        assert report.uncovered_measure == covered.complement_within(window).measure()
+
     def test_json_shape(self, ladder6, seq6):
         d = coverage01(ladder6, seq6, 1, 1, N=2, M=40).to_json_dict()
         for key in ("N", "M", "delta", "uncovered_measure", "residual_measure",

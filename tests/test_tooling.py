@@ -247,6 +247,30 @@ def test_overlap_budget_is_derived_once():
     assert _callers(tree, "_overlap") == ["measure_union_translates", "plan_budget"]
 
 
+def _reached(tree, root):
+    """Names that the function ``root`` of ``tree`` calls, directly or through
+    the module's own functions."""
+    calls = {fn.name: {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                       for call in ast.walk(fn) if isinstance(call, ast.Call)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached, todo = set(), [root]
+    while todo:
+        for name in calls.get(todo.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                todo.append(name)
+    return reached
+
+
+def test_each_rung_is_one_union_of_gap_translates():
+    # find_embedding certifies a rung as [0,1] minus one sort-and-sweep union
+    # of the avoider's gap translates, never as a chain of intersections
+    tree = ast.parse((Path(affcopy.__file__).parent / "avoider.py").read_text(encoding="utf-8"))
+    reached = _reached(tree, "find_embedding")
+    assert "union_of_translates" in reached
+    assert "intersection_of_translates" not in reached
+
+
 def test_both_exp_deciders_share_one_bracket_loop():
     # _brackets is the one loop refining exp_bounds, and the MAX_TERMS cap
     # with it; compare_with_exp and even_upper_exp_quotient both read it
