@@ -9,9 +9,10 @@ J_n - eta_m stays summable. The complement A = [0,1] minus the holes is
 closed and misses an open piece of every base interval, yet for any rational
 vector alpha with |alpha_m| <= eta_m/(2*delta0) a small positive delta and a
 translation t with t + delta*alpha_m in A can be found by exact search. The
-search reads A as [0,1] minus the holes: t works exactly when it misses every
-translate J_n - delta*alpha_m, so each rung certifies [0,1] minus one union
-of those translates, the same union whose measure the budget sums.
+search asks ``intersection_of_translates`` for the t with every
+t + delta*alpha_m in A; as A is [0,1] minus the holes, each rung certifies
+[0,1] minus one union of the translates J_n - delta*alpha_m, the same union
+whose measure the budget sums.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from affcopy.intervals import (EMPTY, Interval, IntervalSet, RationalLike, Report,
-                               as_fraction, normalize, union_of_translates)
+from affcopy.intervals import (Interval, IntervalSet, RationalLike, Report, as_fraction,
+                               intersection_of_translates, normalize, union_of_translates)
 from affcopy.slowseq import (MAX_HORIZON, HorizonError, check_convex, first_index,
                              threshold_index)
 
@@ -350,43 +351,18 @@ class EmbeddingCertificate(Report):
     delta0: Optional[Fraction] = field(metadata={"json": None})  # scale cap (delta0_of)
 
 
-def translate_residual(avoider: IntervalSet) -> Callable[[Sequence[Fraction]], IntervalSet]:
-    """The map from shifts s_1..s_M to [0,1] intersected with every A + s_m.
-
-    With H = [a, b] the closed hull of A and G = H minus A its gaps (open
-    ends of A leave points in G), t lies in A + s exactly when it lies in
-    H + s and not in G + s. So the residual is [0,1] intersected with
-    [a + max s, b + min s], minus the one union of the translates G + s_m:
-    for a built avoider the holes' translates J_n + s_m that the measure
-    argument sums. G is found once, here; each call is one sort-and-sweep
-    and one difference.
-    """
-    if not avoider:
-        return lambda shifts: EMPTY
-    a, b = avoider.parts[0].lo, avoider.parts[-1].hi
-    gaps = avoider.complement_within(Interval.closed(a, b))
-
-    def residual(shifts: Sequence[Fraction]) -> IntervalSet:
-        lo, hi = max(a + max(shifts), 0), min(b + min(shifts), 1)
-        if lo > hi:
-            return EMPTY
-        return IntervalSet((Interval.closed(lo, hi),)).difference(
-            union_of_translates(gaps, shifts))
-    return residual
-
-
 def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLike],
                    t: ThresholdSequence, i_max: int = 40) -> EmbeddingCertificate:
     """Search the geometric delta ladder for a verified affine embedding.
 
     delta runs over delta0 * 2^-i (capped below 1); at each rung the residual
     [0,1] intersected with every translate A - delta*alpha_m is computed
-    exactly as [0,1] minus one union of the translates of A's gaps (for a
-    built avoider, the holes; see ``translate_residual``), and the first
-    rung with positive measure yields t* at the midpoint of a largest
-    component. Every translated point is then checked for membership before
-    the certificate is returned; exhausting the ladder raises with the full
-    measure trace.
+    exactly by ``intersection_of_translates``, as one union of the
+    translates of A's gaps (for a built avoider, the holes) taken from
+    [0,1], and the first rung with positive measure yields t* at the
+    midpoint of a largest component. Every translated point is then checked
+    for membership before the certificate is returned; exhausting the
+    ladder raises with the full measure trace.
     """
     vector = [as_fraction(a) for a in alpha]
     if not vector:
@@ -395,14 +371,15 @@ def find_embedding(construction: AvoiderConstruction, alpha: Sequence[RationalLi
         raise ValueError("i_max must be at least 1")
     delta0 = delta0_of(vector, t)
     base = delta0 if delta0 is not None else Fraction(1)
-    residual_at = translate_residual(construction.avoider)
+    unit = IntervalSet((Interval.closed(0, 1),))
     trace: List[Tuple[Fraction, Fraction]] = []
     budget_bound = 1 - sum((h.tail for h in construction.holes), Fraction(0))
     for i in range(1, i_max + 1):
         delta = base / 2 ** i
         if delta >= 1:
             continue
-        residual = residual_at([-delta * a for a in vector])
+        residual = intersection_of_translates(construction.avoider,
+                                              [-delta * a for a in vector], unit)
         measure = residual.measure()
         trace.append((delta, measure))
         if measure > 0:

@@ -43,7 +43,7 @@ iteration and ``to_strings`` decode the parts.
 One helper, ``_aligned``, sizes the common lattice: it carries several sets
 to the lcm D of their lattices and of any shifts' denominators (``2xD + f``
 becomes ``2xDk + f``) and turns each shift t into the cut move ``2tD``, so a
-chain of translates stays on one lattice, sized once from all its shifts.
+set's translates share one lattice, sized once from all its shifts.
 """
 
 from __future__ import annotations
@@ -123,10 +123,6 @@ class Interval:
         return self.hi - self.lo
 
     @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
     def is_open(self) -> bool:
         return not self.lo_closed and not self.hi_closed
 
@@ -165,16 +161,6 @@ class Interval:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo},{self.hi}{right}"
-
-    @staticmethod
-    def parse(text: str) -> "Interval":
-        s = text.strip()
-        if len(s) < 2 or s[0] not in "([" or s[-1] not in ")]":
-            raise ValueError(f"malformed interval {text!r}")
-        body = s[1:-1].split(",")
-        if len(body) != 2:
-            raise ValueError(f"malformed interval {text!r}")
-        return Interval(body[0].strip(), body[1].strip(), s[0] == "[", s[-1] == "]")
 
 
 class IntervalSet:
@@ -382,10 +368,6 @@ class IntervalSet:
     def to_strings(self) -> list[str]:
         """JSON-ready list of interval strings."""
         return [str(p) for p in self.parts]
-
-    @staticmethod
-    def from_strings(texts: Iterable[str]) -> "IntervalSet":
-        return normalize([Interval.parse(t) for t in texts])
 
 
 #: Setters of the IntervalSet slots that bypass its frozen ``__setattr__``.
@@ -615,15 +597,24 @@ def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> Inter
 
 def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
                                within: IntervalSet) -> IntervalSet:
-    """``within`` intersected with every translate s + t, stopping at the
-    first empty result.
+    """``within`` intersected with every translate s + t.
 
-    The chain stays on one lattice: D is the lcm of both operands' lattices
-    and every shift's denominator, sized once up front.
+    With H the smallest interval holding s (from its first part's start to
+    its last part's end, flags kept) and G = H minus s the gaps between its
+    parts, x lies in s + t exactly when it lies in H + t and in no G + t. So
+    the result is ``within`` intersected with every H + t, one interval,
+    minus one sort-and-sweep union of the translates G + t: no intersection
+    per shift. No shifts leave ``within``; an empty s with shifts gives the
+    empty set. D is the lcm of both operands' lattices and every shift's
+    denominator.
     """
-    D, (base, out), moves = _aligned((s, within), shifts)
-    for move in moves:
-        out = _intersect(out, [(lo + move, hi + move) for lo, hi in base])
-        if not out:
-            break
-    return _decode(out, D)
+    D, (cuts, out), moves = _aligned((s, within), shifts)
+    if not moves:
+        return _decode(out, D)
+    if not cuts:
+        return _decode([], D)
+    lo, hi = cuts[0][0] + max(moves), cuts[-1][1] + min(moves)
+    if lo >= hi:
+        return _decode([], D)
+    gaps = [(end + m, start + m) for (_, end), (start, _) in zip(cuts, cuts[1:]) for m in moves]
+    return _decode(_difference(_intersect(out, [(lo, hi)]), _merge(gaps)), D)

@@ -344,8 +344,11 @@ def coverage01(construction: CantorConstruction, s: SlowSequence,
     window = Interval.half_open(0, 1)
     covered = union_of_translates(construction.open_sets_through(N), shifts)
     uncovered = covered.complement_within(window)
-    residual = intersection_of_translates(construction.remnant_set(N), shifts,
-                                          IntervalSet((window,)))
+    # R_N is [0,1] minus O_N, so t lies in every R_N + s exactly when it lies
+    # in every [0,1] + s and is uncovered: the union above serves both, and
+    # the residual needs no second sort-and-sweep
+    residual = uncovered.intersect(intersection_of_translates(
+        IntervalSet((Interval.closed(0, 1),)), shifts, IntervalSet((window,))))
     bound = _deficit_bound(construction, s, d, m0, N, M)
     return DeficitReport(N=N, M=M, delta=d, m0=m0,
                          uncovered_measure=uncovered.measure(),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_kernel as ref
 from affcopy import avoider, presets
 from affcopy.avoider import (AvoiderConstruction, EmbeddingSearchError,
                              ThresholdSequence, build_avoider, delta0_of,
@@ -377,6 +378,7 @@ class TestFindEmbedding:
         assert cert.delta == F(1, 2)  # delta0 = 1, first rung
         assert cert.residual_measure > 0
         assert cert.delta0 == 1
+        assert cert.budget_lower_bound == 1  # no holes, nothing swept
 
     def test_moderate_depth_verified(self):
         t = ThresholdSequence.from_convex(lambda m: F(1, m + 1))
@@ -385,6 +387,8 @@ class TestFindEmbedding:
         cert = find_embedding(a, alpha, t)
         for m, al in enumerate(alpha, 1):
             assert a.avoider.contains_point(cert.t + cert.delta * al)
+        # each hole's swept measure is at least its length (here the bound is negative)
+        assert cert.budget_lower_bound <= a.avoider.measure()
         # halving delta again still succeeds with positive residual measure
         deeper = find_embedding(a, alpha, t, i_max=40)
         assert deeper.delta == cert.delta
@@ -441,10 +445,18 @@ def _crafted_set(rng):
 
 
 class TestTranslateResidual:
-    """[0,1] minus one union of the gaps' translates, against the chain that
-    intersects [0,1] with every translate of the avoider itself."""
+    """The kernel's hull-minus-gap-union residual, against the reference
+    chain that intersects [0,1] with every translate of the set itself."""
 
     UNIT = IntervalSet((Interval.closed(0, 1),))
+
+    def chain(self, A, shifts):
+        """[0,1] intersected with every translate A + s, one at a time on
+        the reference kernel."""
+        out = self.UNIT
+        for shift in shifts:
+            out = ref.intersect(out, ref.translate(A, shift))
+        return out
 
     def test_equals_the_chain_of_intersections(self):
         rng = random.Random(3101)
@@ -456,15 +468,15 @@ class TestTranslateResidual:
             parts = A.parts
             seen["empty set"] += not parts
             seen["open end"] += bool(parts) and not (parts[0].lo_closed and parts[-1].hi_closed)
-            seen["point"] += any(p.is_point for p in parts)
+            seen["point"] += any(p.lo == p.hi for p in parts)
             seen["outside [0,1]"] += bool(parts) and (parts[0].lo < 0 or parts[-1].hi > 1)
-            residual_at = avoider.translate_residual(A)
             for _ in range(3):
                 shifts = [F(rng.randint(-30, 30), rng.choice((40, 41, 97))) * rng.randint(0, 1)
                           for _ in range(rng.randint(1, 8))]
                 seen["zero shift"] += 0 in shifts
-                expected = intersection_of_translates(A, shifts, self.UNIT)
-                assert residual_at(shifts) == expected, (str(A), [str(s) for s in shifts])
+                expected = self.chain(A, shifts)
+                assert intersection_of_translates(A, shifts, self.UNIT) == expected, (
+                    str(A), [str(s) for s in shifts])
                 measure = expected.measure()
                 seen["empty residual"] += expected.is_empty
                 seen["point residual"] += bool(expected) and measure == 0
@@ -492,10 +504,10 @@ class TestTranslateResidual:
                 certified += 1
             assert trace
             for delta, measure in trace:
-                chain = intersection_of_translates(A, [-delta * a for a in alpha], self.UNIT)
+                chain = self.chain(A, [-delta * a for a in alpha])
                 assert measure == chain.measure()
             if t_star is not None:
-                assert t_star == chain.longest().midpoint()
+                assert t_star == max(chain.parts, key=lambda p: p.length).midpoint()
         assert certified and exhausted
 
 

@@ -110,6 +110,24 @@ class TestSchedules:
         radices = (4, 14, 38) + (Unread(76),) * 1000
         assert check_h_condition(radices, 1001, exponent_budget=512) is None
 
+    def test_the_budget_and_depth_ranges_are_inclusive(self):
+        # a prior product equal to the budget is still decided, one above is
+        # not; a passed budget stops the product before the last factor
+        assert check_h_condition((4, 14), 2, exponent_budget=4) is True
+        assert check_h_condition((4, 14), 2, exponent_budget=3) is None
+        assert check_h_condition((4, 14, 10 ** 30), 3, exponent_budget=4) is None
+        assert check_h_condition((4,), 1, exponent_budget=1) is True
+        # default_schedule takes the certified radix at p == budget, not the fallback
+        assert default_schedule(2, exponent_budget=4).radices == (4, 14)
+        assert default_schedule(2, exponent_budget=4).h_verified == (True, True)
+        assert default_schedule(2, exponent_budget=3).radices == (4, 8)
+        # both ends of the budget range are accepted
+        assert default_schedule(2, exponent_budget=0).h_verified == (False, False)
+        assert make_system((4, 14), mixedradix.MAX_EXPONENT_BUDGET).h_verified == (True, True)
+        # and both ends of the depth range
+        assert default_schedule(1).radices == (4,)
+        assert default_schedule(mixedradix.MAX_DEPTH).depth == mixedradix.MAX_DEPTH
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_system((2, 14))
@@ -325,6 +343,15 @@ class TestPremeasure:
                                              "of at least 2\\^3"):
             premeasure_bound(sys4, j=4, k=1)
 
+    def test_a_product_of_exactly_the_bit_cap_is_admitted(self):
+        # P_2 = 4 * 2^11997 has exactly MAX_PRODUCT_BITS bits; one more is refused
+        cap = mixedradix.MAX_PRODUCT_BITS
+        at_cap = make_system((4, 2 ** (cap - 3)))
+        assert at_cap.product(2).bit_length() == cap
+        assert premeasure_bound(at_cap, j=2, k=1).level == 2
+        with pytest.raises(ValueError, match=f"P_2 has {cap + 1} bits, above MAX_PRODUCT_BITS"):
+            premeasure_bound(make_system((4, 2 ** (cap - 2))), j=2, k=1)
+
 
 class TestRefusals:
     """Every refusal by exception type and a fragment of its message."""
@@ -344,9 +371,12 @@ class TestRefusals:
         (lambda: even_upper_exp_quotient(3, 0), ValueError, "divisor must be positive"),
         (lambda: make_system((4, 14), -1), ValueError, "exponent budget -1 is negative"),
         (lambda: default_schedule(2, -5), ValueError, "exponent budget -5 is negative"),
+        (lambda: make_system((4, 6, 9)), ValueError, "radix 9 at level 3 is odd"),
+        (lambda: make_system((4, 8, 6)), ValueError, "radices decrease at level 3"),
     ], ids=["h-level-past", "h-level-zero", "empty-schedule", "branch-zero", "few-offsets",
             "premeasure-j", "premeasure-k", "exp-negative", "quotient-divisor",
-            "system-budget-negative", "schedule-budget-negative"])
+            "system-budget-negative", "schedule-budget-negative", "odd-radix",
+            "decreasing-radices"])
     def test_refused(self, call, error, fragment):
         with pytest.raises(error) as err:
             call()

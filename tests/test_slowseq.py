@@ -441,6 +441,17 @@ class TestCoverage:
                              for part in ladder6.open_sets_through(N)])
         assert report.uncovered_measure == covered.complement_within(window).measure()
 
+    def test_the_ends_of_the_parameter_ranges_are_accepted(self, ladder6, seq6):
+        # N = depth and m0 = M are the last values the checks let through;
+        # a single translate leaves [0,1) intersected with that one translate
+        deepest = coverage01(ladder6, seq6, 1, 1, N=6, M=40)
+        assert deepest.N == 6
+        assert deepest.uncovered_measure <= coverage01(ladder6, seq6, 1, 1, N=5, M=40).uncovered_measure
+        single = coverage01(ladder6, seq6, F(1, 2), 7, N=2, M=7)
+        translate = ladder6.remnant_set(2).translate(-F(1, 2) * seq6.alpha_at(7))
+        assert single.residual == IntervalSet((Interval.half_open(0, 1),)).intersect(translate)
+        assert single.residual_measure > 0
+
     def test_json_shape(self, ladder6, seq6):
         d = coverage01(ladder6, seq6, 1, 1, N=2, M=40).to_json_dict()
         for key in ("N", "M", "delta", "uncovered_measure", "residual_measure",

@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,7 +194,8 @@ def test_an_interval_is_one_checked_value():
     coercing = {name for name, method in methods.items()
                 for node in ast.walk(method)
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_fraction"}
-    assert {"open", "closed", "half_open", "point", "parse"} <= set(methods)
+    assert {"open", "closed", "half_open", "point"} <= set(methods)
+    assert not {"parse", "is_point"} & set(methods)  # test helpers, not library API
     assert coercing == {"__post_init__", "translate"}  # translate coerces its shift
 
 
@@ -263,12 +265,19 @@ def _reached(tree, root):
 
 
 def test_each_rung_is_one_union_of_gap_translates():
-    # find_embedding certifies a rung as [0,1] minus one sort-and-sweep union
-    # of the avoider's gap translates, never as a chain of intersections
+    # intersection_of_translates is the hull minus one sort-and-sweep union of
+    # the gaps' translates: one _merge call and no loop that intersects once
+    # per shift; find_embedding certifies each rung through it
+    tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "intersection_of_translates"]
+    calls = [getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    assert calls.count("_merge") == 1
+    assert [loop.lineno for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While, *COMPREHENSIONS))
+            and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_intersect"
+                    for node in ast.walk(loop))] == []
     tree = ast.parse((Path(affcopy.__file__).parent / "avoider.py").read_text(encoding="utf-8"))
-    reached = _reached(tree, "find_embedding")
-    assert "union_of_translates" in reached
-    assert "intersection_of_translates" not in reached
+    assert "intersection_of_translates" in _reached(tree, "find_embedding")
 
 
 def test_both_exp_deciders_share_one_bracket_loop():
@@ -532,3 +541,41 @@ class TestLazyExports:
             affcopy.no_such_name
         with pytest.raises(ImportError):
             from affcopy import no_such_name  # noqa: F401
+
+
+MUTANTS = Path(__file__).parents[1] / "tools" / "mutants.py"
+
+
+def test_the_mutation_script_kills_a_planted_mutant(tmp_path):
+    # the check reads the boundary of `below` alone: flipping its `<` is
+    # killed, while the `>=` of `above` and LIMIT + 1 survive; the planted
+    # file itself is never written
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    planted = lib / "planted.py"
+    text = ("def below(x, cap):\n"
+            "    return x < cap\n"
+            "\n"
+            "\n"
+            "def above(x, cap):\n"
+            "    return x >= cap\n"
+            "\n"
+            "\n"
+            "LIMIT = 3\n")
+    planted.write_text(text)
+    check = "import planted; assert planted.below(1, 2) and not planted.below(2, 2)"
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, str(MUTANTS), str(planted), "2", "9", "--",
+                          sys.executable, "-c", check],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 1, run.stderr
+    assert run.stdout.splitlines() == ["lib/planted.py:6: >= -> >", "lib/planted.py:9: 3 -> 4"]
+    assert run.stderr.splitlines() == ["3 mutants, 2 survived"]
+    assert planted.read_text() == text
+    assert elapsed < 2
+    # the same command on the killed line alone: every mutant killed, exit 0
+    run = subprocess.run([sys.executable, str(MUTANTS), str(planted), "1", "2", "--",
+                          sys.executable, "-c", check],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "1 mutants, 0 survived\n")
