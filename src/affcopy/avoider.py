@@ -51,14 +51,16 @@ MAX_ENDPOINT_BITS = 12_000
 
 #: Most sequence terms one translate union or embedding takes (``--M``). Each
 #: term can add a factor to the common denominator, and an embedding rung
-#: holds the M translates of every avoider gap at once. On a 2-core VM
-#: (Python 3.11.7), ``avoider-embed --beta harmonic --depth 64 --M 1000``
-#: takes 0.15 s and peaks at 47 MB with ``--alpha polynomial:2`` (0.6 s and
-#: 434 MB for the embedding alone at M = 4000), and 0.44 s and 82 MB with
-#: ``geometric:99/100``; ``--beta geometric:9/10 --alpha polynomial:1 --depth
-#: 128`` takes 0.35 s and 104 MB. ``measure_union_translates`` of the first
-#: harmonic hole takes 0.13 s and 73 MB at M = 10^4 and ran out of a 2 GB
-#: address space at 10^5.
+#: holds one run of translates per stretch of the M shifts along which an
+#: avoider gap's translates chain. On a 2-core VM (Python 3.11.7),
+#: ``avoider-embed --beta harmonic --depth 64 --M 1000`` takes 0.13 s and
+#: peaks at 34 MB with ``--alpha polynomial:2`` (0.34 s and 207 MB for the
+#: embedding alone at M = 4000, where the shortest holes chain no
+#: translates), and 0.40 s and 79 MB with ``geometric:99/100``; ``--beta
+#: geometric:9/10 --alpha polynomial:1 --depth 128`` takes 0.22-0.28 s and
+#: 19 MB. ``measure_union_translates`` of the first harmonic hole takes
+#: 0.13 s and 55 MB at M = 10^4 and ran out of a 2 GB address space at 10^5,
+#: where each of the M shifts alone is an int of about 144,000 bits.
 MAX_M = 1000
 
 
@@ -326,15 +328,18 @@ def summability_report(t: ThresholdSequence, depth: int) -> SummabilityReport:
 
 def delta0_of(alpha: Sequence[RationalLike], t: ThresholdSequence) -> Optional[Fraction]:
     """Largest delta0 with |alpha_m| <= eta_m/(2*delta0) over the vector, or
-    None when every entry is zero (unconstrained)."""
-    best: Optional[Fraction] = None
+    None when every entry is zero (unconstrained). The running minimum of
+    eta_m/(2|alpha_m|) is kept as an int pair, compared cross-multiplied,
+    and made a Fraction once."""
+    num, den = 1, 0  # no cap yet: an infinite minimum
     for m, a in enumerate(alpha, 1):
-        a = as_fraction(a)
-        if a == 0:
-            continue
-        cap = t.eta(m) / (2 * abs(a))
-        best = cap if best is None else min(best, cap)
-    return best
+        p, q = as_fraction(a).as_integer_ratio()
+        if p:
+            e, d = t.eta(m).as_integer_ratio()
+            n, k = e * q, 2 * d * abs(p)
+            if n * den < num * k:
+                num, den = n, k
+    return Fraction(num, den) if den else None
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,12 @@ One helper, ``_aligned``, sizes the common lattice: it carries several sets
 to the lcm D of their lattices and of any shifts' denominators (``2xD + f``
 becomes ``2xDk + f``) and turns each shift t into the cut move ``2tD``, so a
 set's translates share one lattice, sized once from all its shifts.
+Another, ``_translate_runs``, sorts the distinct moves once and chains a
+range's translates by neighbouring moves into one run wherever their step is
+at most the range's width, exactly when the two overlap or touch; so a union
+of translates sorts and sweeps runs, never a list of every translate.
+``contains_point`` places x = p/q on the lattice with one ``divmod(p*D, q)``
+and bisects the start cuts, with no cut rescaled.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from itertools import chain, starmap
 from math import lcm
-from operator import itemgetter, lt
+from operator import itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -347,13 +353,16 @@ class IntervalSet:
     # -- queries ----------------------------------------------------------------
 
     def contains_point(self, x: RationalLike) -> bool:
-        """Bisect the cuts, carried to the lattice D*q of x = p/q, for x's
-        cut ``2pD``."""
+        """Place x = p/q on the lattice D by one ``divmod(p*D, q) = (y, r)``:
+        x is the lattice point y when r is 0 and lies strictly between y and
+        y + 1 otherwise, so it orders against every cut as the cut
+        ``2y + (r != 0)`` does. Bisect the start cuts for it."""
         x = as_fraction(x)
         D, cuts = self._lattice
-        cut, q2 = 2 * x.numerator * D, 2 * x.denominator
-        i = bisect_right(cuts, cut, key=lambda r: (r[0] >> 1) * q2 | r[0] & 1)
-        return i > 0 and cut < ((cuts[i - 1][1] >> 1) * q2 | cuts[i - 1][1] & 1)
+        y, r = divmod(x.numerator * D, x.denominator)
+        cut = 2 * y + (r != 0)
+        i = bisect_right(cuts, cut, key=_START)
+        return i > 0 and cut < cuts[i - 1][1]
 
     def issuperset(self, other: "IntervalSet") -> bool:
         return other.difference(self).is_empty
@@ -543,6 +552,31 @@ def _merge(*groups: _Cuts) -> _Cuts:
     return merged
 
 
+def _translate_runs(cuts: _Cuts, moves: Iterable[int]) -> _Cuts:
+    """Cut ranges whose union is the union of the ranges' translates by
+    every move, one per run of chained translates.
+
+    With the distinct moves sorted, the translates of ``[lo, hi)`` by two
+    neighbouring moves overlap or touch exactly when their step is at most
+    the width ``hi - lo``, whatever the flags, so each stretch of moves
+    whose steps all are at most it gives one run, from lo plus its first
+    move to hi plus its last. The steps are sorted once, and a range's
+    breaks, the steps wider than it, are one bisect of them: O(M log M +
+    R log M) time and O(M + R) memory for M moves and R runs.
+    """
+    moves = sorted(set(moves))
+    if not moves:
+        return []
+    steps = list(map(sub, moves[1:], moves))  # steps[i] leads from move i to move i + 1
+    order = sorted(range(len(steps)), key=steps.__getitem__)
+    widths = [steps[i] for i in order]
+    runs: _Cuts = []
+    for lo, hi in cuts:
+        ends = [-1, *sorted(order[bisect_right(widths, hi - lo):]), len(moves) - 1]
+        runs += [(lo + moves[a + 1], hi + moves[b]) for a, b in zip(ends, ends[1:])]
+    return runs
+
+
 def _intersect(a: _Cuts, b: _Cuts) -> _Cuts:
     """Each range of the shorter list clips the slice of the other it overlaps."""
     if len(a) < len(b):
@@ -586,13 +620,10 @@ def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
 
 
 def union_of_translates(s: IntervalSet, shifts: Iterable[RationalLike]) -> IntervalSet:
-    """Union of the translates s + t over all shifts, in one sort-and-sweep.
-
-    Cuts are shifted directly, parts in the outer loop, so for sorted shifts
-    each part's translates arrive as one sorted run.
-    """
+    """Union of the translates s + t over all shifts, in one sort-and-sweep
+    of the runs ``_translate_runs`` chains each part's translates into."""
     D, (cuts,), moves = _aligned((s,), shifts)
-    return _decode(_merge([(lo + m, hi + m) for lo, hi in cuts for m in moves]), D)
+    return _decode(_merge(_translate_runs(cuts, moves)), D)
 
 
 def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
@@ -603,10 +634,10 @@ def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
     its last part's end, flags kept) and G = H minus s the gaps between its
     parts, x lies in s + t exactly when it lies in H + t and in no G + t. So
     the result is ``within`` intersected with every H + t, one interval,
-    minus one sort-and-sweep union of the translates G + t: no intersection
-    per shift. No shifts leave ``within``; an empty s with shifts gives the
-    empty set. D is the lcm of both operands' lattices and every shift's
-    denominator.
+    minus one sort-and-sweep union of the translates G + t, chained into
+    runs by ``_translate_runs``: no intersection per shift. No shifts leave
+    ``within``; an empty s with shifts gives the empty set. D is the lcm of
+    both operands' lattices and every shift's denominator.
     """
     D, (cuts, out), moves = _aligned((s, within), shifts)
     if not moves:
@@ -616,5 +647,6 @@ def intersection_of_translates(s: IntervalSet, shifts: Iterable[RationalLike],
     lo, hi = cuts[0][0] + max(moves), cuts[-1][1] + min(moves)
     if lo >= hi:
         return _decode([], D)
-    gaps = [(end + m, start + m) for (_, end), (start, _) in zip(cuts, cuts[1:]) for m in moves]
-    return _decode(_difference(_intersect(out, [(lo, hi)]), _merge(gaps)), D)
+    gaps = [(end, start) for (_, end), (start, _) in zip(cuts, cuts[1:])]
+    covered = _merge(_translate_runs(gaps, moves))
+    return _decode(_difference(_intersect(out, [(lo, hi)]), covered), D)

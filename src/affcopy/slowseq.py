@@ -29,8 +29,9 @@ if TYPE_CHECKING:
 #: Longest horizon a sequence is materialized or validated over. Cost grows
 #: linearly with it: on a 2-core VM (Python 3.11) at horizon 250,000,
 #: ``avoider-build --beta iterlog:1 --depth 2`` takes 3.2 s and 80 MB peak RSS
-#: (13.8 s and 275 MB at 10^6) and ``seq-decompose --depth 14`` 2.2 s and
-#: 101 MB. Longer horizons are refused before any value is computed.
+#: (13.8 s and 275 MB at 10^6) and ``seq-decompose --depth 14`` 2.7-3.2 s
+#: and 130 MB, most of it the brute-force check's translates. Longer horizons
+#: are refused before any value is computed.
 MAX_HORIZON = 250_000
 
 

@@ -369,6 +369,32 @@ class TestDelta0:
     def test_all_zero_unconstrained(self, eta_harmonic):
         assert delta0_of([F(0)] * 5, eta_harmonic) is None
 
+    def test_the_int_minimum_is_the_fraction_minimum(self):
+        # seeded vectors of Fractions, ints and 'p/q' strings holding zeros,
+        # negatives and ties, over two eta sequences; the reference takes the
+        # minimum of the Fraction caps eta_m/(2|alpha_m|)
+        rng = random.Random(59)
+        etas = (harmonic_eta(), thresholdize([F(3, m + 2) for m in range(1, 41)]))
+        seen = {"zero": 0, "negative": 0, "int": 0, "string": 0, "tie": 0, "none": 0}
+        for _ in range(1500):
+            t = rng.choice(etas)
+            vector, nonzero = [], rng.choice((0.9, 0.5, 0))  # 0: an all-zero vector
+            for _ in range(rng.randint(1, 40)):
+                a = F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < nonzero else F(0)
+                vector.append(rng.choice((a, str(a), a.numerator) if a.denominator == 1
+                                         else (a, str(a))))
+            caps = [t.eta(m) / (2 * abs(F(a))) for m, a in enumerate(vector, 1) if F(a)]
+            got = delta0_of(vector, t)
+            assert got == min(caps, default=None)
+            assert got is None or type(got) is F
+            seen["zero"] += any(not F(a) for a in vector)
+            seen["negative"] += any(F(a) < 0 for a in vector)
+            seen["int"] += any(type(a) is int for a in vector)
+            seen["string"] += any(type(a) is str for a in vector)
+            seen["tie"] += len(caps) > len(set(caps))
+            seen["none"] += got is None
+        assert min(seen.values()) > 20, seen
+
 
 class TestFindEmbedding:
     def test_depth_zero_trivial(self, eta_harmonic):

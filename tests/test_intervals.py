@@ -300,6 +300,108 @@ class TestTranslatePrimitives:
         got = intersection_of_translates(iset("(0,1)"), iter([0, 10, 20]), iset("[0,1]"))
         assert got == EMPTY
 
+    # the translates chain into runs (intervals._translate_runs); each case
+    # below checks both functions against the Fraction reference
+
+    def both_against_the_reference(self, s, shifts, within=None):
+        within = iset("[-40,40]") if within is None else within
+        same(union_of_translates(s, shifts), naive_union_of_translates(s, shifts))
+        same(intersection_of_translates(s, shifts, within),
+             naive_intersection_of_translates(s, shifts, within))
+
+    def test_duplicate_zero_and_negative_shifts(self):
+        rng = random.Random(34)
+        seen = Counter()
+        for _ in range(400):
+            s, within = mixed_set(rng), random_interval_set(rng, max_parts=6)
+            pool = [random_fraction(rng, span=3, max_den=4) for _ in range(rng.randint(1, 4))]
+            shifts = [rng.choice(pool + [0, -abs(pool[0])]) for _ in range(rng.randint(1, 9))]
+            self.both_against_the_reference(s, shifts, within)
+            seen["duplicate"] += len(set(shifts)) < len(shifts)
+            seen["zero"] += 0 in shifts
+            seen["negative"] += min(shifts) < 0
+            seen["all negative"] += max(shifts) < 0
+        assert min(seen.values()) > 40, seen
+
+    def test_a_generator_of_shifts_is_read_once(self):
+        rng = random.Random(35)
+        for _ in range(100):
+            s, within = mixed_set(rng), random_interval_set(rng)
+            shifts = [random_fraction(rng, span=3, max_den=5) for _ in range(rng.randint(0, 8))]
+            for translates, args in ((union_of_translates, ()),
+                                     (intersection_of_translates, (within,))):
+                reads = []
+                got = translates(s, (reads.append(t) or t for t in shifts), *args)
+                assert reads == shifts
+                assert got == translates(s, shifts, *args)
+            self.both_against_the_reference(s, shifts, within)
+
+    def test_a_single_shift(self):
+        rng = random.Random(36)
+        for _ in range(200):
+            s, within = mixed_set(rng), random_interval_set(rng)
+            t = random_fraction(rng, span=4, max_den=7)
+            same(union_of_translates(s, [t]), ref.translate(s, t))
+            same(intersection_of_translates(s, [t], within),
+                 ref.intersect(within, ref.translate(s, t)))
+            self.both_against_the_reference(s, [t, t], within)
+
+    def test_point_parts(self):
+        points = iset("[0,0]", "[1/2,1/2]", "[1,1]")
+        self.both_against_the_reference(points, [0, F(1, 2), 1, F(3, 2)])
+        assert union_of_translates(points, [0, F(1, 2)]) == iset(
+            "[0,0]", "[1/2,1/2]", "[1,1]", "[3/2,3/2]")
+        # a point gap between two parts, and points beside intervals
+        self.both_against_the_reference(iset("[0,1)", "(1,2]"), [0, F(1, 3), F(2, 3)])
+        self.both_against_the_reference(iset("[-1,-1]", "(0,1)", "[2,2]", "[3,4]"),
+                                        [0, 1, 2, F(-1, 2)])
+        rng = random.Random(37)
+        for _ in range(200):
+            dots = ref.normalize([Interval.point(random_fraction(rng, span=4, max_den=3))
+                                  for _ in range(rng.randint(1, 5))])
+            shifts = [random_fraction(rng, span=2, max_den=3) for _ in range(rng.randint(1, 5))]
+            self.both_against_the_reference(dots, shifts, random_interval_set(rng))
+
+    @pytest.mark.parametrize("lo_closed, hi_closed", list(product((True, False), repeat=2)))
+    def test_a_step_equal_to_the_length(self, lo_closed, hi_closed):
+        # translates k*w of an interval of length w meet at the ends k*w:
+        # they fuse unless both ends are open, which keeps every k*w out
+        w, M = F(3, 7), 6
+        part = IntervalSet((Interval(0, w, lo_closed, hi_closed),))
+        shifts = [k * w for k in range(M)]
+        self.both_against_the_reference(part, shifts)
+        union = union_of_translates(part, shifts[::-1])
+        fused = lo_closed or hi_closed
+        assert len(union) == (1 if fused else M)
+        assert union.measure() == M * w
+        assert all(union.contains_point(k * w) is fused for k in range(1, M))
+        # the same meeting rule for the gap of a set's translates: the gap
+        # (1, 1 + w) between the parts, with the flags the parts leave it
+        gapped = IntervalSet((Interval(-1, 1, True, not lo_closed),
+                              Interval(1 + w, 3, not hi_closed, True)))
+        self.both_against_the_reference(gapped, shifts, iset("[-2,9]"))
+        hull = IntervalSet((Interval.closed(-1 + shifts[-1], 3),))  # every hull translate
+        gap = IntervalSet((Interval(1, 1 + w, lo_closed, hi_closed),))
+        assert hull.difference(intersection_of_translates(gapped, shifts, hull)) == (
+            hull.intersect(union_of_translates(gap, shifts)))
+
+    @pytest.mark.parametrize("step, M", [(F(1, 5), 7), (F(1, 2), 7), (F(1, 2) + F(1, 97), 7),
+                                         (F(3, 2), 5), (F(1, 2), 1)])
+    def test_the_runs_of_one_interval_have_a_closed_form_count(self, step, M):
+        # one interval of length w = 1/2 under the shifts k*step: one run
+        # when step <= w, else M runs, for a closed or a half-open interval
+        w = F(1, 2)
+        for part in (Interval.closed(0, w), Interval.half_open(0, w)):
+            s = IntervalSet((part,))
+            shifts = [k * step for k in range(M)] * 2  # each twice, one order reversed
+            shifts[M:] = shifts[M:][::-1]
+            D, (cuts,), moves = intervals._aligned((s,), shifts)
+            runs = intervals._translate_runs(cuts, moves)
+            assert len(runs) == (1 if step <= w else M)
+            assert runs == intervals._merge(runs)  # the runs are the union
+            assert len(union_of_translates(s, shifts)) == len(runs)
+            self.both_against_the_reference(s, shifts)
+
 
 def same(got, want):
     # the cut queries run first, while a kernel result is still undecoded
@@ -977,7 +1079,9 @@ class TestCutMembersAgainstReference:
 
     def test_contains_point(self):
         # every endpoint with every flag, points one step over a new
-        # denominator off each end, midpoints, and points over new denominators
+        # denominator off each end, midpoints, points over new denominators,
+        # and off-lattice points next to every cut: strictly between an end
+        # and the lattice points 1/D on either side of it, near both
         rng = random.Random(167)
         seen = Counter()
         for s in cut_member_inputs(167, 1500):
@@ -987,6 +1091,10 @@ class TestCutMembersAgainstReference:
                 step = F(1, D * rng.choice(NEW_DENOMINATORS))
                 points += [p.lo, p.hi, p.lo - step, p.lo + step, p.hi - step, p.hi + step,
                            (p.lo + p.hi) / 2]
+                for end in (p.lo, p.hi):
+                    q = rng.choice(NEW_DENOMINATORS)
+                    for r in (1, rng.randrange(1, q), q - 1):
+                        points += [end - F(r, D * q), end + F(r, D * q)]
             for x in points:
                 got = s.contains_point(x)
                 assert got is ref.contains_point(s, x), (s, x)

@@ -32,22 +32,26 @@ def _calls_translate(node):
 
 def test_translate_unions_and_intersections_go_through_the_kernel():
     # union_of_translates / intersection_of_translates in intervals.py are the
-    # one place that builds them; nowhere else may hand-roll the loop
+    # one place that builds them; nowhere else may hand-roll the loop, except
+    # seq-decompose's brute-force check, which must not share the kernel's
+    # chaining of translates into runs, and so must hand-roll it
     found = []
     for path in SOURCES:
         if path.name == "intervals.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "normalize" and any(isinstance(a, COMPREHENSIONS) and _calls_translate(a)
-                                           for a in node.args):
-                found.append(f"{path.name}:{node.lineno}: normalize of translates")
-            if (isinstance(node.func, ast.Attribute) and name == "intersect"
-                    and any(_calls_translate(a) for a in node.args)):
-                found.append(f"{path.name}:{node.lineno}: intersect with a translate")
-    assert found == []
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call) or not node.args:
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                where = f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                if name == "normalize" and any(isinstance(a, COMPREHENSIONS)
+                                               and _calls_translate(a) for a in node.args):
+                    found.append(f"{where}: normalize of translates")
+                if (isinstance(node.func, ast.Attribute) and name == "intersect"
+                        and any(_calls_translate(a) for a in node.args)):
+                    found.append(f"{where}: intersect with a translate")
+    assert found == ["cli.py:_seq_decompose: normalize of translates"]
 
 
 def _private(name):
@@ -264,13 +268,34 @@ def _reached(tree, root):
     return reached
 
 
+def _pairs_every_with_every(comprehension):
+    # a later generator whose iterable reads no name an earlier one binds
+    # runs in full for every earlier element: a product of the two
+    bound = set()
+    for gen in comprehension.generators:
+        reads = {n.id for n in ast.walk(gen.iter) if isinstance(n, ast.Name)}
+        if bound and not reads & bound:
+            return True
+        bound |= {n.id for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+    return False
+
+
 def test_each_rung_is_one_union_of_gap_translates():
     # intersection_of_translates is the hull minus one sort-and-sweep union of
     # the gaps' translates: one _merge call and no loop that intersects once
-    # per shift; find_embedding certifies each rung through it
+    # per shift; find_embedding certifies each rung through it. Both translate
+    # functions hand _merge the runs _translate_runs chains the translates
+    # into, and no comprehension lists every part's every translate
     tree = ast.parse(Path(intervals.__file__).read_text(encoding="utf-8"))
-    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-             and node.name == "intersection_of_translates"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("union_of_translates", "intersection_of_translates"):
+        merges = [node for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_merge"]
+        assert [[getattr(arg.func, "id", None) for arg in node.args if isinstance(arg, ast.Call)]
+                for node in merges] == [["_translate_runs"]], name
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, COMPREHENSIONS)
+            and _pairs_every_with_every(node)] == []
+    fn = functions["intersection_of_translates"]
     calls = [getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)]
     assert calls.count("_merge") == 1
     assert [loop.lineno for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While, *COMPREHENSIONS))
