@@ -30,9 +30,14 @@ Canonical means the cuts strictly increase, which is exactly the
 :class:`Interval` shape rule within each range and the canonical rule between
 neighbours, so a kernel result skips both constructors and decodes its parts
 to Fraction endpoints (``c >> 1`` over ``D``, flag ``c & 1``) only when
-``parts`` is first read. Those parts, :meth:`Interval.translate` and
-:meth:`Interval.split_around` build through one unchecked builder, ``_part``,
-since their shape is known or, for a split, checked on ints first.
+``parts`` is first read. There is one unchecked builder per type, and each
+sets its type's slots directly: ``_part`` for :class:`Interval` and
+``_reduced`` for ``Fraction``. Those parts, :meth:`Interval.translate` and
+:meth:`Interval.split_around` build through ``_part``, since their shape is
+known or, for a split, checked on ints first. The parts' endpoints, a
+translate's endpoints and ``measure`` build through ``_reduced``, since each
+is an int over a positive int: one gcd and none of the constructor's
+argument handling.
 Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
 Every set operation, transform and query reads the cuts: ``len``, truth,
 ``is_empty``, ``==``, union, intersection, difference, ``measure``,
@@ -54,23 +59,37 @@ and bisects the start cuts, with no cut rescaled.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from itertools import chain, starmap
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
+#: The largest decimal exponent magnitude ``as_fraction`` reads from text,
+#: the 4,300 digits ``str()`` writes: past it the Fraction constructor would
+#: first build a power of ten of as many digits as the exponent asks for.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints and ``p/q`` strings to an exact Fraction."""
+    """Coerce ints and ``p/q`` strings to an exact Fraction; text whose
+    decimal exponent is above MAX_DECIMAL_EXPONENT in magnitude is refused
+    with a ValueError before any power of ten is built."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed; pass a Fraction, int or 'p/q' string")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent {exponent[1]} is above the cap "
+                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
     return Fraction(value)
 
 
@@ -141,7 +160,7 @@ class Interval:
         n, d = as_fraction(shift).as_integer_ratio()
         a, b = self.lo.as_integer_ratio()  # a translate keeps the shape: no checks
         c, e = self.hi.as_integer_ratio()
-        return _part(Fraction(a * d + n * b, b * d), Fraction(c * d + n * e, e * d),
+        return _part(_reduced(a * d + n * b, b * d), _reduced(c * d + n * e, e * d),
                      self.lo_closed, self.hi_closed)
 
     def split_around(self, lo: Fraction, hi: Fraction) -> Tuple[Interval, Interval, Interval]:
@@ -282,7 +301,7 @@ class IntervalSet:
     def measure(self) -> Fraction:
         """Total length; endpoint flags do not affect the value."""
         D, cuts = self._lattice
-        return Fraction(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
+        return _reduced(sum(hi >> 1 for _, hi in cuts) - sum(lo >> 1 for lo, _ in cuts), D)
 
     def longest(self) -> Interval:
         """The first part of greatest length, the only part it decodes;
@@ -399,6 +418,23 @@ def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Inter
     return part
 
 
+#: Setters of the two Fraction slots, ``_numerator`` and ``_denominator``;
+#: a Fraction with another number of slots fails here, at import.
+_set_numerator, _set_denominator = (vars(Fraction)[name].__set__ for name in Fraction.__slots__)
+
+
+def _reduced(n: int, d: int) -> Fraction:
+    """The Fraction n/d for ints n and d > 0, built without the constructor:
+    the one unchecked Fraction builder, which divides both by their gcd and
+    sets the two slots directly, as ``Fraction``'s own arithmetic does with
+    ints it knows to be coprime."""
+    g = gcd(n, d)
+    x = object.__new__(Fraction)
+    _set_numerator(x, n // g)
+    _set_denominator(x, d // g)
+    return x
+
+
 # -- the JSON report format -----------------------------------------------------
 
 class Report:
@@ -505,7 +541,7 @@ def _decode(cuts: _Cuts, D: int) -> IntervalSet:
 
 def _decode_part(lo: int, hi: int, D: int) -> Interval:
     """The part of the cut range ``[lo, hi)`` over D."""
-    return _part(Fraction(lo >> 1, D), Fraction(hi >> 1, D), not lo & 1, bool(hi & 1))
+    return _part(_reduced(lo >> 1, D), _reduced(hi >> 1, D), not lo & 1, bool(hi & 1))
 
 
 def _rescale(cuts: _Cuts, k: int) -> _Cuts:

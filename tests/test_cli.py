@@ -899,6 +899,35 @@ def test_malformed_appendix_input_exits_two(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+EMBED_ALPHA = ["avoider-embed", "--beta", "harmonic", "--M", "3", "--depth", "2", "--alpha"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["avoider-measure", "--beta", "harmonic", "--M", "40", "--lo", "0", "--length", "1e-5000"],
+     "error: argument --length: malformed rational '1e-5000': decimal exponent -5000 is above "
+     "the cap 4300 in magnitude\n"),
+    (["appendix-intersect", "--schedule", "4,14", "--alphas", "0,1e-5000", "--U", "2"],
+     "error: --alphas entry 2: malformed rational '1e-5000'\n"),
+    (EMBED_ALPHA + ["{file}"], "error: {file}, entry 2: malformed rational '1E+5000'\n"),
+    (EMBED_ALPHA + ["geometric:1e-5000"],
+     "error: preset 'geometric:1e-5000': malformed rational '1e-5000'\n"),
+], ids=["flag", "alphas", "sequence-file", "preset"])
+def test_a_decimal_exponent_past_the_cap_exits_two_naming_its_source(tmp_path, capsys, argv,
+                                                                       message):
+    # once a bare digit-limit error, an unrelated refusal or a run: the
+    # constructor built the power of ten, and --length 1e-3000000 ran past a minute
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(["1/2", "1E+5000", "1/8"]))
+    argv = [arg.format(file=path) for arg in argv]
+    try:
+        code, report = run(tmp_path, *argv)
+    except SystemExit as err:
+        code, report = err.code, None
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err.endswith(message.format(file=path))
+
+
 @pytest.mark.parametrize("beta", ["harmonic:junk", "harmonic:"])
 def test_harmonic_takes_no_argument(tmp_path, capsys, beta):
     # once read as plain harmonic

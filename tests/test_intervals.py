@@ -12,8 +12,9 @@ import pytest
 
 import fraction_kernel as ref
 from affcopy import intervals
-from affcopy.intervals import (EMPTY, Interval, IntervalSet, intersection_of_translates,
-                               normalize, union_all, union_of_translates)
+from affcopy.intervals import (EMPTY, Interval, IntervalSet, as_fraction,
+                               intersection_of_translates, normalize, union_all,
+                               union_of_translates)
 from affcopy.propcheck import random_fraction, random_interval_set, run_kernel_property_suite
 
 F = Fraction
@@ -48,6 +49,20 @@ class TestIntervalBasics:
         assert Interval.point(F(1, 3)).length == 0
         with pytest.raises(ValueError):
             Interval(F(1), F(1), True, False)
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+4301", "-2.5e-4_301", " 7e5000 ",
+                                      "1e-\u0664\u0663\u0660\u0661"])
+    def test_a_decimal_exponent_past_the_cap_is_refused(self, text):
+        # Fraction(text) would build the power of ten first. The last text
+        # writes 4301 in Arabic-Indic digits, which Fraction and int read too.
+        assert intervals.MAX_DECIMAL_EXPONENT == 4300
+        with pytest.raises(ValueError, match="decimal exponent .* above the cap 4300"):
+            as_fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-1.5E+4_300", " 2e-0004300 ", "5",
+                                      "-3/7", "0.25", "1e-\u0664\u0663\u0660\u0660"])
+    def test_a_decimal_exponent_up_to_the_cap_is_read(self, text):
+        assert as_fraction(text) == Fraction(text)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
@@ -1110,12 +1125,22 @@ class TestCutMembersAgainstReference:
         assert min(seen.values()) > 100, seen
 
 
+def same_fraction(got, want):
+    """Equal to the constructor's Fraction and alike in every form: Fraction's
+    ``==`` compares numerator and denominator, so an unreduced value fails."""
+    assert type(got) is Fraction and got == want
+    assert got.as_integer_ratio() == want.as_integer_ratio()
+    assert hash(got) == hash(want) and str(got) == str(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+
+
 def same_interval(got, want):
     """Equal as values and alike in every form: hash, text, pickle, field types."""
     assert got == want
     assert hash(got) == hash(want) and str(got) == str(want)
     assert pickle.loads(pickle.dumps(got)) == want
-    assert type(got.lo) is Fraction is type(got.hi)
+    same_fraction(got.lo, want.lo)
+    same_fraction(got.hi, want.hi)
     assert type(got.lo_closed) is bool is type(got.hi_closed)
 
 
@@ -1131,8 +1156,33 @@ def flagged_intervals(rng, count):
 
 class TestUncheckedParts:
     """Interval.translate, Interval.split_around and the kernel's part decoder
-    build their parts without ``__post_init__``; each part must equal the
-    checked construction of the same ends."""
+    build their parts without ``__post_init__``, and translates, decoded parts
+    and ``measure`` their Fractions without the Fraction constructor; each
+    must equal the checked construction of the same value."""
+
+    def test_reduced_matches_the_constructor(self):
+        # _reduced sets the two slots Fraction has on every supported Python
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        rng = random.Random(199)
+        seen = Counter()
+        for _ in range(3000):
+            n = rng.randint(-2 ** rng.randint(0, 4000), 2 ** rng.randint(0, 4000))
+            d = rng.randint(1, 2 ** rng.randint(0, 3000))
+            kind = rng.randrange(5)
+            if kind == 0:
+                n = 0
+            elif kind == 1:
+                d = 1
+            elif kind == 2:  # a multiple of d, sometimes negative
+                n = d * rng.randint(-2 ** 64, 2 ** 64)
+            elif kind == 3:  # a shared factor to divide out
+                g = rng.randint(2, 2 ** 200)
+                n, d = n * g, d * g
+            same_fraction(intervals._reduced(n, d), Fraction(n, d))
+            seen[kind] += 1
+            seen["negative" if n < 0 else "zero" if n == 0 else "positive"] += 1
+            seen["whole" if n % d == 0 else "proper"] += 1
+        assert len(seen) == 10 and min(seen.values()) > 300, seen
 
     def test_split_around_matches_the_checked_constructor(self):
         rng = random.Random(197)
@@ -1176,8 +1226,9 @@ class TestUncheckedParts:
             # the same shift as a Fraction, a 'p/q' string and, when whole, an int
             shifts = [t, f"{t.numerator}/{t.denominator}"] + [t.numerator] * (t.denominator == 1)
             for shift in shifts:
-                same_interval(p.translate(shift),
-                              Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed))
+                got = p.translate(shift)
+                same_interval(got, Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed))
+                same_interval(got, ref.translate(IntervalSet((p,)), shift).parts[0])
                 seen[type(shift).__name__] += 1
             seen["zero" if t == 0 else "negative" if t < 0 else "positive"] += 1
             seen["point" if is_point(p) else (p.lo_closed, p.hi_closed)] += 1
@@ -1187,7 +1238,8 @@ class TestUncheckedParts:
                 Interval.open(0, 1).translate(bad)
 
     def test_decoded_parts_match_the_checked_constructor(self):
-        # the reference builds every part through the checked constructor
+        # the reference builds every part through the checked constructor,
+        # and its measure is the Fraction sum of the part lengths
         rng = random.Random(193)
         seen = Counter()
         for s in cut_member_inputs(193, 600):
@@ -1195,6 +1247,7 @@ class TestUncheckedParts:
             for got, want in ((s.union(other), ref.union(s, other)),
                               (s.intersect(other), ref.intersect(s, other)),
                               (s.translate(shift), ref.translate(s, shift))):
+                same_fraction(got.measure(), sum((p.length for p in want.parts), F(0)))
                 assert got._parts is None  # parts below are decoded on this read
                 assert len(got.parts) == len(want.parts)
                 for part, checked in zip(got.parts, want.parts):

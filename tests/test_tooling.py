@@ -379,6 +379,22 @@ def test_one_unchecked_interval_builder():
                                                               "split_around"}
 
 
+def test_one_unchecked_fraction_builder():
+    # _reduced is the one function that makes a Fraction without its
+    # constructor; translates, decoded parts and measure build through it,
+    # and every colder site keeps the constructor
+    calls = [(path.name, owner, node) for path in SOURCES
+             for owner, node in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    builders = [(name, owner) for name, owner, call in calls
+                if isinstance(call.func, ast.Attribute) and call.func.attr == "__new__"
+                and any(isinstance(a, ast.Name) and a.id == "Fraction" for a in call.args)]
+    assert builders == [("intervals.py", "_reduced")]
+    assert {(name, owner) for name, owner, call in calls
+            if getattr(call.func, "id", None) == "_reduced"} == {
+        ("intervals.py", owner) for owner in ("translate", "_decode_part", "measure")}
+
+
 def test_the_ladder_splits_each_remnant_in_one_checked_step():
     # build_cantor makes every gap and remnant through Interval.split_around,
     # which checks the three shapes on ints, and constructs no Interval itself
