@@ -161,9 +161,19 @@ def _overlap(t: ThresholdSequence, lam: Fraction, where: str = "") -> Tuple[int,
     try:
         T = threshold_index(t.eta_gap, 1, 1, lam, t.horizon - 1)
     except HorizonError:
-        raise HorizonError(f"{where}no eta gap falls below the hole length lambda={lam} "
-                           f"within the sequence horizon {t.horizon}") from None
+        raise HorizonError(f"{where}no eta gap falls below the hole length lambda={_shown(lam)}"
+                           f" within the sequence horizon {t.horizon}") from None
     return T, T * lam + t.eta(T)
+
+
+def _shown(x: Fraction) -> str:
+    """x as ``str`` writes it, or, past the 4,300 digits ``str`` writes, the
+    bit lengths of its numerator and denominator."""
+    try:
+        return str(x)
+    except ValueError:
+        return (f"<a {x.numerator.bit_length()}-bit numerator over a "
+                f"{x.denominator.bit_length()}-bit denominator>")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ The oracle supplies, for any closed interval K, an open subinterval of the
 closed middle third of K that misses the oracle's target set; three concrete
 oracles are provided (empty target, the classical ternary middle-thirds set,
 and finite point sets). Oracles answer on ints: K's ends and the gap's ends
-pass as numerator and denominator pairs, so the construction turns only the
-shrunk gaps into Fractions. Verification replays every structural claim of
+pass as numerator and denominator pairs, and each shrunk gap passes to the
+split as two ints over one denominator, so the construction itself builds no
+Fraction per remnant. Verification replays every structural claim of
 the construction exactly, on the ends of every level read once as ints over
 one lattice D; its set-valued claims hand the interval kernel sets built from
 those ints. The truncated cover report measures how much of the level-N
@@ -29,11 +30,11 @@ UNIT = Interval.closed(0, 1)
 TWO_THIRDS = Fraction(2, 3)
 
 #: Deepest ladder :func:`build_cantor` runs. Level n holds 2^n remnants, so time
-#: and memory double per level: on a 2-core VM (Python 3.11) a depth-16 middle-third
-#: ladder builds in 0.7 s at 55 MB peak RSS and verifies (k_max 4, a 135-bit
-#: lattice D) in 0.45 s more at 104 MB; ``cantor-build --depth 16`` takes 1.3-1.5 s
-#: and 87 MB, and ``cantor-verify --depth 16 --kmax 4`` 1.3-1.5 s and 105 MB.
-#: Deeper requests are refused before anything is built.
+#: and memory double per level: on a shared 2-core VM (Python 3.11) a depth-16
+#: middle-third ladder builds in 1.1-1.3 s at 54 MB peak RSS and verifies (k_max 4,
+#: a 135-bit lattice D) in 0.7-1.0 s more at 104 MB; ``cantor-build --depth 16``
+#: takes 2.4-2.9 s and 87 MB, and ``cantor-verify --depth 16 --kmax 4`` 2.1-2.6 s
+#: and 105 MB. Deeper requests are refused before anything is built.
 MAX_DEPTH = 16
 
 
@@ -159,7 +160,8 @@ class FinitePointsOracle(GapOracle):
     ninth of K, given as the middle-third oracle's ints over 9bd.
 
     Only the sorted points' ``(numerator, denominator)`` pairs are kept, and
-    both methods scan all of them, comparing by cross-multiplication.
+    both methods scan them once in order, comparing by cross-multiplication
+    and stopping at the first point past the interval they ask about.
     """
 
     name = "finite-points"
@@ -171,14 +173,21 @@ class FinitePointsOracle(GapOracle):
     def gap_ends(self, a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int]:
         den = 3 * b * d  # the middle third is [u/den, v/den]
         u, v = 2 * a * d + c * b, a * d + 2 * c * b
-        stops = [(u, den), *((p, q) for p, q in self._pairs if u * q < p * den < v * q), (v, den)]
-        if len(stops) == 2:  # no point inside: the middle-third oracle's ints, over 9bd
+        inside = []
+        for p, q in self._pairs:
+            if p * den >= v * q:
+                break  # this point and every later one lie at or past v/den
+            if u * q < p * den:
+                inside.append((p, q))
+        if not inside:  # the middle-third oracle's ints, over 9bd
             return _middle_ninth(a, b, c, d)
+        stops = [(u, den), *inside, (v, den)]
         # the stretch from p/q to r/s has length (rq - ps)/(qs); keep the first longest
-        best, num, dnm = 0, -1, 1
-        for i, ((p, q), (r, s)) in enumerate(zip(stops, stops[1:])):
-            if (r * q - p * s) * dnm > num * q * s:
-                best, num, dnm = i, r * q - p * s, q * s
+        spans = [(r * q - p * s, q * s) for (p, q), (r, s) in zip(stops, stops[1:])]
+        best = 0
+        for i, (num, dnm) in enumerate(spans):
+            if num * spans[best][1] > spans[best][0] * dnm:
+                best = i
         (p, q), (r, s) = stops[best:best + 2]
         qs = 3 * q * s  # its middle third is ((2p/q + r/s)/3, (p/q + 2r/s)/3)
         return 2 * p * s + r * q, qs, p * s + 2 * r * q, qs
@@ -186,8 +195,13 @@ class FinitePointsOracle(GapOracle):
     def avoids(self, p: int, q: int, r: int, s: int, lo_closed: bool,
                hi_closed: bool) -> bool:
         # a point x/y in [p/q, r/s] misses the interval only on an open end
-        return all((not lo_closed and x * q == p * y) or (not hi_closed and x * s == r * y)
-                   for x, y in self._pairs if p * y <= x * q and x * s <= r * y)
+        for x, y in self._pairs:
+            past_lo, short_of_hi = x * q - p * y, r * y - x * s
+            if short_of_hi < 0:
+                return True  # this point and every later one lie past r/s
+            if (past_lo > 0 or (past_lo == 0 and lo_closed)) and (short_of_hi > 0 or hi_closed):
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +262,20 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
     subinterval of that length.
 
     The per-remnant work runs on the endpoints' numerators and denominators,
-    and the oracle answers on ints (:meth:`GapOracle.gap_ends` and
-    :meth:`GapOracle.avoids`), so an oracle gap becomes neither Fractions nor
-    an Interval unless it breaks the contract. For an oracle gap (p/q, r/s)
-    in K = [lo, hi], the containment in the closed middle third is
-    3p/q >= 2lo + hi and 3r/s <= lo + 2hi, cross-multiplied; the level length
-    is 1/M with M the larger of twice the previous level's M and every
-    ceil(qs / (rq - ps)); and the shrunk gap's ends are ((ps + rq)M -+ qs) /
-    (2qsM), one Fraction each. A gap over one denominator (q = s, as every
-    oracle here answers) never forms qs: its bound is ceil(q / (r - p)) and
-    its ends ((p + r)M -+ q) / (2qM). :meth:`Interval.split_around` checks
-    on ints that each shrunk gap lies strictly inside its closed remnant and
-    builds the gap and the two closed remnants beside it.
+    each remnant's read once with ``as_integer_ratio()``, and the oracle
+    answers on ints (:meth:`GapOracle.gap_ends` and :meth:`GapOracle.avoids`),
+    so an oracle gap becomes neither Fractions nor an Interval unless it
+    breaks the contract. For an oracle gap (p/q, r/s) in K = [lo, hi], the
+    containment in the closed middle third is 3p/q >= 2lo + hi and
+    3r/s <= lo + 2hi, cross-multiplied; the level length is 1/M with M the
+    larger of twice the previous level's M and every ceil(qs / (rq - ps));
+    and the shrunk gap's ends are ((ps + rq)M -+ qs) / (2qsM). A gap over one
+    denominator (q = s, as every oracle here answers) never forms qs: its
+    bound is ceil(q / (r - p)) and its ends ((p + r)M -+ q) / (2qM).
+    :meth:`Interval.split_around` takes those two numerators over their one
+    denominator, checks on ints that the shrunk gap lies strictly inside its
+    closed remnant, and builds the gap's two ends and the three parts, so
+    the level builds no Fraction per remnant but those two.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
@@ -270,7 +286,8 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
         raw = []
         m *= 2
         for j, k in enumerate(remnants, 1):
-            a, b, c, d = k.lo.numerator, k.lo.denominator, k.hi.numerator, k.hi.denominator
+            a, b = k.lo.as_integer_ratio()
+            c, d = k.hi.as_integer_ratio()
             p, q, r, s = oracle.gap_ends(a, b, c, d)
             if q <= 0 or s <= 0:
                 raise OracleViolationError(
@@ -290,9 +307,7 @@ def build_cantor(oracle: GapOracle, depth: int) -> CantorConstruction:
         gaps = []
         next_remnants = []
         for k, (mid, qs) in zip(remnants, raw):
-            den = 2 * qs * m
-            left, gap, right = k.split_around(Fraction(mid * m - qs, den),
-                                              Fraction(mid * m + qs, den))
+            left, gap, right = k.split_around(mid * m - qs, mid * m + qs, 2 * qs * m)
             gaps.append(gap)
             next_remnants += left, right
         remnants = tuple(next_remnants)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
-from affcopy.intervals import Interval, as_fraction, normalize
+from affcopy.intervals import ExponentCapError, Interval, as_fraction, normalize
 
 if TYPE_CHECKING:
     from affcopy import cantor, slowseq
@@ -229,8 +229,9 @@ def _appendix_intersect(args: argparse.Namespace) -> tuple:
     for i, part in enumerate(args.alphas.split(","), 1):
         try:
             alphas.append(as_fraction(part))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--alphas entry {i}: malformed rational {part!r}") from None
+        except (ValueError, ZeroDivisionError) as err:
+            why = f": {err}" if isinstance(err, ExponentCapError) else ""
+            raise ValueError(f"--alphas entry {i}: malformed rational {part!r}{why}") from None
     system = mixedradix.make_system(args.schedule)
     chain = mixedradix.nested_intersect(alphas, system, args.U)
     final = chain.final

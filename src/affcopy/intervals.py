@@ -35,9 +35,10 @@ sets its type's slots directly: ``_part`` for :class:`Interval` and
 ``_reduced`` for ``Fraction``. Those parts, :meth:`Interval.translate` and
 :meth:`Interval.split_around` build through ``_part``, since their shape is
 known or, for a split, checked on ints first. The parts' endpoints, a
-translate's endpoints and ``measure`` build through ``_reduced``, since each
-is an int over a positive int: one gcd and none of the constructor's
-argument handling.
+translate's endpoints, a split's two gap ends (given as ints over one
+denominator) and ``measure`` build through ``_reduced``, since each is an int
+over a positive int: one gcd and none of the constructor's argument
+handling.
 Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
 Every set operation, transform and query reads the cuts: ``len``, truth,
 ``is_empty``, ``==``, union, intersection, difference, ``measure``,
@@ -77,6 +78,12 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+class ExponentCapError(ValueError):
+    """Well-formed text that ``as_fraction`` refuses: its decimal exponent is
+    above MAX_DECIMAL_EXPONENT in magnitude. A caller naming the text should
+    print this reason, which ``Fraction``'s own errors on malformed text lack."""
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints and ``p/q`` strings to an exact Fraction; text whose
     decimal exponent is above MAX_DECIMAL_EXPONENT in magnitude is refused
@@ -88,8 +95,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent {exponent[1]} is above the cap "
-                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
+            raise ExponentCapError(f"decimal exponent {exponent[1]} is above the cap "
+                                   f"{MAX_DECIMAL_EXPONENT} in magnitude")
     return Fraction(value)
 
 
@@ -163,22 +170,24 @@ class Interval:
         return _part(_reduced(a * d + n * b, b * d), _reduced(c * d + n * e, e * d),
                      self.lo_closed, self.hi_closed)
 
-    def split_around(self, lo: Fraction, hi: Fraction) -> Tuple[Interval, Interval, Interval]:
-        """[self.lo, lo], (lo, hi) and [hi, self.hi] of a closed interval with
-        self.lo < lo < hi < self.hi, checked by one chain of cross-multiplied int
-        comparisons; ValueError on any other shape, TypeError on non-Fractions."""
-        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
-            raise TypeError(f"split_around takes Fraction ends, got {lo!r} and {hi!r}")
+    def split_around(self, lo: int, hi: int, den: int) -> Tuple[Interval, Interval, Interval]:
+        """[self.lo, lo/den], (lo/den, hi/den) and [hi/den, self.hi] of a closed
+        interval with self.lo < lo/den < hi/den < self.hi, for ints lo and hi
+        over one den > 0, checked by one chain of cross-multiplied int
+        comparisons; ValueError on any other shape, TypeError on non-ints.
+        The chain a*den < lo*b, lo < hi, hi*d < c*den for self = [a/b, c/d]
+        gives den*(cb - ad) > 0, so it holds only for den > 0 and a/b < c/d."""
+        if not lo.__class__ is hi.__class__ is den.__class__ is int:
+            raise TypeError(f"split_around takes int ends, got {lo!r}, {hi!r} and {den!r}")
         a, b = self.lo.as_integer_ratio()
-        c, d = lo.as_integer_ratio()
-        e, f = hi.as_integer_ratio()
-        g, h = self.hi.as_integer_ratio()
-        if not (self.lo_closed and self.hi_closed and a * d < c * b and c * f < e * d
-                and e * h < g * f):
-            raise ValueError(f"cannot split {self} around ({lo},{hi}): need a closed interval "
-                             "with the gap strictly inside it")
-        return (_part(self.lo, lo, True, True), _part(lo, hi, False, False),
-                _part(hi, self.hi, True, True))
+        c, d = self.hi.as_integer_ratio()
+        if not (self.lo_closed and self.hi_closed and a * den < lo * b and lo < hi
+                and hi * d < c * den):
+            raise ValueError(f"cannot split {self} around ({lo}/{den},{hi}/{den}): need a "
+                             "closed interval with the gap strictly inside it")
+        x, y = _reduced(lo, den), _reduced(hi, den)
+        return (_part(self.lo, x, True, True), _part(x, y, False, False),
+                _part(y, self.hi, True, True))
 
     # -- text form -----------------------------------------------------------
 

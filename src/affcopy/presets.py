@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from affcopy.avoider import MAX_M, ThresholdSequence, thresholdize
-from affcopy.intervals import as_fraction
+from affcopy.intervals import ExponentCapError, as_fraction
 from affcopy.slowseq import check_horizon
 
 #: Horizon used when a non-convex preset has to be materialized.
@@ -30,11 +30,13 @@ def _iterated_floor_log(m: int, depth: int) -> int:
 
 
 def _argument(spec: str, arg: str, parse: Callable[[str], object], kind: str):
-    """A preset's argument parsed, or a ValueError naming the preset and it."""
+    """A preset's argument parsed, or a ValueError naming the preset and it,
+    and for a capped exponent the reason."""
     try:
         return parse(arg)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"preset {spec!r}: malformed {kind} {arg!r}") from None
+    except (ValueError, ZeroDivisionError) as err:
+        why = f": {err}" if isinstance(err, ExponentCapError) else ""
+        raise ValueError(f"preset {spec!r}: malformed {kind} {arg!r}{why}") from None
 
 
 def _parse_preset(spec: str) -> Optional[Tuple[Callable[[int], Fraction], bool]]:
@@ -75,8 +77,9 @@ def load_sequence_file(path: str) -> List[Fraction]:
     for i, text in enumerate(data, 1):
         try:
             values.append(as_fraction(text))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{path}, entry {i}: malformed rational {text!r}") from None
+        except (ValueError, ZeroDivisionError) as err:
+            why = f": {err}" if isinstance(err, ExponentCapError) else ""
+            raise ValueError(f"{path}, entry {i}: malformed rational {text!r}{why}") from None
     return values
 
 

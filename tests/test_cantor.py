@@ -5,6 +5,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Optional
 
@@ -442,7 +443,8 @@ class TestOracleViolations:
     @pytest.mark.parametrize("spoil", [
         lambda p, q, r, s: (p, 0, r, s),
         lambda p, q, r, s: (p, q, -r, -s),
-    ], ids=["zero", "negative"])
+        lambda p, q, r, s: (p, q, r, 0),
+    ], ids=["zero", "negative", "zero-at-hi"])
     def test_non_positive_denominator(self, spoil):
         for n, j, k in seeded_remnants(79, 6):
             with pytest.raises(OracleViolationError) as err:
@@ -612,6 +614,44 @@ class TestFinitePointsOracle:
             oracle = FinitePointsOracle(tuple(points) + (inside,))
             assert open_gap(*oracle.gap_ends(a, b, c, d)) == scanned_gap(points + [inside], k)
         assert min(kinds.values()) > 200, kinds
+
+    def test_one_scan_with_points_on_every_boundary(self):
+        # points exactly on u/den and v/den (the ends of K's middle third), on
+        # K's ends, strictly inside the middle third, in an outer third and
+        # past K, some duplicated, asked as reduced and unreduced ints: the gap
+        # against scanned_gap, and avoids under all four flag pairs against
+        # scanned_avoids, on intervals between two of those points
+        rng = random.Random(137)
+        seen = Counter()
+        for _ in range(1500):
+            lo = F(rng.randint(-30, 30), rng.randint(1, 9))
+            k = Interval.closed(lo, lo + F(rng.randint(1, 30), rng.randint(1, 9)))
+            inner = reference_middle_third(k)
+            kinds = {"u": inner.lo, "v": inner.hi, "K.lo": k.lo, "K.hi": k.hi,
+                     "inside": inner.lo + inner.length * F(rng.randint(1, 11), 12),
+                     "outer": k.lo + (inner.lo - k.lo) * F(rng.randint(1, 5), 6),
+                     "past K": k.hi + F(rng.randint(1, 40), rng.randint(1, 12))}
+            names = rng.sample(sorted(kinds), rng.randint(0, 4))
+            points = [kinds[name] for name in names]
+            points += rng.choices(points, k=rng.randint(0, 2)) if points else []
+            rng.shuffle(points)
+            seen.update(names)
+            seen["duplicated"] += len(set(points)) < len(points)
+            oracle = FinitePointsOracle(tuple(points))
+            a, b, c, d = ends(k)
+            t, u = rng.randint(1, 5), rng.randint(1, 5)
+            want = scanned_gap(points, k)
+            assert open_gap(*oracle.gap_ends(a, b, c, d)) == want, (k, points)
+            assert open_gap(*oracle.gap_ends(a * t, b * t, c * u, d * u)) == want, (k, points)
+            x, y = sorted(rng.sample(sorted(kinds.values()), 2))
+            for lo_closed, hi_closed in product((False, True), repeat=2):
+                probe = Interval(x, y, lo_closed, hi_closed)
+                got = int_avoids(oracle, probe)
+                assert got == scanned_avoids(points, probe), (probe, points)
+                p, q, r, s = ends(probe)
+                assert oracle.avoids(p * t, q * t, r * u, s * u, lo_closed, hi_closed) == got
+                seen[lo_closed, hi_closed, got] += 1
+        assert len(seen) == 16 and min(seen.values()) > 100, seen
 
     def test_avoids_target_matches_a_linear_scan(self):
         a, b = F(1, 3), F(3, 4)

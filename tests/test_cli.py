@@ -907,15 +907,20 @@ EMBED_ALPHA = ["avoider-embed", "--beta", "harmonic", "--M", "3", "--depth", "2"
      "error: argument --length: malformed rational '1e-5000': decimal exponent -5000 is above "
      "the cap 4300 in magnitude\n"),
     (["appendix-intersect", "--schedule", "4,14", "--alphas", "0,1e-5000", "--U", "2"],
-     "error: --alphas entry 2: malformed rational '1e-5000'\n"),
-    (EMBED_ALPHA + ["{file}"], "error: {file}, entry 2: malformed rational '1E+5000'\n"),
+     "error: --alphas entry 2: malformed rational '1e-5000': decimal exponent -5000 is above "
+     "the cap 4300 in magnitude\n"),
+    (EMBED_ALPHA + ["{file}"], "error: {file}, entry 2: malformed rational '1E+5000': decimal "
+     "exponent +5000 is above the cap 4300 in magnitude\n"),
     (EMBED_ALPHA + ["geometric:1e-5000"],
-     "error: preset 'geometric:1e-5000': malformed rational '1e-5000'\n"),
+     "error: preset 'geometric:1e-5000': malformed rational '1e-5000': decimal exponent -5000 "
+     "is above the cap 4300 in magnitude\n"),
 ], ids=["flag", "alphas", "sequence-file", "preset"])
 def test_a_decimal_exponent_past_the_cap_exits_two_naming_its_source(tmp_path, capsys, argv,
                                                                        message):
     # once a bare digit-limit error, an unrelated refusal or a run: the
-    # constructor built the power of ten, and --length 1e-3000000 ran past a minute
+    # constructor built the power of ten, and --length 1e-3000000 ran past a minute.
+    # An --alphas entry, a sequence-file entry and a preset argument once
+    # dropped the reason and called the well-formed text only malformed
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(["1/2", "1E+5000", "1/8"]))
     argv = [arg.format(file=path) for arg in argv]
@@ -926,6 +931,18 @@ def test_a_decimal_exponent_past_the_cap_exits_two_naming_its_source(tmp_path, c
     assert code == 2
     assert report is None
     assert capsys.readouterr().err.endswith(message.format(file=path))
+
+
+def test_a_hole_length_too_long_to_print_exits_two(tmp_path, capsys):
+    # 10^4300 has 4,301 digits: the refusal once failed to print lambda and
+    # exited with a bare digit-limit error instead
+    code, report = run(tmp_path, "avoider-measure", "--beta", "harmonic", "--M", "40",
+                       "--lo", "0", "--length", "1e-4300")
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err == (
+        "error: no eta gap falls below the hole length lambda=<a 1-bit numerator over a "
+        "14285-bit denominator> within the sequence horizon 4611686018427387904\n")
 
 
 @pytest.mark.parametrize("beta", ["harmonic:junk", "harmonic:"])

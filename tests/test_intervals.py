@@ -1154,11 +1154,18 @@ def flagged_intervals(rng, count):
         yield Interval.point(lo)
 
 
+def over_one_denominator(lo, hi, t=1):
+    """Fractions lo and hi as the ints split_around takes: their numerators
+    over t times the lcm of their denominators, and that denominator."""
+    den = lcm(lo.denominator, hi.denominator) * t
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
 class TestUncheckedParts:
     """Interval.translate, Interval.split_around and the kernel's part decoder
-    build their parts without ``__post_init__``, and translates, decoded parts
-    and ``measure`` their Fractions without the Fraction constructor; each
-    must equal the checked construction of the same value."""
+    build their parts without ``__post_init__``, and translates, splits,
+    decoded parts and ``measure`` their Fractions without the Fraction
+    constructor; each must equal the checked construction of the same value."""
 
     def test_reduced_matches_the_constructor(self):
         # _reduced sets the two slots Fraction has on every supported Python
@@ -1190,16 +1197,19 @@ class TestUncheckedParts:
         for p in flagged_intervals(rng, 300):
             if not (p.lo_closed and p.hi_closed) or is_point(p):
                 continue
-            # two distinct cut points strictly inside, some over huge denominators
+            # two distinct cut points strictly inside, some over huge
+            # denominators, as ints over their lcm or over a multiple of it
             n = rng.choice((3, 7, 2 ** 61 - 1))
             i, j = sorted(rng.sample(range(1, n), 2))
             lo, hi = (p.lo + p.length * F(i, n), p.lo + p.length * F(j, n))
-            left, gap, right = p.split_around(lo, hi)
+            t = rng.choice((1, rng.randint(2, 2 ** 61 - 1)))
+            left, gap, right = p.split_around(*over_one_denominator(lo, hi, t))
             same_interval(left, Interval(p.lo, lo, True, True))
             same_interval(gap, Interval(lo, hi, False, False))
             same_interval(right, Interval(hi, p.hi, True, True))
             seen[n] += 1
-        assert len(seen) == 3 and min(seen.values()) > 50, seen
+            seen["lcm" if t == 1 else "multiple"] += 1
+        assert len(seen) == 5 and min(seen.values()) > 50, seen
 
     @pytest.mark.parametrize("k, lo, hi", [
         ("[0,1]", 0, "1/2"), ("[0,1]", "1/2", 1), ("[0,1]", 0, 1),  # touching an end
@@ -1210,12 +1220,22 @@ class TestUncheckedParts:
     ])
     def test_split_around_refuses_every_other_shape(self, k, lo, hi):
         with pytest.raises(ValueError, match="cannot split"):
-            iv(k).split_around(F(lo), F(hi))
+            iv(k).split_around(*over_one_denominator(F(lo), F(hi)))
 
-    @pytest.mark.parametrize("lo, hi", [(1, F(1, 2)), (F(1, 3), "1/2"), (0.25, F(1, 2))])
-    def test_split_around_takes_fractions_only(self, lo, hi):
-        with pytest.raises(TypeError, match="Fraction ends"):
-            iv("[0,1]").split_around(lo, hi)
+    @pytest.mark.parametrize("k, lo, hi, den", [
+        ("[0,1]", 1, 2, 0), ("[0,1]", -1, -2, -3), ("[-1,1]", 1, 2, -3),  # den <= 0
+        ("[0,1]", 2, 1, 3), ("[0,1]", 2, 2, 6), ("[-1,1]", 1, -1, 5),     # lo >= hi
+    ])
+    def test_split_around_refuses_a_bad_denominator_or_order(self, k, lo, hi, den):
+        with pytest.raises(ValueError, match="cannot split"):
+            iv(k).split_around(lo, hi, den)
+
+    @pytest.mark.parametrize("lo, hi, den", [
+        (F(1, 3), 2, 3), (1, F(2), 3), (1, 2, F(3)), (1, "2", 3), (0.25, 2, 3), (1, 2, 3.0),
+    ], ids=["fraction-lo", "fraction-hi", "fraction-den", "str-hi", "float-lo", "float-den"])
+    def test_split_around_takes_ints_only(self, lo, hi, den):
+        with pytest.raises(TypeError, match="int ends"):
+            iv("[0,1]").split_around(lo, hi, den)
 
     def test_translate_matches_the_checked_constructor(self):
         rng = random.Random(191)

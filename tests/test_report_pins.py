@@ -65,6 +65,27 @@ def test_ladder_build_bytes():
     assert digest.hexdigest() == "f70533375a33ff954bce5a1e0b39f668b3ec8f5ed78cc8ed50d5a663b87a61dc"
 
 
+def test_seeded_ladder_and_report_bytes():
+    # 28 depth-10 finite-points ladders and their k_max 4 reports: 2 to 8
+    # points over denominators up to 10^4, each set with a duplicate and a
+    # point on an end of the middle third of a remnant of the first points'
+    # ladder; digest taken before each level was built on ints
+    rng = random.Random(35)
+    digest = hashlib.sha256()
+    for count in list(range(2, 9)) * 4:
+        points = []
+        for _ in range(count):
+            q = rng.randint(3, 10 ** 4)
+            points.append(F(rng.randint(1, q - 1), q))
+        n = rng.randint(0, 4)
+        k = build_cantor(FinitePointsOracle(points), 5).remnant(n, rng.randint(1, 2 ** n))
+        points += [k.lo + k.length / 3 * rng.randint(1, 2), rng.choice(points)]
+        ladder = build_cantor(FinitePointsOracle(points), 10)
+        digest.update(text(ladder).encode())
+        digest.update(text(verify_cantor(ladder, 4)).encode())
+    assert digest.hexdigest() == "95ec5584043bc5f53b92e2a13d5b55f52fe57e3e4bed798eddd03626dd2d72fe"
+
+
 def test_tampered_ladder_invariant_report_bytes():
     # one violation or more from every scalar check family, in a ladder the
     # set-valued checks still accept as canonical

@@ -381,8 +381,8 @@ def test_one_unchecked_interval_builder():
 
 def test_one_unchecked_fraction_builder():
     # _reduced is the one function that makes a Fraction without its
-    # constructor; translates, decoded parts and measure build through it,
-    # and every colder site keeps the constructor
+    # constructor; translates, splits, decoded parts and measure build
+    # through it, and every colder site keeps the constructor
     calls = [(path.name, owner, node) for path in SOURCES
              for owner, node in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call)]
@@ -392,12 +392,15 @@ def test_one_unchecked_fraction_builder():
     assert builders == [("intervals.py", "_reduced")]
     assert {(name, owner) for name, owner, call in calls
             if getattr(call.func, "id", None) == "_reduced"} == {
-        ("intervals.py", owner) for owner in ("translate", "_decode_part", "measure")}
+        ("intervals.py", owner)
+        for owner in ("translate", "split_around", "_decode_part", "measure")}
 
 
 def test_the_ladder_splits_each_remnant_in_one_checked_step():
     # build_cantor makes every gap and remnant through Interval.split_around,
-    # which checks the three shapes on ints, and constructs no Interval itself
+    # which checks the three shapes on ints and takes the gap's ends as ints,
+    # and constructs no Interval itself; its one Fraction is each level's
+    # length 1/m, none per remnant
     tree = ast.parse(Path(cantor.__file__).read_text(encoding="utf-8"))
     (build,) = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "build_cantor"]
@@ -408,6 +411,8 @@ def test_the_ladder_splits_each_remnant_in_one_checked_step():
              if "Interval" in (getattr(f, "id", None),
                                getattr(getattr(f, "value", None), "id", None))]
     assert found == []
+    assert [ast.unparse(node) for node in ast.walk(build) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Fraction"] == ["Fraction(1, m)"]
 
 
 def test_measure_and_longest_part_come_from_the_kernel():
