@@ -21,9 +21,9 @@ _EXPORTS = {
     "cli": (),
     "expbounds": (),
     "intervals": ("EMPTY", "Interval", "IntervalSet", "as_fraction", "normalize", "union_all"),
-    "mixedradix": ("DigitVector", "MixedRadixSystem", "NestedChain", "branch_index",
-                   "check_h_condition", "default_schedule", "digits_of", "f_membership",
-                   "make_system", "nested_intersect", "premeasure_bound"),
+    "mixedradix": ("MixedRadixSystem", "NestedChain", "branch_index", "check_h_condition",
+                   "default_schedule", "f_membership", "make_system", "nested_intersect",
+                   "premeasure_bound"),
     "presets": (),
     "propcheck": (),
     "slowseq": ("HorizonError", "SlowSequence", "TranslateDecomposition", "build_mu",

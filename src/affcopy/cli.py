@@ -61,7 +61,8 @@ def _fraction(text: str) -> Fraction:
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(f"malformed rational {text!r}: {err}")
+        why = f": {err}" if isinstance(err, ExponentCapError) else ""
+        raise argparse.ArgumentTypeError(f"malformed rational {text!r}{why}")
 
 
 def _capped(layer: str, name: str) -> Callable[[str], int]:

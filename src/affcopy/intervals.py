@@ -39,6 +39,11 @@ translate's endpoints, a split's two gap ends (given as ints over one
 denominator) and ``measure`` build through ``_reduced``, since each is an int
 over a positive int: one gcd and none of the constructor's argument
 handling.
+This is the one module that reads and writes ``Fraction``'s two slots,
+``_numerator`` and ``_denominator``, whose names are checked once, at
+import: every ratio it reads is two slot loads, not ``as_integer_ratio()``
+or the ``numerator``/``denominator`` properties, and ``_reduced`` fills a
+new Fraction with two plain attribute stores.
 Only :class:`Interval` compares Fractions, on cross-multiplied numerators.
 Every set operation, transform and query reads the cuts: ``len``, truth,
 ``is_empty``, ``==``, union, intersection, difference, ``measure``,
@@ -118,7 +123,7 @@ class Interval:
     def __post_init__(self) -> None:
         lo, hi = self.lo, self.hi
         if (lo.__class__ is Fraction is hi.__class__
-                and lo.numerator * hi.denominator < hi.numerator * lo.denominator):
+                and lo._numerator * hi._denominator < hi._numerator * lo._denominator):
             return  # the usual case: exact Fractions in order, one int comparison
         if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
             object.__setattr__(self, "lo", as_fraction(self.lo))
@@ -164,9 +169,12 @@ class Interval:
     # -- transforms ----------------------------------------------------------
 
     def translate(self, shift: RationalLike) -> "Interval":
-        n, d = as_fraction(shift).as_integer_ratio()
-        a, b = self.lo.as_integer_ratio()  # a translate keeps the shape: no checks
-        c, e = self.hi.as_integer_ratio()
+        if shift.__class__ is not Fraction:
+            shift = as_fraction(shift)
+        n, d = shift._numerator, shift._denominator
+        a, b = self.lo._numerator, self.lo._denominator
+        c, e = self.hi._numerator, self.hi._denominator
+        # a translate keeps the shape: no checks
         return _part(_reduced(a * d + n * b, b * d), _reduced(c * d + n * e, e * d),
                      self.lo_closed, self.hi_closed)
 
@@ -179,8 +187,8 @@ class Interval:
         gives den*(cb - ad) > 0, so it holds only for den > 0 and a/b < c/d."""
         if not lo.__class__ is hi.__class__ is den.__class__ is int:
             raise TypeError(f"split_around takes int ends, got {lo!r}, {hi!r} and {den!r}")
-        a, b = self.lo.as_integer_ratio()
-        c, d = self.hi.as_integer_ratio()
+        a, b = self.lo._numerator, self.lo._denominator
+        c, d = self.hi._numerator, self.hi._denominator
         if not (self.lo_closed and self.hi_closed and a * den < lo * b and lo < hi
                 and hi * d < c * den):
             raise ValueError(f"cannot split {self} around ({lo}/{den},{hi}/{den}): need a "
@@ -328,8 +336,9 @@ class IntervalSet:
         ``2(scale*x + shift)D' + f``. A negative scale reverses the ranges and
         flips every flag, since each start cut comes from an end cut.
         """
-        a, q = as_fraction(scale).as_integer_ratio()
-        t, r = as_fraction(shift).as_integer_ratio()
+        scale, shift = as_fraction(scale), as_fraction(shift)
+        a, q = scale._numerator, scale._denominator
+        t, r = shift._numerator, shift._denominator
         if not a:
             raise ValueError("scale must be nonzero")
         d, cuts = self._lattice
@@ -356,7 +365,7 @@ class IntervalSet:
         and the ranges merge.
         """
         rr = as_fraction(r)
-        if rr.numerator <= 0:
+        if rr._numerator <= 0:
             raise ValueError("left_neighborhood needs r > 0")
         D, (cuts,), (move,) = _aligned((self,), (rr,))
         return _decode(_merge([((lo | 1) - move, hi) for lo, hi in cuts]), D)
@@ -387,7 +396,7 @@ class IntervalSet:
         ``2y + (r != 0)`` does. Bisect the start cuts for it."""
         x = as_fraction(x)
         D, cuts = self._lattice
-        y, r = divmod(x.numerator * D, x.denominator)
+        y, r = divmod(x._numerator * D, x._denominator)
         cut = 2 * y + (r != 0)
         i = bisect_right(cuts, cut, key=_START)
         return i > 0 and cut < cuts[i - 1][1]
@@ -427,20 +436,22 @@ def _part(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Inter
     return part
 
 
-#: Setters of the two Fraction slots, ``_numerator`` and ``_denominator``;
-#: a Fraction with another number of slots fails here, at import.
-_set_numerator, _set_denominator = (vars(Fraction)[name].__set__ for name in Fraction.__slots__)
+# This module reads and writes Fraction's two slots directly; checked once here.
+if Fraction.__slots__ != ("_numerator", "_denominator"):
+    raise ImportError(f"affcopy.intervals needs Fraction's slots _numerator and "
+                      f"_denominator, this Python's Fraction has {Fraction.__slots__!r}")
 
 
 def _reduced(n: int, d: int) -> Fraction:
     """The Fraction n/d for ints n and d > 0, built without the constructor:
     the one unchecked Fraction builder, which divides both by their gcd and
-    sets the two slots directly, as ``Fraction``'s own arithmetic does with
-    ints it knows to be coprime."""
+    stores them in the two slots ``_numerator`` and ``_denominator`` (checked
+    at import) with plain attribute stores, as ``Fraction``'s own arithmetic
+    does with ints it knows to be coprime."""
     g = gcd(n, d)
     x = object.__new__(Fraction)
-    _set_numerator(x, n // g)
-    _set_denominator(x, d // g)
+    x._numerator = n // g
+    x._denominator = d // g
     return x
 
 
@@ -508,8 +519,8 @@ def _encode(parts: Iterable[Interval]) -> Tuple[int, _Cuts]:
     cuts: _Cuts = []
     runs = []  # (end of a run, the lattice its parts were encoded over)
     for p in parts:
-        a, b = p.lo.as_integer_ratio()
-        c, e = p.hi.as_integer_ratio()
+        a, b = p.lo._numerator, p.lo._denominator
+        c, e = p.hi._numerator, p.hi._denominator
         if D % b or D % e:
             runs.append((len(cuts), D))
             D = lcm(D, b, e)
@@ -565,12 +576,12 @@ def _aligned(sets: Iterable[IntervalSet],
              shifts: Iterable[RationalLike] = ()) -> Tuple[int, list, list]:
     """The lcm D of the sets' lattices and the shifts' denominators, each
     set's cuts carried to D (a set already on D as it is), and each shift t,
-    its ratio read once, as the cut move ``2tD``."""
+    read from its slots, as the cut move ``2tD``."""
     lattices = [s._lattice for s in sets]
-    ratios = [as_fraction(t).as_integer_ratio() for t in shifts]
-    D = lcm(*(d for d, _ in lattices), *(q for _, q in ratios))
+    shifts = [as_fraction(t) for t in shifts]
+    D = lcm(*(d for d, _ in lattices), *(t._denominator for t in shifts))
     return (D, [cuts if d == D else _rescale(cuts, D // d) for d, cuts in lattices],
-            [2 * p * (D // q) for p, q in ratios])
+            [2 * t._numerator * (D // t._denominator) for t in shifts])
 
 
 def _sweep(sweep: Callable[..., _Cuts], *sets: IntervalSet) -> IntervalSet:

@@ -154,40 +154,9 @@ def default_schedule(depth: int,
 # digit expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DigitVector(Report):
-    """Finite-depth expansion; ``exact`` marks a zero remainder, i.e. the
-    reconstruction [x] + sum(digit_n / P_n) reproduces the source."""
-
-    integer_part: int
-    digits: Tuple[int, ...]
-    exact: bool
-
-    def value(self, system: MixedRadixSystem) -> Fraction:
-        total = Fraction(self.integer_part)
-        for n, d in enumerate(self.digits, 1):
-            total += Fraction(d, system.product(n))
-        return total
-
-
 def _check_depth(system: MixedRadixSystem, depth: int) -> None:
     if not 1 <= depth <= system.depth:
         raise ValueError(f"depth must be in 1..{system.depth}")
-
-
-def digits_of(x: RationalLike, system: MixedRadixSystem, depth: int) -> DigitVector:
-    """Greedy expansion of x to the given depth."""
-    _check_depth(system, depth)
-    x = as_fraction(x)
-    integer_part = x.numerator // x.denominator
-    y = x - integer_part
-    digits = []
-    for n in range(1, depth + 1):
-        y *= system.radix(n)
-        d = y.numerator // y.denominator
-        digits.append(d)
-        y -= d
-    return DigitVector(integer_part=integer_part, digits=tuple(digits), exact=y == 0)
 
 
 def f_membership(x: RationalLike, n: int, system: MixedRadixSystem) -> bool:

@@ -15,6 +15,7 @@ import affcopy
 from affcopy import avoider, cantor, cli, intervals, mixedradix, presets, propcheck, slowseq
 from affcopy.cli import build_parser, main
 from affcopy.intervals import Interval
+from test_mixedradix import digits_of
 
 F = Fraction
 
@@ -899,6 +900,18 @@ def test_malformed_appendix_input_exits_two(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_a_malformed_flag_rational_exits_two_without_fractions_reason(tmp_path, capsys, text):
+    # once ended ": Fraction(1, 0)" or ": Invalid literal for Fraction: 'abc'",
+    # while --alphas, sequence-file and preset entries name only the text
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "avoider-measure", "--beta", "harmonic", "--M", "40", "--lo", "0",
+            "--length", text)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --length: malformed rational {text!r}\n")
+
+
 EMBED_ALPHA = ["avoider-embed", "--beta", "harmonic", "--M", "3", "--depth", "2", "--alpha"]
 
 
@@ -962,7 +975,7 @@ def _drop_last(kernel):
 def _no_twin(f_membership):
     """The digit constraint read on the greedy expansion only, never its borrow twin."""
     def greedy_only(x, n, system):
-        return mixedradix.digits_of(x, system, n).digits[n - 1] in (0, system.radix(n) // 2)
+        return digits_of(x, system, n).digits[n - 1] in (0, system.radix(n) // 2)
     return greedy_only
 
 

@@ -1257,6 +1257,36 @@ class TestUncheckedParts:
             with pytest.raises(TypeError, match="floats are not allowed"):
                 Interval.open(0, 1).translate(bad)
 
+    def test_a_fraction_subclass_reads_as_its_value(self):
+        # the kernel reads every ratio from Fraction's two slots, which a
+        # subclass inherits: as a shift, an end or a probe it is its value
+        rng = random.Random(211)
+        seen = Counter()
+        for p in flagged_intervals(rng, 300):
+            t, r = new_rational(rng), F(rng.randint(1, 40), rng.choice(NEW_DENOMINATORS))
+            scale = rng.choice((F(-3, 7), F(5, 2), t or F(1)))
+            plain = IntervalSet((p,))
+            q = Interval(Sub(p.lo), Sub(p.hi), p.lo_closed, p.hi_closed)
+            s = IntervalSet((q,))
+            assert s == plain and s.measure() == p.length
+            want = Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed)
+            for got in (p.translate(Sub(t)), q.translate(t), q.translate(Sub(t))):
+                same_interval(got, want)
+                same_interval(got, ref.translate(plain, t).parts[0])
+            assert s.translate(Sub(t)) == ref.translate(plain, t)
+            assert s.affine(Sub(scale), Sub(t)) == ref.affine(plain, scale, t)
+            assert s.left_neighborhood(Sub(r)) == ref.left_neighborhood(plain, r)
+            shifts = [t, new_rational(rng)]
+            assert union_of_translates(s, map(Sub, shifts)) == naive_union_of_translates(
+                plain, shifts)
+            step = F(1, rng.choice(NEW_DENOMINATORS))
+            for x in (p.lo, p.hi, p.lo - step, p.lo + step, p.hi - step, p.hi + step, t):
+                got = s.contains_point(Sub(x))
+                assert got is ref.contains_point(plain, x) is plain.contains_point(x), (p, x)
+                seen[got] += 1
+            seen["point" if is_point(p) else (p.lo_closed, p.hi_closed)] += 1
+        assert len(seen) == 7 and min(seen.values()) > 50, seen
+
     def test_decoded_parts_match_the_checked_constructor(self):
         # the reference builds every part through the checked constructor,
         # and its measure is the Fraction sum of the part lengths

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,43 @@ from affcopy import mixedradix
 from affcopy.expbounds import (ceil_even, compare_with_exp, even_upper_exp_quotient,
                                exp_bounds)
 from affcopy.intervals import Interval, IntervalSet
-from affcopy.mixedradix import (DigitVector, branch_index,
-                                chain_point_check, check_h_condition, default_schedule,
-                                digits_of, f_membership, make_system, nested_intersect,
+from affcopy.mixedradix import (branch_index, chain_point_check, check_h_condition,
+                                default_schedule, f_membership, make_system, nested_intersect,
                                 premeasure_bound)
 
 F = Fraction
 
 GEOMETRY_SCHEDULE = (4, 14, 40, 120, 360, 1080)
+
+
+@dataclass(frozen=True)
+class DigitVector:
+    """A finite-depth expansion; ``exact`` marks a zero remainder, i.e. the
+    reconstruction [x] + sum(digit_n / P_n) reproduces the source."""
+
+    integer_part: int
+    digits: tuple
+    exact: bool
+
+    def value(self, system):
+        return F(self.integer_part) + sum(F(d, system.product(n))
+                                          for n, d in enumerate(self.digits, 1))
+
+
+def digits_of(x, system, depth):
+    """The greedy expansion of x to the given depth, digit by digit in
+    Fraction arithmetic: with its borrow twin below, the reference that
+    f_membership's one residue is checked against."""
+    x = F(x)
+    integer_part = x.numerator // x.denominator
+    y = x - integer_part
+    digits = []
+    for n in range(1, depth + 1):
+        y *= system.radix(n)
+        d = y.numerator // y.denominator
+        digits.append(d)
+        y -= d
+    return DigitVector(integer_part=integer_part, digits=tuple(digits), exact=y == 0)
 
 
 def borrow_twin(x, system, depth):

@@ -18,7 +18,6 @@ from affcopy.avoider import (AvoiderConstruction, ThresholdSequence, build_avoid
                              thresholdize)
 from affcopy.cantor import FinitePointsOracle, MiddleThirdOracle, build_cantor, verify_cantor
 from affcopy.intervals import Interval, normalize
-from affcopy.mixedradix import default_schedule, digits_of, make_system
 from affcopy.propcheck import run_kernel_property_suite
 from affcopy.slowseq import build_mu, verify_slow_decay
 
@@ -117,17 +116,6 @@ def test_tampered_ladder_invariant_report_bytes():
 def test_property_report_bytes():
     expected = {"seed": 5, "instances": 3, "checks_run": 27, "failures": [], "pass": True}
     assert text(run_kernel_property_suite(5, 3)) == json.dumps(expected, indent=2)
-
-
-def test_digit_vector_bytes():
-    pins = [
-        (digits_of(F(5, 8), make_system([4, 14]), 2),
-         {"integer_part": 0, "digits": [2, 7], "exact": True}),
-        (digits_of(F(-7, 5), default_schedule(3), 3),
-         {"integer_part": -2, "digits": [2, 5, 22410637457282101649005], "exact": False}),
-    ]
-    for vector, expected in pins:
-        assert text(vector) == json.dumps(expected, indent=2)
 
 
 @pytest.mark.parametrize("alpha, M, digest", [

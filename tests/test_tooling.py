@@ -396,6 +396,36 @@ def test_one_unchecked_fraction_builder():
         for owner in ("translate", "split_around", "_decode_part", "measure")}
 
 
+def test_only_intervals_touches_fraction_slots():
+    # intervals reads every ratio from Fraction's two slots and _reduced
+    # writes them; no other module names a slot, and intervals reads no
+    # ratio through as_integer_ratio() or the numerator/denominator properties
+    slots = {"_numerator", "_denominator"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if path.name != "intervals.py" and name in slots:
+                found.append(f"{path.name}:{node.lineno}: names {name}")
+            if path.name == "intervals.py" and isinstance(node, ast.Attribute) and node.attr in (
+                    "as_integer_ratio", "numerator", "denominator"):
+                found.append(f"{path.name}:{node.lineno}: reads .{node.attr}")
+    assert found == []
+
+
+def test_a_fraction_with_other_slots_fails_at_import():
+    # intervals checks the two slot names once, when it loads, not per call
+    assert _fresh_python("-c", "import fractions\n"
+                               "fractions.Fraction.__slots__ = ('_num', '_den')\n"
+                               "try:\n"
+                               "    import affcopy.intervals\n"
+                               "except ImportError as err:\n"
+                               "    print(type(err).__name__, \"('_num', '_den')\" in str(err))"
+                         ) == ["ImportError", "True"]
+
+
 def test_the_ladder_splits_each_remnant_in_one_checked_step():
     # build_cantor makes every gap and remnant through Interval.split_around,
     # which checks the three shapes on ints and takes the gap's ends as ints,
@@ -579,7 +609,7 @@ class TestLazyExports:
         exec("from affcopy import *", namespace)
         del namespace["__builtins__"]
         assert sorted(namespace) == affcopy.__all__
-        assert len(namespace) == 46
+        assert len(namespace) == 44
         assert namespace["IntervalSet"] is intervals.IntervalSet
 
     def test_unknown_name_raises_attribute_error(self):
